@@ -9,6 +9,7 @@ canonical rational functions of q.
 """
 
 from .errors import (
+    DegenerateEvaluationPoint,
     EigenvalueCollisionAtEvaluation,
     InternalCheckError,
     PoleAtSpecialization,

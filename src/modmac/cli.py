@@ -7,14 +7,14 @@ deterministic for a fixed command line and seed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
+from dataclasses import replace
 
 import click
 
 from .errors import (
+    DegenerateEvaluationPoint,
     EigenvalueCollisionAtEvaluation,
     InternalCheckError,
     PoleAtSpecialization,
@@ -68,16 +68,6 @@ def _make_mode(m: int, mode: str, q0: str | None, c0: str | None) -> ParamMode:
         raise click.BadParameter(str(exc)) from None
 
 
-def _matrix_csv(order, entries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = ["+".join(map(str, lam.parts)) for lam in order]
-    writer.writerow([""] + labels)
-    for label, row in zip(labels, entries):
-        writer.writerow([label] + [str(x) for x in row])
-    return buf.getvalue()
-
-
 _m_opt = click.option("--m", "m", type=int, required=True, help="modulus, an integer >= 2")
 _mode_opt = click.option("--mode", type=click.Choice(["symbolic", "eval"]), default="symbolic",
                          show_default=True)
@@ -92,7 +82,22 @@ def _check_m(m: int) -> None:
         raise click.BadParameter(f"--m must be >= 2, got {m}")
 
 
-@click.group()
+class _Command(click.Command):
+    """A subcommand: an evaluation point that makes the scalar product
+    degenerate is a usage error (exit 2), whichever computation meets it."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DegenerateEvaluationPoint as exc:
+            raise click.BadParameter(str(exc), ctx=ctx) from None
+
+
+class _Main(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact computations in the modular symmetric-function ring."""
 
@@ -238,7 +243,7 @@ def gram_cmd(m: int, n: int, mode: str, q0, c0, out: str) -> None:
         _fail(exc)
         return
     if out == "csv":
-        click.echo(_matrix_csv(mat.order, g), nl=False)
+        click.echo(replace(mat, entries=tuple(map(tuple, g))).to_csv(), nl=False)
     else:
         _emit({
             "m": m,

@@ -17,6 +17,14 @@ class EigenvalueCollisionAtEvaluation(ValueError):
     """
 
 
+class DegenerateEvaluationPoint(ValueError):
+    """The evaluation point makes the scalar product degenerate.
+
+    At q0 with q0^n = 1 for a degree n prime to m, epsilon_n vanishes; this
+    is bad input, so the command line reports it as a usage error.
+    """
+
+
 class InternalCheckError(RuntimeError):
     """An invariant that the theory guarantees came out false.
 

@@ -1,9 +1,13 @@
 """Exact scalars: the cyclotomic field Q(xi_m) and rational functions of q over it.
 
-No floating point anywhere.  Rationals are `fractions.Fraction`, cyclotomic
-numbers are residues modulo the m-th cyclotomic polynomial, and the
-deformation parameter q lives in a field of canonicalized rational
-functions (gcd-reduced, monic denominator), so equality is coefficient-wise.
+No floating point anywhere.  A cyclotomic number is its residue modulo the
+m-th cyclotomic polynomial, stored as an integer numerator vector over the
+power basis 1, xi, ..., xi^{phi(m)-1} and one positive common denominator,
+reduced so that gcd(content, den) = 1 (zero has den = 1).  Phi_m is monic
+with integer coefficients, so every field operation stays in integers and
+ends in a single gcd.  The deformation parameter q lives in a field of
+canonicalized rational functions (gcd-reduced, monic denominator), so
+equality is coefficient-wise.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import PoleAtSpecialization
+from .errors import DegenerateEvaluationPoint, PoleAtSpecialization
 
 __all__ = [
     "Cyc",
@@ -39,32 +44,13 @@ Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Fraction: used for Phi_m and for inverses mod Phi_m
+# dense polynomials over Fraction, used to compute Phi_m
 
 def _ftrim(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
     return c[:n]
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ftrim(tuple(out))
-
-
-def _fsub(a, b):
-    n = max(len(a), len(b))
-    return _ftrim(tuple(
-        (a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0) for i in range(n)
-    ))
 
 
 def _fdivmod(a, b):
@@ -106,33 +92,73 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
+# ---------------------------------------------------------------------------
+# integer vectors modulo Phi_m, which is monic with integer coefficients
+
+
 @lru_cache(maxsize=None)
-def _reduction_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    # x^(phi+j) mod Phi_m for j = 0..phi-2, each as a length-phi vector
-    phi = euler_phi(m)
-    mod = cyclotomic_polynomial(m)
-    rows = []
-    cur = tuple(-c for c in mod[:phi])  # x^phi mod Phi_m (Phi_m is monic)
-    rows.append(cur)
+def _int_modulus(m: int) -> tuple[int, ...]:
+    return tuple(int(c) for c in cyclotomic_polynomial(m))
+
+
+@lru_cache(maxsize=None)
+def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # x^(phi+j) mod Phi_m for j = 0..phi-2, each row as its nonzero
+    # (power, coefficient) pairs
+    mod = _int_modulus(m)
+    phi = len(mod) - 1
+    first = [-c for c in mod[:phi]]  # x^phi mod Phi_m
+    rows = [first]
+    cur = first
     for _ in range(phi - 2):
-        shifted = (_F0,) + cur
-        lead = shifted[phi]
-        cur = tuple(shifted[i] + lead * rows[0][i] for i in range(phi))
+        lead = cur[-1]
+        cur = [x + lead * y for x, y in zip([0] + cur[:-1], first)]
         rows.append(cur)
-    return tuple(rows)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
-def _finv_mod(a, mod):
-    # extended Euclid in Q[x]; a is invertible mod the irreducible mod
-    r0, r1 = mod, a
-    s0, s1 = (), (_F1,)
-    while r1:
-        q, r = _fdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible modulo the cyclotomic polynomial")
-    return _fdivmod(_fmul(s0, (1 / r0[0],)), mod)[1]
+def _int_mul(m: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    # product of two integer vectors of length phi(m) >= 2, reduced mod Phi_m
+    if len(a) == 2:
+        # x^2 = -c1 x - c0
+        c0, c1, _ = _int_modulus(m)
+        a0, a1 = a
+        b0, b1 = b
+        t = a1 * b1
+        return [a0 * b0 - c0 * t, a0 * b1 + a1 * b0 - c1 * t]
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                if y:
+                    conv[j] += x * y
+    out = conv[:phi]
+    for row, c in zip(_reduction_table(m), conv[phi:]):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
+
+
+@lru_cache(maxsize=None)
+def _galois_images(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # for each unit k != 1 mod m: the images of 1, xi, ..., xi^(phi-1) under
+    # the Galois automorphism xi -> xi^k, as integer vectors
+    phi = euler_phi(m)
+    return tuple(tuple(zeta(m, i * k).num for i in range(phi))
+                 for k in range(2, m) if gcd(k, m) == 1)
+
+
+def _int_reduce(vec: list[int], mod: tuple[int, ...]) -> list[int]:
+    # remainder of an integer polynomial of any length modulo the monic mod
+    phi = len(mod) - 1
+    for i in range(len(vec) - 1, phi - 1, -1):
+        c = vec[i]
+        if c:
+            for j in range(phi):
+                vec[i - phi + j] -= c * mod[j]
+    return vec[:phi]
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +167,34 @@ def _finv_mod(a, mod):
 class Cyc:
     """An element of Q(xi_m), stored as its residue modulo Phi_m.
 
-    The coefficient vector has length phi(m) over the power basis
-    1, xi, ..., xi^{phi(m)-1}, so equality is coefficient-wise.
+    The residue is num / den over the power basis 1, xi, ..., xi^{phi(m)-1}:
+    `num` is a tuple of phi(m) ints and `den` a positive int, with
+    gcd(content(num), den) = 1 and den = 1 for zero.  The form is canonical,
+    so equality is component-wise.  `coeffs` gives the same vector as
+    Fractions.
     """
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coeffs: Iterable[Rational] = ()):
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"conductor m must be an integer >= 2, got {m!r}")
-        vec = _ftrim(tuple(Fraction(c) for c in coeffs))
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        if len(vec) > deg:
-            vec = _fdivmod(vec, phi)[1]
-        self.m = m
-        self.coeffs = vec + (_F0,) * (deg - len(vec))
+        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in vals))
+        vec = [c.numerator * (den // c.denominator) for c in vals]
+        mod = _int_modulus(m)
+        phi = len(mod) - 1
+        if len(vec) > phi:
+            vec = _int_reduce(vec, mod)
+        else:
+            vec += [0] * (phi - len(vec))
+        c = _mk_cyc(m, vec, den)
+        self.m, self.num, self.den = m, c.num, c.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficient vector as Fractions, for rendering and serialization."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     # -- coercion ----------------------------------------------------------
 
@@ -166,7 +204,7 @@ class Cyc:
                 raise ValueError(f"mixed conductors: {self.m} vs {other.m}")
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyc(self.m, (other,))
+            return _rational_cyc(self.m, len(self.num), other)
         return None
 
     # -- field operations ---------------------------------------------------
@@ -175,7 +213,13 @@ class Cyc:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return _mk_cyc(self.m, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if len(a) == 1:
+            n, d = (a[0] + b[0], da) if da == db else (a[0] * db + b[0] * da, da * db)
+            return _mk_rational(self.m, n, d)
+        if da == db:
+            return _mk_cyc(self.m, [x + y for x, y in zip(a, b)], da)
+        return _mk_cyc(self.m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
@@ -183,7 +227,13 @@ class Cyc:
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return _mk_cyc(self.m, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b, da, db = self.num, o.num, self.den, o.den
+        if len(a) == 1:
+            n, d = (a[0] - b[0], da) if da == db else (a[0] * db - b[0] * da, da * db)
+            return _mk_rational(self.m, n, d)
+        if da == db:
+            return _mk_cyc(self.m, [x - y for x, y in zip(a, b)], da)
+        return _mk_cyc(self.m, [x * db - y * da for x, y in zip(a, b)], da * db)
 
     def __rsub__(self, other):
         o = self._co(other)
@@ -192,44 +242,52 @@ class Cyc:
         return o - self
 
     def __neg__(self):
-        return _mk_cyc(self.m, tuple(-a for a in self.coeffs))
+        return _raw_cyc(self.m, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
-        o = self._co(other)
-        if o is None:
+        if isinstance(other, Cyc):
+            if other.m != self.m:
+                raise ValueError(f"mixed conductors: {self.m} vs {other.m}")
+            b, den = other.num, self.den * other.den
+        elif isinstance(other, (int, Fraction)):
+            k = other.numerator
+            return _mk_cyc(self.m, [x * k for x in self.num], self.den * other.denominator)
+        else:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        phi = len(a)
-        if phi == 1:
-            return _mk_cyc(self.m, (a[0] * b[0],))
-        conv = [_F0] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:phi]
-        table = _reduction_table(self.m)
-        for j in range(phi, 2 * phi - 1):
-            c = conv[j]
-            if c:
-                row = table[j - phi]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return _mk_cyc(self.m, tuple(out))
+        a = self.num
+        if len(a) == 1:
+            return _mk_rational(self.m, a[0] * b[0], den)
+        return _mk_cyc(self.m, _int_mul(self.m, a, b), den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
-        cached = _INV_CACHE.get((self.m, self.coeffs))
+        key = (self.m, self.num, self.den)
+        cached = _INV_CACHE.get(key)
         if cached is not None:
             return cached
-        a = _ftrim(self.coeffs)
-        if not a:
+        a = self.num
+        if not any(a):
             raise ZeroDivisionError("division by zero in Q(xi)")
-        out = Cyc(self.m, _finv_mod(a, cyclotomic_polynomial(self.m)))
-        _INV_CACHE[(self.m, self.coeffs)] = out
+        if any(a[1:]):
+            # a^-1 = (product of the other conjugates of a) / norm(a)
+            m = self.m
+            rest = [1] + [0] * (len(a) - 1)
+            for images in _galois_images(m):
+                conj = [0] * len(a)
+                for x, img in zip(a, images):
+                    if x:
+                        for i, c in enumerate(img):
+                            conj[i] += x * c
+                rest = _int_mul(m, rest, conj)
+            norm = _int_mul(m, a, rest)[0]
+            sign = 1 if norm > 0 else -1
+            out = _mk_cyc(m, [sign * self.den * x for x in rest], sign * norm)
+        else:
+            # (a0 / den)^-1 = den / a0, already coprime
+            a0 = a[0]
+            out = _raw_cyc(self.m, (self.den if a0 > 0 else -self.den,) + a[1:], abs(a0))
+        _INV_CACHE[key] = out
         return out
 
     def __truediv__(self, other):
@@ -249,7 +307,7 @@ class Cyc:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        out = Cyc(self.m, (_F1,))
+        out = _cyc_one(self.m)
         base = self
         while n:
             if n & 1:
@@ -262,32 +320,33 @@ class Cyc:
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else _F0
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyc):
-            if self.is_rational and other.is_rational:
-                return self.rational_value() == other.rational_value()
-            if self.m != other.m:
-                return False
-            return self.coeffs == other.coeffs
+            if self.m == other.m:
+                return self.den == other.den and self.num == other.num
+            # different fields share only their rationals
+            return (self.den == other.den and self.num[0] == other.num[0]
+                    and self.is_rational and other.is_rational)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.rational_value() == other
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and self.is_rational)
         return NotImplemented
 
     def __hash__(self) -> int:
         # rational values hash like the rational itself, for cross-type equality
         if self.is_rational:
-            return hash(self.rational_value())
-        return hash((self.m, self.coeffs))
+            return hash(self.num[0] if self.den == 1 else Fraction(self.num[0], self.den))
+        return hash((self.m, self.num, self.den))
 
     def __str__(self) -> str:
         return _render_terms(self.coeffs, "xi")
@@ -322,12 +381,39 @@ def _render_terms(coeffs, sym: str) -> str:
 _INV_CACHE: dict = {}
 
 
-def _mk_cyc(m: int, vec: tuple[Fraction, ...]) -> Cyc:
-    # trusted constructor: vec already reduced and of length phi(m)
+def _raw_cyc(m: int, num: tuple[int, ...], den: int) -> Cyc:
+    # trusted constructor: num/den already canonical, num of length phi(m)
     out = object.__new__(Cyc)
     out.m = m
-    out.coeffs = vec
+    out.num = num
+    out.den = den
     return out
+
+
+def _mk_cyc(m: int, num: list[int], den: int) -> Cyc:
+    # num of length phi(m), den > 0: divide out gcd(content, den), one pass
+    # that stops once the running gcd is 1; the zero vector ends with den = 1
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _raw_cyc(m, tuple(num), den)
+
+
+def _mk_rational(m: int, n: int, d: int) -> Cyc:
+    # the phi(m) = 1 case of _mk_cyc
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+    return _raw_cyc(m, (n,), d)
+
+
+def _rational_cyc(m: int, phi: int, r: Rational) -> Cyc:
+    # ints and Fractions are already in lowest terms
+    return _raw_cyc(m, (r.numerator,) + (0,) * (phi - 1), r.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -470,6 +556,8 @@ class CycRat:
             if c.m != m:
                 raise ValueError(f"mixed conductors: {m} vs {c.m}")
             return c
+        if isinstance(c, (int, Fraction)):
+            return _rational_cyc(m, euler_phi(m), c)
         return Cyc(m, (c,))
 
     # -- constructors --------------------------------------------------------
@@ -718,9 +806,6 @@ class ParamMode:
     def is_symbolic(self) -> bool:
         return self.q0 is None
 
-    def zeta_pow(self, k: int) -> Cyc:
-        return zeta(self.m, k)
-
     def c_pow(self, k: int) -> Cyc:
         return self.c0**k
 
@@ -781,7 +866,7 @@ def epsilon(n: int, mode: ParamMode) -> CycRat:
     if n % m == 0:
         raise ValueError(f"epsilon_{n} is undefined: {m} divides {n}")
     if not mode.is_symbolic and mode.q0**n == _cyc_one(m):
-        raise ValueError(
+        raise DegenerateEvaluationPoint(
             f"q0^{n} = 1 at the evaluation point: epsilon_{n} vanishes and the "
             "scalar product degenerates; choose a different q0"
         )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -196,3 +197,77 @@ def test_rendering_is_stable():
     a = (q - zeta(3)) / (q + 1)
     assert str(a) == str((q - zeta(3)) / (q + 1))
     assert str(CycRat(3)) == "0"
+
+
+def _random_rational_vector(rng, n):
+    # a mix of integer, rational and sparse vectors, so that every add/mul
+    # path (equal or different denominators, zero slots) is exercised
+    kind = rng.randrange(3)
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.3:
+            out.append(0)
+        elif kind == 0:
+            out.append(rng.randint(-9, 9))
+        else:
+            out.append(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9))))
+    if kind == 2:
+        out[1:] = [0] * (n - 1)  # a rational
+    return out
+
+
+def _assert_canonical(c, m):
+    assert len(c.num) == euler_phi(m)
+    assert all(type(x) is int for x in c.num) and type(c.den) is int
+    assert c.den > 0
+    assert math.gcd(c.den, *c.num) == 1
+    if not c:
+        assert c.den == 1
+    if c.is_rational:
+        assert hash(c) == hash(F(c.num[0], c.den)) and c == F(c.num[0], c.den)
+
+
+def test_cyc_arithmetic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+
+    def to_poly(c):
+        return sympy.Poly(
+            [sympy.Rational(f.numerator, f.denominator) for f in reversed(c.coeffs)], x, domain="QQ"
+        )
+
+    for m in (2, 3, 4, 5, 6, 8, 12):
+        mod = sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ")
+        phi = euler_phi(m)
+        for _ in range(60):
+            va, vb = _random_rational_vector(rng, phi), _random_rational_vector(rng, phi)
+            a, b = Cyc(m, va), Cyc(m, vb)
+            pa, pb = to_poly(a), to_poly(b)
+            r = F(rng.randint(-5, 5), rng.randint(1, 4))
+            pr = sympy.Rational(r.numerator, r.denominator)
+            for v, expect in (
+                (a + b, pa + pb),
+                (a - b, pa - pb),
+                (a * b, pa * pb),
+                (a + r, pa + pr),
+                (r - a, pr - pa),
+                (a * r, pa * pr),
+                (a * 3, pa * 3),
+            ):
+                _assert_canonical(v, m)
+                assert to_poly(v) == expect.rem(mod)
+            if b:
+                _assert_canonical(b.inv(), m)
+                assert to_poly(b.inv()) == pb.invert(mod)
+                assert to_poly(a / b) == (pa * pb.invert(mod)).rem(mod)
+            if r:
+                assert to_poly(a / r) == pa * (1 / pr)
+            # equality: an unreduced representative of a equals a
+            h = sympy.Poly([rng.randint(-3, 3) for _ in range(3)], x, domain="QQ")
+            lifted = pa + h * mod
+            same = Cyc(m, [F(int(c.p), int(c.q)) for c in reversed(lifted.all_coeffs())])
+            _assert_canonical(same, m)
+            assert same == a and hash(same) == hash(a)
+            assert (a == b) == (pa - pb).rem(mod).is_zero
+            assert (a == r) == (pa == pr) and (a == 3) == (pa == 3)
