@@ -28,6 +28,7 @@ from .newton import (
     d_lambda_mu,
     d_mu,
     newton_lhs,
+    newton_rhs,
     nl_brute,
     nl_closed,
     nl_falling,
@@ -42,6 +43,7 @@ from .partitions import (
     dominance_linear_extension,
     dominates,
     enumerate_partitions,
+    lowering_tuple_counts,
     mult_factorial,
     subtract,
     union,
@@ -80,7 +82,6 @@ from .vertex import (
     X0Matrix,
     eigen_collision,
     eigenvalue_c,
-    f_main,
     s_apply,
     x0_apply_diff,
     x0_apply_series,

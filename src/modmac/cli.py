@@ -21,12 +21,12 @@ from .errors import (
     VerificationError,
 )
 from .macdonald import gram, solve_q, specialize_q0
-from .newton import d_lambda_mu, newton_lhs, qpow_dseq
-from .partitions import Partition, dominates, enumerate_partitions
-from .scalars import ParamMode, eval_mode, parse_scalar_literal, scalar_to_json, symbolic_mode
+from .newton import newton_lhs, newton_rhs, qpow_dseq
+from .partitions import Partition, enumerate_partitions
+from .scalars import ParamMode, eval_mode, parse_scalar_literal, symbolic_mode
 from .selfcheck import run_selfcheck
-from .symfunc import PExpr, q_to_p, qprod_to_p
-from .vertex import x0_apply_series, x0_matrix
+from .symfunc import q_to_p, qprod_to_p
+from .vertex import X0Matrix, x0_apply_series, x0_matrix
 
 _FAILURES = (
     VerificationError,
@@ -40,9 +40,11 @@ def _emit(obj) -> None:
     click.echo(json.dumps(obj))
 
 
-def _fail(exc: Exception) -> None:
-    click.echo(json.dumps({"status": "fail", "error": type(exc).__name__, "message": str(exc)}))
-    sys.exit(1)
+def _emit_matrix(mat: X0Matrix, out: str) -> None:
+    if out == "csv":
+        click.echo(mat.to_csv(), nl=False)
+    else:
+        _emit(mat.to_json())
 
 
 def _parse_partition(text: str) -> Partition:
@@ -84,13 +86,17 @@ def _check_m(m: int) -> None:
 
 class _Command(click.Command):
     """A subcommand: an evaluation point that makes the scalar product
-    degenerate is a usage error (exit 2), whichever computation meets it."""
+    degenerate is a usage error (exit 2), and a failed verification is a JSON
+    failure report (exit 1), whichever computation meets it."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except DegenerateEvaluationPoint as exc:
             raise click.BadParameter(str(exc), ctx=ctx) from None
+        except _FAILURES as exc:
+            _emit({"status": "fail", "error": type(exc).__name__, "message": str(exc)})
+            sys.exit(1)
 
 
 class _Main(click.Group):
@@ -146,13 +152,7 @@ def newton_verify_cmd(m: int, lam: str, mode: str, q0, c0) -> None:
     if target.length == 0:
         raise click.BadParameter("--lambda must be nonempty")
     pm = _make_mode(m, mode, q0, c0)
-    d = qpow_dseq(pm)
-    lhs = newton_lhs(target, pm)
-    rhs = PExpr.zero(m)
-    for mu in enumerate_partitions(target.weight):
-        if dominates(mu, target):
-            rhs = rhs + qprod_to_p(mu, pm).scale(d_lambda_mu(target, mu, d))
-    delta = lhs - rhs
+    delta = newton_lhs(target, pm) - newton_rhs(target, pm, qpow_dseq(pm))
     report = {
         "identity": "traisesq",
         "m": m,
@@ -177,16 +177,7 @@ def x0_matrix_cmd(m: int, n: int, mode: str, q0, c0, out: str) -> None:
     _check_m(m)
     if n < 1:
         raise click.BadParameter("--n must be positive")
-    pm = _make_mode(m, mode, q0, c0)
-    try:
-        mat = x0_matrix(n, pm)
-    except _FAILURES as exc:
-        _fail(exc)
-        return
-    if out == "csv":
-        click.echo(mat.to_csv(), nl=False)
-    else:
-        _emit(mat.to_json())
+    _emit_matrix(x0_matrix(n, _make_mode(m, mode, q0, c0)), out)
 
 
 @main.command("x0-apply")
@@ -215,9 +206,8 @@ def macdonald_cmd(m: int, lam: str, mode: str, q0, c0) -> None:
     pm = _make_mode(m, mode, q0, c0)
     try:
         mac = solve_q(target, pm)
-    except _FAILURES as exc:
-        _fail(exc)
-        return
+    except _FAILURES:
+        raise  # an eigenvalue collision is a ValueError, but a failure report
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
     _emit(mac.to_json())
@@ -236,21 +226,8 @@ def gram_cmd(m: int, n: int, mode: str, q0, c0, out: str) -> None:
     if n < 1:
         raise click.BadParameter("--n must be positive")
     pm = _make_mode(m, mode, q0, c0)
-    try:
-        mat = x0_matrix(n, pm)
-        g = gram(n, pm)
-    except _FAILURES as exc:
-        _fail(exc)
-        return
-    if out == "csv":
-        click.echo(replace(mat, entries=tuple(map(tuple, g))).to_csv(), nl=False)
-    else:
-        _emit({
-            "m": m,
-            "n": n,
-            "order": [lam.to_json() for lam in mat.order],
-            "entries": [[scalar_to_json(x) for x in row] for row in g],
-        })
+    mat = x0_matrix(n, pm)
+    _emit_matrix(replace(mat, entries=tuple(map(tuple, gram(n, pm)))), out)
 
 
 @main.command("specialize")
@@ -261,11 +238,9 @@ def specialize_cmd(m: int, lam: str) -> None:
     _check_m(m)
     target = _parse_partition(lam)
     try:
-        mac = solve_q(target, symbolic_mode(m))
-        out = specialize_q0(mac)
-    except _FAILURES as exc:
-        _fail(exc)
-        return
+        out = specialize_q0(solve_q(target, symbolic_mode(m)))
+    except _FAILURES:
+        raise
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
     _emit(out.to_json())

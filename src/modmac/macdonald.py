@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
 from .scalars import CycRat, ParamMode, evaluate, scalar_to_json
-from .symfunc import PExpr, p_multiply, qprod_to_p, scalar_product
+from .symfunc import PExpr, QExpr, p_multiply, scalar_product
 from .vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
 __all__ = [
@@ -104,16 +104,13 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
         c = num / gap
         if not c.is_zero:
             coeffs[nu] = c
-    p_form = PExpr.zero(m)
-    for mu, c in coeffs.items():
-        p_form = p_form + qprod_to_p(mu, mode).scale(c)
+    p_form = QExpr(m, coeffs).to_p(mode)
     if x0_apply_diff(p_form, mode) != p_form.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam.parts} are not an eigenvector of the "
             "normal-ordered implementation"
         )
-    ordered = tuple((nu, coeffs[nu]) for nu in [lam] + [x for x in reversed(support) if x in coeffs and x != lam])
-    return ModularMacdonald(m, lam, mode, ordered, p_form, ev)
+    return ModularMacdonald(m, lam, mode, tuple(coeffs.items()), p_form, ev)
 
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:

@@ -15,7 +15,14 @@ from math import factorial
 from typing import Callable
 
 from .errors import InternalCheckError
-from .partitions import Partition, mult_factorial, subtract
+from .partitions import (
+    Partition,
+    dominates,
+    enumerate_partitions,
+    lowering_tuple_counts,
+    mult_factorial,
+    subtract,
+)
 from .scalars import CycRat, ParamMode
 from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
 
@@ -28,6 +35,7 @@ __all__ = [
     "d_mu",
     "d_lambda_mu",
     "newton_lhs",
+    "newton_rhs",
     "r_from_recursion",
 ]
 
@@ -43,13 +51,7 @@ def qpow_dseq(mode: ParamMode) -> DSeq:
 def nl_brute(lam: Partition, nu: Partition) -> int:
     """Count tuples (i_1..i_s), 1 <= i_j <= lam_j, whose positive leftovers
     lam_j - i_j form exactly nu (zeros discarded)."""
-    target = nu.parts
-    count = 0
-    for tup in iproduct(*(range(1, p + 1) for p in lam.parts)):
-        left = sorted((p - i for p, i in zip(lam.parts, tup) if p - i > 0), reverse=True)
-        if tuple(left) == target:
-            count += 1
-    return count
+    return sum(c for (_, _, left), c in lowering_tuple_counts(lam, 1) if left == nu)
 
 
 def _clamped_quotient(prod: int, nu: Partition, formula: str) -> int:
@@ -149,19 +151,23 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     """
     if lam.length == 0:
         raise ValueError("the identity is stated for nonempty partitions")
-    counts: dict[tuple[int, Partition], int] = {}
-    for tup in iproduct(*(range(1, p + 1) for p in lam.parts)):
-        k = sum(tup)
-        left = Partition(sorted((p - i for p, i in zip(lam.parts, tup) if p - i > 0), reverse=True))
-        key = (k, left)
-        counts[key] = counts.get(key, 0) + 1
     out = PExpr.zero(mode.m)
-    for (k, nu), c in counts.items():
+    for (k, _, nu), c in lowering_tuple_counts(lam, 1):
         if rs is None:
             term = r_times_qprod(k, nu, mode)
         else:
             term = p_multiply(rs[k], qprod_to_p(nu, mode))
         out = out + term.scale(c)
+    return out
+
+
+def newton_rhs(lam: Partition, mode: ParamMode, d: DSeq) -> PExpr:
+    """Right-hand side of the generalized Newton identity: the sum over mu
+    dominating lam of d_{lam,mu} q_mu, in the p basis."""
+    out = PExpr.zero(mode.m)
+    for mu in enumerate_partitions(lam.weight):
+        if dominates(mu, lam):
+            out = out + qprod_to_p(mu, mode).scale(d_lambda_mu(lam, mu, d))
     return out
 
 

@@ -8,6 +8,7 @@ and hashable so they can be used freely as dictionary keys.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product as iproduct
 from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -23,6 +24,7 @@ __all__ = [
     "z_of",
     "mult_factorial",
     "dominance_linear_extension",
+    "lowering_tuple_counts",
 ]
 
 _KINDS = ("all", "m_regular", "m_reduced")
@@ -252,3 +254,26 @@ def dominance_linear_extension(ps: Iterable[Partition]) -> list[Partition]:
         raise ValueError(f"mixed weights in linear extension input: {sorted(weights)}")
     out.sort(key=lambda p: p.parts, reverse=True)
     return out
+
+
+LoweringCounts = tuple[tuple[tuple[int, int, Partition], int], ...]
+
+
+@lru_cache(maxsize=None)
+def lowering_tuple_counts(lam: Partition, start: int) -> LoweringCounts:
+    """Count the tuples (i_1..i_s), start <= i_j <= lam_j, by their signature
+    (k, t, nu): k the sum of the i_j, t the number of nonzero i_j, nu the
+    partition of the positive leftovers lam_j - i_j.  Returns ((k, t, nu),
+    count) pairs in order of first occurrence.
+
+    The one exhaustive tuple walk: `nl_brute` and `newton_lhs` start at 1,
+    `x0_apply_series` at 0.
+    """
+    if start not in (0, 1):
+        raise ValueError(f"lowering tuples start at 0 or 1, got {start}")
+    counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
+    for tup in iproduct(*(range(start, p + 1) for p in lam.parts)):
+        left = tuple(sorted((p - i for p, i in zip(lam.parts, tup) if p > i), reverse=True))
+        key = (sum(tup), len(tup) - tup.count(0), left)
+        counts[key] = counts.get(key, 0) + 1
+    return tuple(((k, t, Partition(left)), c) for (k, t, left), c in counts.items())

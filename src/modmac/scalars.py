@@ -917,7 +917,10 @@ def parse_scalar_literal(m: int, text: str) -> Cyc:
     mt = _LITERAL.match(text)
     if not mt or (mt.group("rat") is None and mt.group("xi") is None):
         raise ValueError(f"cannot parse scalar literal {text!r}")
-    r = Fraction(mt.group("rat")) if mt.group("rat") else _F1
+    try:
+        r = Fraction(mt.group("rat")) if mt.group("rat") else _F1
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal {text!r}") from None
     if mt.group("sign"):
         r = -r
     out = Cyc(m, (r,))

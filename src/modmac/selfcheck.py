@@ -1,14 +1,18 @@
-"""Identity sweeps behind the `selfcheck` command.
+"""The twelve identity families, each checked exactly over given ranges.
 
-Each function checks one family of identities over ranges scaled by a
-max-weight knob and returns a JSON-able report; nothing here is a test
-oracle, it is the runtime verification surface of the package.
+Each `_check_*` function takes its ranges (weight bounds, numbers of random
+draws, pool sizes) and, where it samples, a `random.Random`, and returns a
+JSON-able report whose status is ok, fail or skipped.  `run_selfcheck`
+scales the ranges by a max-weight knob for the `selfcheck` command; the
+acceptance tests call the same functions at their full ranges, so this
+module is the one implementation of every criterion.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InternalCheckError, VerificationError
 from .macdonald import all_q, gram, schur_q_oracle, solve_q, specialize_q0
@@ -16,6 +20,7 @@ from .newton import (
     d_lambda_mu,
     d_mu,
     newton_lhs,
+    newton_rhs,
     nl_brute,
     nl_closed,
     nl_falling,
@@ -26,6 +31,7 @@ from .partitions import Partition, count_check, dominates, enumerate_partitions
 from .scalars import CycRat, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
+    QExpr,
     modular_relation_check,
     p_multiply,
     q_to_p,
@@ -44,8 +50,7 @@ def _report(identity: str, m: int, ok: bool, detail: str, **extra) -> dict:
     return out
 
 
-def _check_equinumerosity(m: int, max_n: int) -> dict:
-    top = max(max_n, 25)
+def _check_equinumerosity(m: int, top: int) -> dict:
     for n in range(0, top + 1):
         c = count_check(n, m)
         if not c.equal:
@@ -56,12 +61,7 @@ def _check_equinumerosity(m: int, max_n: int) -> dict:
 def _newton_sweep(m: int, bound: int, mode, d, rs=None) -> dict | None:
     for n in range(1, bound + 1):
         for lam in enumerate_partitions(n):
-            lhs = newton_lhs(lam, mode, rs=rs)
-            rhs = PExpr.zero(m)
-            for mu in enumerate_partitions(n):
-                if dominates(mu, lam):
-                    rhs = rhs + qprod_to_p(mu, mode).scale(d_lambda_mu(lam, mu, d))
-            delta = lhs - rhs
+            delta = newton_lhs(lam, mode, rs=rs) - newton_rhs(lam, mode, d)
             if not delta.is_zero:
                 return _report("traisesq", m, False, "lhs != rhs",
                                **{"lambda": lam.to_json(), "delta": delta.to_json()})
@@ -75,15 +75,15 @@ def _newton_sweep(m: int, bound: int, mode, d, rs=None) -> dict | None:
     return None
 
 
-def _check_newton(m: int, max_n: int, seed: int) -> dict:
-    bound = min(max_n, 8)
+def _check_newton(m: int, bound: int, draws: int, rng: random.Random) -> dict:
+    """The identity for |lambda| <= bound at d_n = q^n - 1, then for `draws`
+    random rational d-sequences at q0 = 2."""
     mode = symbolic_mode(m)
     bad = _newton_sweep(m, bound, mode, qpow_dseq(mode))
     if bad:
         return bad
-    rng = random.Random(seed)
     emode = eval_mode(m, 2)
-    for _ in range(3):
+    for _ in range(draws):
         vals = {n: CycRat.from_const(m, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
                 for n in range(1, bound + 1)}
         d = lambda n: vals[n]
@@ -92,11 +92,11 @@ def _check_newton(m: int, max_n: int, seed: int) -> dict:
         if bad:
             bad["detail"] += " (random d-sequence)"
             return bad
-    return _report("traisesq", m, True, f"|lambda|<={bound}, instance + 3 random d-sequences")
+    return _report("traisesq", m, True,
+                   f"|lambda|<={bound}, instance + {draws} random d-sequences")
 
 
-def _check_nl(m: int, max_n: int) -> dict:
-    bound = min(max_n + 1, 9)
+def _check_nl(m: int, bound: int) -> dict:
     for a in range(0, bound + 1):
         for lam in enumerate_partitions(a):
             for b in range(0, a + 1):
@@ -108,23 +108,19 @@ def _check_nl(m: int, max_n: int) -> dict:
     return _report("lowering-count", m, True, f"|lambda|<={bound}")
 
 
-def _check_r_expansion(m: int, max_n: int) -> dict:
-    bound = min(max_n, 10)
+def _check_r_expansion(m: int, bound: int) -> dict:
     mode = symbolic_mode(m)
     d = qpow_dseq(mode)
     for n in range(1, bound + 1):
         if n % m == 0:
             continue
-        rhs = PExpr.zero(m)
-        for mu in enumerate_partitions(n):
-            rhs = rhs + qprod_to_p(mu, mode).scale(d_mu(mu, d))
+        rhs = QExpr(m, {mu: d_mu(mu, d) for mu in enumerate_partitions(n)}).to_p(mode)
         if r_to_p(n, mode) != rhs:
             return _report("creation-expansion", m, False, f"mismatch at n={n}")
     return _report("creation-expansion", m, True, f"n<={bound}")
 
 
-def _check_convolution(m: int, max_n: int) -> dict:
-    bound = min(max_n, 10)
+def _check_convolution(m: int, bound: int) -> dict:
     mode = symbolic_mode(m)
     for n in range(1, bound + 1):
         acc = PExpr.zero(m)
@@ -135,23 +131,22 @@ def _check_convolution(m: int, max_n: int) -> dict:
     return _report("convolution", m, True, f"n<={bound}")
 
 
-def _check_modular_relation(m: int, max_n: int) -> dict:
-    top = min(2 * max_n, 12)
+def _check_modular_relation(m: int, top: int) -> dict:
+    """The twisted product at every degree km <= top; the relation's q_(km)
+    coordinate must be m."""
     ks = [k for k in range(1, top // m + 1)]
     try:
         for k in ks:
-            modular_relation_check(k, symbolic_mode(m))
+            rel = modular_relation_check(k, symbolic_mode(m))
+            if rel.coeff(Partition((k * m,))) != m:
+                return _report("twisted-product", m, False,
+                               f"q_({k * m}) coordinate of the relation is not {m}")
     except VerificationError as exc:
         return _report("twisted-product", m, False, str(exc))
     return _report("twisted-product", m, True, f"km<={m * len(ks) if ks else 0}")
 
 
-def _operator_bound(m: int, max_n: int) -> int:
-    return min(max_n, 8 if m == 2 else 6)
-
-
-def _check_operator_agreement(m: int, max_n: int) -> dict:
-    bound = _operator_bound(m, max_n)
+def _check_operator_agreement(m: int, bound: int) -> dict:
     mode = symbolic_mode(m)
     for n in range(0, bound + 1):
         for lam in enumerate_partitions(n):
@@ -160,22 +155,27 @@ def _check_operator_agreement(m: int, max_n: int) -> dict:
     return _report("operator-agreement", m, True, f"|lambda|<={bound}")
 
 
-def _check_triangularity(m: int, max_n: int) -> dict:
-    bound = _operator_bound(m, max_n)
+def _check_triangularity(m: int, bound: int) -> dict:
+    """Every nonzero entry of the assembled matrix sits at a dominating row,
+    and the diagonal is the closed-form eigenvalue."""
     mode = symbolic_mode(m)
     try:
         for n in range(1, bound + 1):
             mat = x0_matrix(n, mode)
-            for i, lam in enumerate(mat.order):
-                if mat.entries[i][i] != eigenvalue_c(lam, mode):
-                    return _report("raising-triangular", m, False, f"diagonal off at {lam.parts}")
+            for i, nu in enumerate(mat.order):
+                for j, lam in enumerate(mat.order):
+                    if not mat.entries[i][j].is_zero and not dominates(nu, lam):
+                        return _report("raising-triangular", m, False,
+                                       f"entry at non-dominating {nu.parts}, {lam.parts}")
+                if mat.entries[i][i] != eigenvalue_c(nu, mode):
+                    return _report("raising-triangular", m, False, f"diagonal off at {nu.parts}")
     except InternalCheckError as exc:
         return _report("raising-triangular", m, False, str(exc))
     return _report("raising-triangular", m, True, f"n<={bound}")
 
 
-def _check_self_adjoint(m: int, max_n: int) -> dict:
-    for mode, bound in ((symbolic_mode(m), min(max_n, 6)), (eval_mode(m, 2), min(max_n, 8))):
+def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> dict:
+    for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
         for n in range(1, bound + 1):
             basis = [qprod_to_p(lam, mode) for lam in enumerate_partitions(n, "m_reduced", m)]
             images = [x0_apply_diff(f, mode) for f in basis]
@@ -185,22 +185,26 @@ def _check_self_adjoint(m: int, max_n: int) -> dict:
                         return _report("self-adjoint", m, False,
                                        f"fails at n={n}, pair ({i},{j}), {mode.describe()}")
     return _report("self-adjoint", m, True,
-                   f"symbolic n<={min(max_n, 6)}, eval(q0=2) n<={min(max_n, 8)}")
+                   f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}")
 
 
-def _check_separation(m: int, max_n: int, seed: int) -> dict:
-    bound = min(max_n + 2, 10)
+def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.Random) -> dict:
+    """Distinct m-reduced eigenvalues differ by a nonzero polynomial for
+    n <= bound; the collision predicate matches eigenvalue equality on
+    `pairs` random pairs from the partitions of n <= pool_n and on a known
+    colliding family."""
     mode = symbolic_mode(m)
     for n in range(1, bound + 1):
-        ps = enumerate_partitions(n, "m_reduced", m)
-        for i, lam in enumerate(ps):
-            for mu in ps[i + 1:]:
-                if eigenvalue_c(lam, mode) == eigenvalue_c(mu, mode):
-                    return _report("eigenvalue-separation", m, False,
-                                   f"collision {lam.parts} vs {mu.parts}")
-    rng = random.Random(seed)
-    pool = [lam for n in range(0, 9) for lam in enumerate_partitions(n)]
-    for _ in range(100):
+        for lam, mu in combinations(enumerate_partitions(n, "m_reduced", m), 2):
+            diff = eigenvalue_c(lam, mode) - eigenvalue_c(mu, mode)
+            if diff.is_zero:
+                return _report("eigenvalue-separation", m, False,
+                               f"collision {lam.parts} vs {mu.parts}")
+            if not diff.is_polynomial:
+                return _report("eigenvalue-separation", m, False,
+                               f"non-polynomial gap {lam.parts} vs {mu.parts}")
+    pool = [lam for n in range(0, pool_n + 1) for lam in enumerate_partitions(n)]
+    for _ in range(pairs):
         lam, mu = rng.choice(pool), rng.choice(pool)
         if eigen_collision(lam, mu, m) != (eigenvalue_c(lam, mode) == eigenvalue_c(mu, mode)):
             return _report("eigenvalue-separation", m, False,
@@ -212,32 +216,49 @@ def _check_separation(m: int, max_n: int, seed: int) -> dict:
             if not eigen_collision(lam, mu, m) or eigenvalue_c(lam, mode) != eigenvalue_c(mu, mode):
                 return _report("eigenvalue-separation", m, False,
                                f"known collision family broke at k={k}, l={l}")
-    return _report("eigenvalue-separation", m, True, f"n<={bound} + 100 random pairs")
+    return _report("eigenvalue-separation", m, True, f"n<={bound} + {pairs} random pairs")
 
 
-def _check_eigenbasis(m: int, max_n: int) -> dict:
+def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
+    """Monic eigenvectors with nonzero coefficients on the dominating support,
+    the closed-form eigenvalue, the series-form eigen-equation, and a Gram
+    matrix with zero off-diagonal and nonzero diagonal.  `solve_q` checks the
+    normal-ordered eigen-equation itself; its InternalCheckError is reported."""
     try:
-        for mode, bound in ((symbolic_mode(m), min(max_n, 5)), (eval_mode(m, 2), min(max_n, 8))):
+        for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
             for n in range(1, bound + 1):
                 for mac in all_q(n, mode):
+                    where = mac.shape.parts
                     if mac.coeff(mac.shape) != mode.one():
-                        return _report("eigenbasis", m, False, f"not monic at {mac.shape.parts}")
-                    for nu, _ in mac.q_coeffs:
+                        return _report("eigenbasis", m, False, f"not monic at {where}")
+                    by_series = PExpr.zero(m)
+                    for nu, c in mac.q_coeffs:
                         if not dominates(nu, mac.shape):
                             return _report("eigenbasis", m, False,
-                                           f"support below index at {mac.shape.parts}")
-                gram(n, mode)
+                                           f"support below index at {where}")
+                        if c.is_zero:
+                            return _report("eigenbasis", m, False,
+                                           f"zero coefficient at {nu.parts} in {where}")
+                        by_series = by_series + x0_apply_series(nu, mode).scale(c)
+                    if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
+                        return _report("eigenbasis", m, False, f"eigenvalue off at {where}")
+                    if by_series != mac.p_form.scale(mac.eigenvalue):
+                        return _report("eigenbasis", m, False,
+                                       f"not an eigenvector of the series form at {where}")
+                for i, row in enumerate(gram(n, mode)):
+                    if row[i].is_zero:
+                        return _report("eigenbasis", m, False,
+                                       f"zero Gram diagonal at n={n}, index {i}")
     except InternalCheckError as exc:
         return _report("eigenbasis", m, False, str(exc))
     return _report("eigenbasis", m, True,
-                   f"symbolic n<={min(max_n, 5)}, eval(q0=2) n<={min(max_n, 8)}")
+                   f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}")
 
 
-def _check_schur_q(m: int, max_n: int) -> dict:
+def _check_schur_q(m: int, bound: int) -> dict:
     if m != 2:
         return {"identity": "schur-q-limit", "m": m, "status": "skipped",
                 "detail": "only stated for m=2"}
-    bound = min(max_n, 8)
     mode = symbolic_mode(2)
     for n in range(1, bound + 1):
         for lam in enumerate_partitions(n):
@@ -250,17 +271,18 @@ def _check_schur_q(m: int, max_n: int) -> dict:
 
 def run_selfcheck(m: int, max_n: int, seed: int = 0) -> list[dict]:
     """Run every identity family at ranges scaled by max_n; returns reports."""
+    operator_bound = min(max_n, 8 if m == 2 else 6)
     return [
-        _check_equinumerosity(m, max_n),
-        _check_newton(m, max_n, seed),
-        _check_nl(m, max_n),
-        _check_r_expansion(m, max_n),
-        _check_convolution(m, max_n),
-        _check_modular_relation(m, max_n),
-        _check_operator_agreement(m, max_n),
-        _check_triangularity(m, max_n),
-        _check_self_adjoint(m, max_n),
-        _check_separation(m, max_n, seed),
-        _check_eigenbasis(m, max_n),
-        _check_schur_q(m, max_n),
+        _check_equinumerosity(m, max(max_n, 25)),
+        _check_newton(m, min(max_n, 8), 3, random.Random(seed)),
+        _check_nl(m, min(max_n + 1, 9)),
+        _check_r_expansion(m, min(max_n, 10)),
+        _check_convolution(m, min(max_n, 10)),
+        _check_modular_relation(m, min(2 * max_n, 12)),
+        _check_operator_agreement(m, operator_bound),
+        _check_triangularity(m, operator_bound),
+        _check_self_adjoint(m, min(max_n, 6), min(max_n, 8)),
+        _check_separation(m, min(max_n + 2, 10), 100, 8, random.Random(seed)),
+        _check_eigenbasis(m, min(max_n, 5), min(max_n, 8)),
+        _check_schur_q(m, min(max_n, 8)),
     ]

@@ -41,8 +41,10 @@ def _sort_key(lam: Partition):
     return (lam.weight, tuple(-p for p in lam.parts))
 
 
-class PExpr:
-    """Finitely supported map from m-regular partitions to scalars (p basis)."""
+class _Expr:
+    """Finitely supported map from partitions to nonzero scalars of one
+    modulus; zero coefficients are dropped.  Subclasses name their `basis`
+    and validate each key in `_check_key`."""
 
     __slots__ = ("m", "terms")
 
@@ -52,8 +54,7 @@ class PExpr:
         for lam, c in (terms or {}).items():
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
-            if not lam.is_regular(m):
-                raise ValueError(f"p-basis key {lam.parts} has a part divisible by {m}")
+            self._check_key(lam)
             if not isinstance(c, CycRat):
                 c = CycRat.from_const(m, c)
             elif c.m != m:
@@ -61,6 +62,54 @@ class PExpr:
             if not c.is_zero:
                 clean[lam] = c
         self.terms = clean
+
+    def coeff(self, lam) -> CycRat:
+        if not isinstance(lam, Partition):
+            lam = Partition(lam)
+        return self.terms.get(lam, CycRat(self.m))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def sorted_items(self) -> list[tuple[Partition, CycRat]]:
+        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.m == other.m and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(0)"
+        bits = [f"({c})*{self.basis[0]}{list(lam.parts)}" for lam, c in self.sorted_items()]
+        return f"{name}(" + " + ".join(bits) + ")"
+
+    def to_json(self) -> dict:
+        return {
+            "m": self.m,
+            "basis": self.basis,
+            "terms": [
+                {"partition": lam.to_json(), "coeff": scalar_to_json(c)}
+                for lam, c in self.sorted_items()
+            ],
+        }
+
+
+class PExpr(_Expr):
+    """Finitely supported map from m-regular partitions to scalars (p basis)."""
+
+    __slots__ = ()
+    basis = "p"
+
+    def _check_key(self, lam: Partition) -> None:
+        if not lam.is_regular(self.m):
+            raise ValueError(f"p-basis key {lam.parts} has a part divisible by {self.m}")
 
     @classmethod
     def zero(cls, m: int) -> "PExpr":
@@ -117,18 +166,6 @@ class PExpr:
 
     # -- structure ----------------------------------------------------------
 
-    def coeff(self, lam) -> CycRat:
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return self.terms.get(lam, CycRat(self.m))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def homogeneous_degree(self) -> int | None:
         """The common weight of the support; None when zero."""
         if not self.terms:
@@ -138,68 +175,27 @@ class PExpr:
             raise ValueError(f"not homogeneous: weights {sorted(weights)}")
         return weights.pop()
 
-    def sorted_items(self) -> list[tuple[Partition, CycRat]]:
-        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PExpr):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "PExpr(0)"
-        bits = [f"({c})*p{list(lam.parts)}" for lam, c in self.sorted_items()]
-        return "PExpr(" + " + ".join(bits) + ")"
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "basis": "p",
-            "terms": [
-                {"partition": lam.to_json(), "coeff": scalar_to_json(c)}
-                for lam, c in self.sorted_items()
-            ],
-        }
-
-
-class QExpr:
+class QExpr(_Expr):
     """Coordinates of a ring element in the generalized complete basis.
 
     In the reduced flavor every key is m-reduced (the keys then form a basis
     and the coordinates are unique); the plain flavor allows any partition.
     """
 
-    __slots__ = ("m", "terms", "reduced")
+    __slots__ = ("reduced",)
 
     def __init__(self, m: int, terms=None, reduced: bool = False):
-        self.m = m
         self.reduced = reduced
-        clean: dict[Partition, CycRat] = {}
-        for lam, c in (terms or {}).items():
-            if not isinstance(lam, Partition):
-                lam = Partition(lam)
-            if reduced and not lam.is_reduced(m):
-                raise ValueError(f"q-basis key {lam.parts} has a multiplicity >= {m}")
-            if not isinstance(c, CycRat):
-                c = CycRat.from_const(m, c)
-            elif c.m != m:
-                raise ValueError(f"mixed moduli: {m} vs {c.m}")
-            if not c.is_zero:
-                clean[lam] = c
-        self.terms = clean
+        super().__init__(m, terms)
 
-    def coeff(self, lam) -> CycRat:
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return self.terms.get(lam, CycRat(self.m))
+    def _check_key(self, lam: Partition) -> None:
+        if self.reduced and not lam.is_reduced(self.m):
+            raise ValueError(f"q-basis key {lam.parts} has a multiplicity >= {self.m}")
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def basis(self) -> str:
+        return "q_reduced" if self.reduced else "q"
 
     def support(self) -> list[Partition]:
         return sorted(self.terms, key=_sort_key)
@@ -210,30 +206,6 @@ class QExpr:
         for lam, c in self.sorted_items():
             out = out + qprod_to_p(lam, mode).scale(c)
         return out
-
-    def sorted_items(self) -> list[tuple[Partition, CycRat]]:
-        return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QExpr):
-            return NotImplemented
-        return self.m == other.m and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "QExpr(0)"
-        bits = [f"({c})*q{list(lam.parts)}" for lam, c in self.sorted_items()]
-        return "QExpr(" + " + ".join(bits) + ")"
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "basis": "q_reduced" if self.reduced else "q",
-            "terms": [
-                {"partition": lam.to_json(), "coeff": scalar_to_json(c)}
-                for lam, c in self.sorted_items()
-            ],
-        }
 
 
 def p_multiply(f: PExpr, g: PExpr) -> PExpr:

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 
 from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from .partitions import (
@@ -22,6 +22,7 @@ from .partitions import (
     dominance_linear_extension,
     dominates,
     enumerate_partitions,
+    lowering_tuple_counts,
     mult_factorial,
 )
 from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, zeta
@@ -36,7 +37,6 @@ from .symfunc import (
 
 __all__ = [
     "eigenvalue_c",
-    "f_main",
     "eigen_collision",
     "x0_apply_series",
     "s_apply",
@@ -55,14 +55,6 @@ def eigenvalue_c(lam: Partition, mode: ParamMode) -> CycRat:
     return mode.one() + acc * (Cyc(m, (1,)) - zeta(m))
 
 
-def f_main(lam: Partition, m: int) -> CycRat:
-    """Main part of the diagonal: sum_i (q^{lam_i} - 1) xi^{i-1}, symbolic in q."""
-    out = CycRat(m)
-    for i, part in enumerate(lam.parts):
-        out = out + (CycRat.q(m, part) - 1) * zeta(m, i)
-    return out
-
-
 def eigen_collision(lam: Partition, mu: Partition, m: int) -> bool:
     """True iff the diagonal coefficients of lam and mu coincide identically,
     which happens exactly when all multiplicities agree mod m."""
@@ -78,16 +70,9 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
     all tuples with i_j >= 0, where a_0 = 1 and a_k = 1 - xi for k >= 1.
     """
     m = mode.m
-    counts: dict[tuple[int, int, Partition], int] = {}
-    for tup in iproduct(*(range(0, p + 1) for p in lam.parts)):
-        k = sum(tup)
-        t = sum(1 for i in tup if i)
-        left = Partition(sorted((p - i for p, i in zip(lam.parts, tup) if p - i > 0), reverse=True))
-        key = (k, t, left)
-        counts[key] = counts.get(key, 0) + 1
     one_minus_xi = Cyc(m, (1,)) - zeta(m)
     out = PExpr.zero(m)
-    for (k, t, nu), c in counts.items():
+    for (k, t, nu), c in lowering_tuple_counts(lam, 0):
         w = CycRat.from_const(m, one_minus_xi**t * c)
         out = out + r_times_qprod(k, nu, mode).scale(w)
     return out

@@ -250,6 +250,36 @@ GOLDEN = (
      "e57d7f1b86fd40b37cc928c2dfd70b38f571edb0843b55ecc0f540f9d99adf80"),
     ("specialize --m 6 --lambda 3,2", 0,
      "a47c74dd8d55898d51ce6fa6a9f9490e1c4930e6f84cf0c5f28bf78833eff32d"),
+    # selfcheck and newton-verify, recorded before the twelve criteria moved
+    # into one implementation shared with the acceptance tests
+    ("selfcheck --m 2 --max-n 3", 0,
+     "741d9e3a753af9837766d182f313683dbdbe2c2043db0c34ae8879d8a895204d"),
+    ("selfcheck --m 2 --max-n 3 --out json", 0,
+     "d5adbb2575b4859d928ca9a3c7de0b041c80991e96f810956b432af91d6d7206"),
+    ("selfcheck --m 2 --max-n 4 --seed 7 --out json", 0,
+     "5cedd335556696813f0174d455803d307da740b481d40ab9bfda18c94f995c7f"),
+    ("selfcheck --m 3 --max-n 3 --out json", 0,
+     "243bff56f7781963e7c618c6a71eeb99ca169ae9b91b9875a46aff9ecf5b7bd9"),
+    ("selfcheck --m 3 --max-n 3 --seed 5", 0,
+     "1c06c9d49fd662057c29467a67e2164137cc5159f80df76327c53a36a6500e53"),
+    ("selfcheck --m 4 --max-n 3", 0,
+     "1d42208de6131a506142b6d3e2f8537b2068a230ed3adc8a985cdd15b6c25209"),
+    ("selfcheck --m 4 --max-n 3 --seed 11 --out json", 0,
+     "1db839776e667ed932a36f1112daad872dfe80adc1c5e7492894c34b81ce54be"),
+    ("selfcheck --m 4 --max-n 4 --out json", 0,
+     "8343b3d58517e92b95a5c3dbf24f84fbac333ffcc9c5407771aaedbf4733ae94"),
+    ("newton-verify --m 2 --lambda 3,1", 0,
+     "25d51760646bbdfc8ef0e638ff56bc36562974331d60d58c12ea3b5ba68b704d"),
+    ("newton-verify --m 2 --lambda 2,2,1", 0,
+     "b6c1f87e878bfed053af48741bc0af5954959112ec18ad34bddd0056035c8190"),
+    ("newton-verify --m 2 --lambda 3,1 --mode eval --q0 3/2", 0,
+     "25d51760646bbdfc8ef0e638ff56bc36562974331d60d58c12ea3b5ba68b704d"),
+    ("newton-verify --m 3 --lambda 3,2", 0,
+     "7067a6ce426e77c066e96c1a28740aa9226d2cc466600bc14a151a0ad49abf19"),
+    ("newton-verify --m 3 --lambda 4,1 --mode eval --q0 2", 0,
+     "fc9c7a280bffeb40193d7ab645e529562f18fa9ab38a4b7c86c45365412f271d"),
+    ("newton-verify --m 3 --lambda 2,1 --mode eval --q0 2*xi", 0,
+     "3a1ecf6d1bf5649a1a225fcf2afd3e01053c4530bf61760991985ca4ce34eca9"),
 )
 
 
@@ -274,3 +304,12 @@ def test_degenerate_eval_point_is_usage_error(args):
     assert isinstance(res.exception, SystemExit)
     assert "epsilon_" in res.output and "vanishes" in res.output
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [("--q0", "1/0"), ("--q0", "2", "--c0", "1/0")],
+                         ids=["q0", "c0"])
+def test_zero_denominator_literal_is_usage_error(flags):
+    res = _run("qexpand", "--m", "2", "--n", "1", "--mode", "eval", *flags)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "zero denominator" in res.output

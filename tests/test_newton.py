@@ -7,15 +7,16 @@ from modmac.newton import (
     d_lambda_mu,
     d_mu,
     newton_lhs,
+    newton_rhs,
     nl_brute,
     nl_closed,
     nl_falling,
     qpow_dseq,
     r_from_recursion,
 )
-from modmac.partitions import Partition, dominates, enumerate_partitions
+from modmac.partitions import Partition, enumerate_partitions
 from modmac.scalars import CycRat, eval_mode, symbolic_mode
-from modmac.symfunc import PExpr, q_to_p, qprod_to_p, r_to_p
+from modmac.symfunc import q_to_p, r_to_p
 
 P = Partition
 F = Fraction
@@ -37,16 +38,6 @@ def test_nl_closed_examples():
     assert nl_closed(P((2, 1)), P(())) == 1
     assert nl_falling(P((2, 1)), P((1,))) == 1
     assert nl_falling(P((4, 4)), P((3, 1))) == 2 == nl_brute(P((4, 4)), P((3, 1)))
-
-
-def test_nl_agreement_sweep():
-    for a in range(0, 8):
-        for lam in enumerate_partitions(a):
-            for b in range(0, a + 1):
-                for nu in enumerate_partitions(b):
-                    ref = nl_brute(lam, nu)
-                    assert nl_closed(lam, nu) == ref, (lam, nu)
-                    assert nl_falling(lam, nu) == ref, (lam, nu)
 
 
 def test_d_mu_examples():
@@ -75,29 +66,6 @@ def test_newton_lhs_examples():
         newton_lhs(P(()), M2)
 
 
-def _rhs(lam, mode, d):
-    out = PExpr.zero(mode.m)
-    for mu in enumerate_partitions(lam.weight):
-        if dominates(mu, lam):
-            out = out + qprod_to_p(mu, mode).scale(d_lambda_mu(lam, mu, d))
-    return out
-
-
-def test_theorem_small_symbolic():
-    for n in range(1, 6):
-        for lam in enumerate_partitions(n):
-            assert newton_lhs(lam, M2) == _rhs(lam, M2, D2), lam
-
-
-def test_leading_coefficient():
-    for n in range(1, 6):
-        for lam in enumerate_partitions(n):
-            want = D2(lam.parts[-1])
-            if (lam.length - 1) % 2:
-                want = -want
-            assert d_lambda_mu(lam, lam, D2) == want, lam
-
-
 def test_recursion_reproduces_closed_form():
     # with the standard sequence, the convolution recursion must rebuild the
     # closed-form creation coefficients
@@ -117,4 +85,4 @@ def test_theorem_generic_sequences():
         rs = r_from_recursion(5, d, me)
         for n in range(1, 6):
             for lam in enumerate_partitions(n):
-                assert newton_lhs(lam, me, rs=rs) == _rhs(lam, me, d), lam
+                assert newton_lhs(lam, me, rs=rs) == newton_rhs(lam, me, d), lam

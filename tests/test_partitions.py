@@ -9,6 +9,7 @@ from modmac.partitions import (
     dominance_linear_extension,
     dominates,
     enumerate_partitions,
+    lowering_tuple_counts,
     mult_factorial,
     subtract,
     union,
@@ -69,12 +70,6 @@ def test_count_check_examples():
     assert count_check(0, 5) == (1, 1, True)
 
 
-def test_equinumerosity_small():
-    for m in (2, 3, 4, 5):
-        for n in range(0, 13):
-            assert count_check(n, m).equal
-
-
 def test_dominance_examples():
     assert dominance_compare(P((4,)), P((3, 1))) == "greater"
     assert dominance_compare(P((3, 1, 1, 1)), P((2, 2, 2))) == "incomparable"
@@ -115,6 +110,17 @@ def test_row_and_rectangle_are_extreme():
                 if lam.length <= m:
                     assert dominates(row, lam)
                     assert dominates(lam, rect)
+
+
+def test_lowering_tuple_counts_examples():
+    assert lowering_tuple_counts(P((2, 1)), 1) == (((2, 2, P((1,))), 1), ((3, 2, P(())), 1))
+    assert dict(lowering_tuple_counts(P((2, 2)), 1))[(3, 2, P((1,)))] == 2
+    from_zero = dict(lowering_tuple_counts(P((2, 1)), 0))
+    assert from_zero[(0, 0, P((2, 1)))] == 1 and from_zero[(2, 1, P((1,)))] == 1
+    assert sum(from_zero.values()) == 3 * 2
+    assert lowering_tuple_counts(P(()), 1) == (((0, 0, P(())), 1),)
+    with pytest.raises(ValueError):
+        lowering_tuple_counts(P((2,)), 2)
 
 
 def test_union_subtract_examples():
