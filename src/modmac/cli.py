@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import replace
+from functools import wraps
 
 import click
 
 from .errors import (
-    DegenerateEvaluationPoint,
     EigenvalueCollisionAtEvaluation,
     InternalCheckError,
     PoleAtSpecialization,
@@ -47,56 +47,64 @@ def _emit_matrix(mat: X0Matrix, out: str) -> None:
         _emit(mat.to_json())
 
 
-def _parse_partition(text: str) -> Partition:
-    try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
-        return Partition(parts)
-    except ValueError as exc:
-        raise click.BadParameter(f"bad partition {text!r}: {exc}") from None
+class _PartitionType(click.ParamType):
+    """A partition written as comma-separated parts, e.g. 2,1."""
+
+    name = "partition"
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, Partition):
+            return value
+        try:
+            return Partition([int(x) for x in value.split(",") if x.strip() != ""])
+        except ValueError as exc:
+            self.fail(f"bad partition {value!r}: {exc}", param, ctx)
 
 
-def _make_mode(m: int, mode: str, q0: str | None, c0: str | None) -> ParamMode:
-    if mode == "symbolic":
-        if q0 is not None:
-            raise click.BadParameter("--q0 only applies to --mode eval")
-        return symbolic_mode(m)
-    if q0 is None:
-        raise click.BadParameter("--mode eval requires --q0")
-    try:
-        q0v = parse_scalar_literal(m, q0)
-        c0v = parse_scalar_literal(m, c0) if c0 is not None else None
-        return eval_mode(m, q0v, c0v)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-
-
-_m_opt = click.option("--m", "m", type=int, required=True, help="modulus, an integer >= 2")
-_mode_opt = click.option("--mode", type=click.Choice(["symbolic", "eval"]), default="symbolic",
-                         show_default=True)
-_q0_opt = click.option("--q0", default=None, help='evaluation point, e.g. "2", "1/3", "xi^2"')
-_c0_opt = click.option("--c0", default=None, help="second parameter; defaults to xi^-1")
+_PARTITION = _PartitionType()
+_m_opt = click.option("--m", "m", type=click.IntRange(min=2), required=True,
+                      help="modulus, an integer >= 2")
 _out_opt = click.option("--out", type=click.Choice(["json", "csv"]), default="json",
                         show_default=True)
 
 
-def _check_m(m: int) -> None:
-    if m < 2:
-        raise click.BadParameter(f"--m must be >= 2, got {m}")
+def _mode_opts(cmd):
+    """Add --mode/--q0/--c0 and hand the command, in place of them and --m,
+    the one ParamMode they choose, as `pm`."""
+
+    @click.option("--mode", type=click.Choice(["symbolic", "eval"]), default="symbolic",
+                  show_default=True)
+    @click.option("--q0", default=None, help='evaluation point, e.g. "2", "1/3", "xi^2"')
+    @click.option("--c0", default=None, help="second parameter; defaults to xi^-1")
+    @wraps(cmd)
+    def with_mode(m: int, mode: str, q0: str | None, c0: str | None, **kwargs):
+        if mode == "symbolic":
+            if q0 is not None:
+                raise click.BadParameter("--q0 only applies to --mode eval")
+            pm = symbolic_mode(m)
+        elif q0 is None:
+            raise click.BadParameter("--mode eval requires --q0")
+        else:
+            c0v = parse_scalar_literal(m, c0) if c0 is not None else None
+            pm = eval_mode(m, parse_scalar_literal(m, q0), c0v)
+        return cmd(pm=pm, **kwargs)
+
+    return with_mode
 
 
 class _Command(click.Command):
-    """A subcommand: an evaluation point that makes the scalar product
-    degenerate is a usage error (exit 2), and a failed verification is a JSON
-    failure report (exit 1), whichever computation meets it."""
+    """A subcommand: a failed verification is a JSON failure report (exit 1),
+    and any other ValueError is a usage error (exit 2), whichever computation
+    meets it.  Every ValueError the library raises is an argument check."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except DegenerateEvaluationPoint as exc:
-            raise click.BadParameter(str(exc), ctx=ctx) from None
-        except _FAILURES as exc:
+        except _FAILURES as exc:  # before ValueError: a collision is one
             _emit({"status": "fail", "error": type(exc).__name__, "message": str(exc)})
             sys.exit(1)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), ctx=ctx) from None
 
 
 class _Main(click.Group):
@@ -110,14 +118,11 @@ def main() -> None:
 
 @main.command("partitions")
 @_m_opt
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=0), required=True)
 @click.option("--class", "kind", type=click.Choice(["all", "m-regular", "m-reduced"]),
               default="all", show_default=True)
 def partitions_cmd(m: int, n: int, kind: str) -> None:
     """Enumerate partitions of N of the requested class."""
-    _check_m(m)
-    if n < 0:
-        raise click.BadParameter("--n must be non-negative")
     ps = enumerate_partitions(n, kind.replace("-", "_"), m)
     _emit([p.to_json() for p in ps])
 
@@ -125,38 +130,28 @@ def partitions_cmd(m: int, n: int, kind: str) -> None:
 @main.command("qexpand")
 @_m_opt
 @click.option("--n", type=int, default=None, help="expand the degree-n generator")
-@click.option("--lambda", "lam", default=None, help="expand a product, e.g. 2,1")
-@_mode_opt
-@_q0_opt
-@_c0_opt
-def qexpand_cmd(m: int, n: int | None, lam: str | None, mode: str, q0, c0) -> None:
+@click.option("--lambda", "lam", type=_PARTITION, default=None,
+              help="expand a product, e.g. 2,1")
+@_mode_opts
+def qexpand_cmd(pm: ParamMode, n: int | None, lam: Partition | None) -> None:
     """Expand a generalized complete function in the power-sum basis."""
-    _check_m(m)
     if (n is None) == (lam is None):
         raise click.BadParameter("give exactly one of --n or --lambda")
-    pm = _make_mode(m, mode, q0, c0)
-    f = q_to_p(n, pm) if n is not None else qprod_to_p(_parse_partition(lam), pm)
+    f = q_to_p(n, pm) if n is not None else qprod_to_p(lam, pm)
     _emit(f.to_json())
 
 
 @main.command("newton-verify")
 @_m_opt
-@click.option("--lambda", "lam", required=True)
-@_mode_opt
-@_q0_opt
-@_c0_opt
-def newton_verify_cmd(m: int, lam: str, mode: str, q0, c0) -> None:
+@click.option("--lambda", "lam", type=_PARTITION, required=True)
+@_mode_opts
+def newton_verify_cmd(pm: ParamMode, lam: Partition) -> None:
     """Check the generalized Newton identity for one partition."""
-    _check_m(m)
-    target = _parse_partition(lam)
-    if target.length == 0:
-        raise click.BadParameter("--lambda must be nonempty")
-    pm = _make_mode(m, mode, q0, c0)
-    delta = newton_lhs(target, pm) - newton_rhs(target, pm, qpow_dseq(pm))
+    delta = newton_lhs(lam, pm) - newton_rhs(lam, pm, qpow_dseq(pm))
     report = {
         "identity": "traisesq",
-        "m": m,
-        "lambda": target.to_json(),
+        "m": pm.m,
+        "lambda": lam.to_json(),
         "status": "ok" if delta.is_zero else "fail",
         "delta": delta.to_json(),
     }
@@ -167,96 +162,60 @@ def newton_verify_cmd(m: int, lam: str, mode: str, q0, c0) -> None:
 
 @main.command("x0-matrix")
 @_m_opt
-@click.option("--n", type=int, required=True)
-@_mode_opt
-@_q0_opt
-@_c0_opt
+@click.option("--n", type=click.IntRange(min=1), required=True)
+@_mode_opts
 @_out_opt
-def x0_matrix_cmd(m: int, n: int, mode: str, q0, c0, out: str) -> None:
+def x0_matrix_cmd(pm: ParamMode, n: int, out: str) -> None:
     """Matrix of the operator zero mode on the m-reduced basis of weight N."""
-    _check_m(m)
-    if n < 1:
-        raise click.BadParameter("--n must be positive")
-    _emit_matrix(x0_matrix(n, _make_mode(m, mode, q0, c0)), out)
+    _emit_matrix(x0_matrix(n, pm), out)
 
 
 @main.command("x0-apply")
 @_m_opt
-@click.option("--lambda", "lam", required=True)
-@_mode_opt
-@_q0_opt
-@_c0_opt
-def x0_apply_cmd(m: int, lam: str, mode: str, q0, c0) -> None:
+@click.option("--lambda", "lam", type=_PARTITION, required=True)
+@_mode_opts
+def x0_apply_cmd(pm: ParamMode, lam: Partition) -> None:
     """Apply the zero mode to a q-product, reported in the power-sum basis."""
-    _check_m(m)
-    pm = _make_mode(m, mode, q0, c0)
-    _emit(x0_apply_series(_parse_partition(lam), pm).to_json())
+    _emit(x0_apply_series(lam, pm).to_json())
 
 
 @main.command("macdonald")
 @_m_opt
-@click.option("--lambda", "lam", required=True, help="an m-reduced partition, e.g. 2,1")
-@_mode_opt
-@_q0_opt
-@_c0_opt
-def macdonald_cmd(m: int, lam: str, mode: str, q0, c0) -> None:
+@click.option("--lambda", "lam", type=_PARTITION, required=True,
+              help="an m-reduced partition, e.g. 2,1")
+@_mode_opts
+def macdonald_cmd(pm: ParamMode, lam: Partition) -> None:
     """Solve for the monic zero-mode eigenvector indexed by an m-reduced partition."""
-    _check_m(m)
-    target = _parse_partition(lam)
-    pm = _make_mode(m, mode, q0, c0)
-    try:
-        mac = solve_q(target, pm)
-    except _FAILURES:
-        raise  # an eigenvalue collision is a ValueError, but a failure report
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-    _emit(mac.to_json())
+    _emit(solve_q(lam, pm).to_json())
 
 
 @main.command("gram")
 @_m_opt
-@click.option("--n", type=int, required=True)
-@_mode_opt
-@_q0_opt
-@_c0_opt
+@click.option("--n", type=click.IntRange(min=1), required=True)
+@_mode_opts
 @_out_opt
-def gram_cmd(m: int, n: int, mode: str, q0, c0, out: str) -> None:
+def gram_cmd(pm: ParamMode, n: int, out: str) -> None:
     """Pairings of the weight-N eigenvectors (a diagonal matrix)."""
-    _check_m(m)
-    if n < 1:
-        raise click.BadParameter("--n must be positive")
-    pm = _make_mode(m, mode, q0, c0)
     mat = x0_matrix(n, pm)
     _emit_matrix(replace(mat, entries=tuple(map(tuple, gram(n, pm)))), out)
 
 
 @main.command("specialize")
 @_m_opt
-@click.option("--lambda", "lam", required=True)
-def specialize_cmd(m: int, lam: str) -> None:
+@click.option("--lambda", "lam", type=_PARTITION, required=True)
+def specialize_cmd(m: int, lam: Partition) -> None:
     """Symbolically solve the eigenvector, then substitute q = 0."""
-    _check_m(m)
-    target = _parse_partition(lam)
-    try:
-        out = specialize_q0(solve_q(target, symbolic_mode(m)))
-    except _FAILURES:
-        raise
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
-    _emit(out.to_json())
+    _emit(specialize_q0(solve_q(lam, symbolic_mode(m))).to_json())
 
 
 @main.command("selfcheck")
 @_m_opt
-@click.option("--max-n", type=int, default=6, show_default=True,
+@click.option("--max-n", type=click.IntRange(min=1), default=6, show_default=True,
               help="weight ceiling for the identity sweeps")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Choice(["table", "json"]), default="table", show_default=True)
 def selfcheck_cmd(m: int, max_n: int, seed: int, out: str) -> None:
     """Run every identity family; exits 1 if any single check fails."""
-    _check_m(m)
-    if max_n < 1:
-        raise click.BadParameter("--max-n must be positive")
     reports = run_selfcheck(m, max_n, seed)
     if out == "json":
         _emit(reports)

@@ -37,75 +37,53 @@ __all__ = [
     "parse_scalar_literal",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Fraction, used to compute Phi_m
+# integer polynomials modulo Phi_m, which is monic with integer coefficients
 
-def _ftrim(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(c)
-    while n and not c[n - 1]:
-        n -= 1
-    return c[:n]
-
-
-def _fdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return (), _ftrim(tuple(rem))
-    quot = [_F0] * (len(rem) - db)
-    binv = 1 / b[-1]
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * binv
+def _int_divmod(vec, monic: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    # quotient and remainder of an integer polynomial by a monic one, both
+    # as ascending coefficient lists, the remainder cut to len(monic) - 1 entries
+    rem = list(vec)
+    d = len(monic) - 1
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
         if c:
-            quot[i - db] = c
-            for j, bj in enumerate(b):
-                rem[i - db + j] -= c * bj
-    return _ftrim(tuple(quot)), _ftrim(tuple(rem))
+            quot[i - d] = c
+            for j in range(d):
+                rem[i - d + j] -= c * monic[j]
+    return quot, rem[:d]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m (ascending powers), computed by dividing x^m - 1
     by Phi_d for every proper divisor d of m."""
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    if m == 1:
-        return (Fraction(-1), Fraction(1))
-    poly = (-_F1,) + (_F0,) * (m - 1) + (_F1,)
+    poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = _fdivmod(poly, cyclotomic_polynomial(d))
-            if rem:
+            poly, rem = _int_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
                 raise RuntimeError(f"cyclotomic recurrence failed at m={m}, d={d}")
-    return poly
+    return tuple(poly)
 
 
 def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-# ---------------------------------------------------------------------------
-# integer vectors modulo Phi_m, which is monic with integer coefficients
-
-
-@lru_cache(maxsize=None)
-def _int_modulus(m: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in cyclotomic_polynomial(m))
-
-
 @lru_cache(maxsize=None)
 def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # x^(phi+j) mod Phi_m for j = 0..phi-2, each row as its nonzero
     # (power, coefficient) pairs
-    mod = _int_modulus(m)
+    mod = cyclotomic_polynomial(m)
     phi = len(mod) - 1
     first = [-c for c in mod[:phi]]  # x^phi mod Phi_m
     rows = [first]
@@ -121,7 +99,7 @@ def _int_mul(m: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     # product of two integer vectors of length phi(m) >= 2, reduced mod Phi_m
     if len(a) == 2:
         # x^2 = -c1 x - c0
-        c0, c1, _ = _int_modulus(m)
+        c0, c1, _ = cyclotomic_polynomial(m)
         a0, a1 = a
         b0, b1 = b
         t = a1 * b1
@@ -150,17 +128,6 @@ def _galois_images(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
                  for k in range(2, m) if gcd(k, m) == 1)
 
 
-def _int_reduce(vec: list[int], mod: tuple[int, ...]) -> list[int]:
-    # remainder of an integer polynomial of any length modulo the monic mod
-    phi = len(mod) - 1
-    for i in range(len(vec) - 1, phi - 1, -1):
-        c = vec[i]
-        if c:
-            for j in range(phi):
-                vec[i - phi + j] -= c * mod[j]
-    return vec[:phi]
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -182,10 +149,10 @@ class Cyc:
         vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in vals))
         vec = [c.numerator * (den // c.denominator) for c in vals]
-        mod = _int_modulus(m)
+        mod = cyclotomic_polynomial(m)
         phi = len(mod) - 1
         if len(vec) > phi:
-            vec = _int_reduce(vec, mod)
+            vec = _int_divmod(vec, mod)[1]
         else:
             vec += [0] * (phi - len(vec))
         c = _mk_cyc(m, vec, den)
@@ -321,11 +288,6 @@ class Cyc:
     @property
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
         return any(self.num)
@@ -565,10 +527,6 @@ class CycRat:
     @classmethod
     def from_const(cls, m: int, v) -> "CycRat":
         return cls(m, (v,))
-
-    @classmethod
-    def poly(cls, m: int, coeffs: Iterable) -> "CycRat":
-        return cls(m, coeffs)
 
     @classmethod
     def q(cls, m: int, k: int = 1) -> "CycRat":

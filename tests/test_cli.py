@@ -20,10 +20,57 @@ def test_partitions_command():
     assert json.loads(res.output) == [[]]
 
 
-def test_partitions_usage_errors():
-    assert _run("partitions", "--m", "1", "--n", "4").exit_code == 2
-    assert _run("partitions", "--m", "2", "--n", "-1").exit_code == 2
-    assert _run("partitions", "--n", "4").exit_code == 2
+# one accepted command line per subcommand; each usage-error case below
+# breaks one input of it
+_VALID = {
+    "partitions": ("--n", "4"),
+    "qexpand": ("--n", "2"),
+    "newton-verify": ("--lambda", "2,1"),
+    "x0-matrix": ("--n", "3"),
+    "x0-apply": ("--lambda", "2,1"),
+    "macdonald": ("--lambda", "2,1"),
+    "gram": ("--n", "3"),
+    "specialize": ("--lambda", "2,1"),
+    "selfcheck": ("--max-n", "2"),
+}
+_LAMBDA_CMDS = ("qexpand", "newton-verify", "x0-apply", "macdonald", "specialize")
+_MODE_CMDS = ("qexpand", "newton-verify", "x0-matrix", "x0-apply", "macdonald", "gram")
+USAGE_ERRORS = (
+    [(cmd, "--m", "1", *rest) for cmd, rest in _VALID.items()]
+    + [(cmd, "--m", "2", "--lambda", bad) for cmd in _LAMBDA_CMDS for bad in ("0", "1,2", "a")]
+    + [
+        ("partitions", "--m", "2", "--n", "-1"),
+        ("partitions", "--n", "4"),
+        ("x0-matrix", "--m", "2", "--n", "0"),
+        ("gram", "--m", "2", "--n", "0"),
+        ("selfcheck", "--m", "2", "--max-n", "0"),
+    ]
+    + [(cmd, "--m", "2", *_VALID[cmd], *flags) for cmd in _MODE_CMDS for flags in (
+        ("--q0", "2"),
+        ("--mode", "eval"),
+        ("--mode", "eval", "--q0", "0"),
+        ("--mode", "eval", "--q0", "2", "--c0", "0"),
+    )]
+    + [
+        ("macdonald", "--m", "2", "--lambda", "1,1"),
+        ("specialize", "--m", "2", "--lambda", "1,1"),
+        ("newton-verify", "--m", "2", "--lambda", ""),
+    ]
+)
+
+
+@pytest.mark.parametrize("cmd", _VALID)
+def test_usage_error_baseline_is_accepted(cmd):
+    assert _run(cmd, "--m", "2", *_VALID[cmd]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS, ids=" ".join)
+def test_usage_error(args):
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert "Error: " in res.stderr
 
 
 def test_qexpand_command():

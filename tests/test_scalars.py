@@ -31,6 +31,11 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (F(1), F(-1), F(1))
     assert cyclotomic_polynomial(12) == (F(1), F(0), F(-1), F(0), F(1))
     assert euler_phi(5) == 4 and euler_phi(8) == 4
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for m in range(1, 61):
+        expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in expected), m
 
 
 def test_zeta_satisfies_its_relations():
