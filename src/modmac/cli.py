@@ -79,8 +79,8 @@ def _mode_opts(cmd):
     @wraps(cmd)
     def with_mode(m: int, mode: str, q0: str | None, c0: str | None, **kwargs):
         if mode == "symbolic":
-            if q0 is not None:
-                raise click.BadParameter("--q0 only applies to --mode eval")
+            if q0 is not None or c0 is not None:
+                raise click.BadParameter("--q0 and --c0 only apply to --mode eval")
             pm = symbolic_mode(m)
         elif q0 is None:
             raise click.BadParameter("--mode eval requires --q0")

@@ -8,6 +8,10 @@ with integer coefficients, so every field operation stays in integers and
 ends in a single gcd.  The deformation parameter q lives in a field of
 canonicalized rational functions (gcd-reduced, monic denominator), so
 equality is coefficient-wise.
+
+Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
+q that the Euclidean algorithm keeps monic.  One long division,
+`_monic_divmod`, serves both the reduction modulo Phi_m and the gcds in q.
 """
 
 from __future__ import annotations
@@ -43,21 +47,23 @@ Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials modulo Phi_m, which is monic with integer coefficients
+# polynomial long division, and integer polynomials modulo Phi_m
 
-def _int_divmod(vec, monic: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    # quotient and remainder of an integer polynomial by a monic one, both
-    # as ascending coefficient lists, the remainder cut to len(monic) - 1 entries
+def _monic_divmod(vec, monic) -> tuple[list, list]:
+    # quotient and remainder of vec by a monic polynomial, both as ascending
+    # coefficient lists of ints or Cycs, the remainder cut to len(monic) - 1
+    # entries.  The divisor must be monic; every caller's is (Phi_m, or a gcd
+    # that _pgcd has made monic), so no leading coefficient is inverted.
     rem = list(vec)
     d = len(monic) - 1
-    quot = [0] * max(len(rem) - d, 0)
     for i in range(len(rem) - 1, d - 1, -1):
         c = rem[i]
         if c:
-            quot[i - d] = c
             for j in range(d):
                 rem[i - d + j] -= c * monic[j]
-    return quot, rem[:d]
+    # step i only changes the entries below i, so rem[i] is final when it is
+    # read: it is the quotient's coefficient of x^(i - d)
+    return rem[d:], rem[:d]
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +75,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = _int_divmod(poly, cyclotomic_polynomial(d))
+            poly, rem = _monic_divmod(poly, cyclotomic_polynomial(d))
             if any(rem):
                 raise RuntimeError(f"cyclotomic recurrence failed at m={m}, d={d}")
     return tuple(poly)
@@ -131,7 +137,49 @@ def _galois_images(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-class Cyc:
+class _Scalar:
+    """The operators that Cyc and CycRat share, written through each class's
+    coercion `_co`, its inverse `inv` and its unit `_one`."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inv()
+
+    def __rtruediv__(self, other):
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inv()
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inv() ** (-n)
+        out = self._one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.m}, {self})"
+
+
+class Cyc(_Scalar):
     """An element of Q(xi_m), stored as its residue modulo Phi_m.
 
     The residue is num / den over the power basis 1, xi, ..., xi^{phi(m)-1}:
@@ -152,7 +200,7 @@ class Cyc:
         mod = cyclotomic_polynomial(m)
         phi = len(mod) - 1
         if len(vec) > phi:
-            vec = _int_divmod(vec, mod)[1]
+            vec = _monic_divmod(vec, mod)[1]
         else:
             vec += [0] * (phi - len(vec))
         c = _mk_cyc(m, vec, den)
@@ -201,12 +249,6 @@ class Cyc:
         if da == db:
             return _mk_cyc(self.m, [x - y for x, y in zip(a, b)], da)
         return _mk_cyc(self.m, [x * db - y * da for x, y in zip(a, b)], da * db)
-
-    def __rsub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self):
         return _raw_cyc(self.m, tuple([-x for x in self.num]), self.den)
@@ -257,31 +299,8 @@ class Cyc:
         _INV_CACHE[key] = out
         return out
 
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inv() ** (-n)
-        out = _cyc_one(self.m)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self) -> "Cyc":
+        return _cyc_one(self.m)
 
     # -- structure -----------------------------------------------------------
 
@@ -313,17 +332,15 @@ class Cyc:
     def __str__(self) -> str:
         return _render_terms(self.coeffs, "xi")
 
-    def __repr__(self) -> str:
-        return f"Cyc({self.m}, {self})"
 
-
-def _render_terms(coeffs, sym: str) -> str:
+def _render_terms(coeffs, sym: str, word=str) -> str:
+    # sum of c * sym^k, ascending; `word` writes a coefficient other than +-1
     pieces = []
     for k, c in enumerate(coeffs):
         if not c:
             continue
         if k == 0:
-            pieces.append(str(c))
+            pieces.append(word(c))
             continue
         mono = sym if k == 1 else f"{sym}^{k}"
         if c == 1:
@@ -331,7 +348,7 @@ def _render_terms(coeffs, sym: str) -> str:
         elif c == -1:
             pieces.append(f"-{mono}")
         else:
-            pieces.append(f"{c}*{mono}")
+            pieces.append(f"{word(c)}*{mono}")
     if not pieces:
         return "0"
     out = pieces[0]
@@ -396,7 +413,9 @@ def _cyc_one(m: int) -> Cyc:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials in q over Cyc; zero is the empty tuple
+# dense polynomials in q over Cyc; zero is the empty tuple.  Q(xi) has no zero
+# divisors, so the product of two trimmed polynomials, and a trimmed one times
+# a nonzero scalar, keep a nonzero leading coefficient and need no trim.
 
 def _ptrim(c):
     n = len(c)
@@ -417,10 +436,6 @@ def _padd(a, b):
     ))
 
 
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
 def _pmul(a, b):
     if not a or not b:
         return ()
@@ -431,32 +446,18 @@ def _pmul(a, b):
             for j, y in enumerate(b):
                 if y:
                     out[i + j] = out[i + j] + x * y
-    return _ptrim(tuple(out))
+    return tuple(out)
 
 
 def _pscale(a, c: Cyc):
-    if not c:
-        return ()
-    return _ptrim(tuple(x * c for x in a))
+    # c is nonzero
+    return tuple(x * c for x in a)
 
 
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return (), _ptrim(tuple(rem))
-    z = _cyc_zero(b[0].m)
-    quot = [z] * (len(rem) - db)
-    binv = b[-1].inv()
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * binv
-        if c:
-            quot[i - db] = c
-            for j, bj in enumerate(b):
-                rem[i - db + j] = rem[i - db + j] - c * bj
-    return _ptrim(tuple(quot)), _ptrim(tuple(rem))
+def _pquo(a, g):
+    # a / g for a monic g that divides a nonzero a; the quotient's leading
+    # coefficient is a's, so it is trimmed
+    return tuple(_monic_divmod(a, g)[0])
 
 
 def _pmonic(a):
@@ -467,10 +468,11 @@ def _pmonic(a):
 
 def _pgcd(a, b):
     # monic Euclidean algorithm over the field Q(xi_m); normalizing every
-    # remainder to monic keeps the rational coefficients from blowing up
+    # remainder to monic keeps the rational coefficients from blowing up and
+    # lets _monic_divmod divide by it; the gcd returned is monic too
     while b:
         b = _pmonic(b)
-        a, b = b, _pdivmod(a, b)[1]
+        a, b = b, _ptrim(tuple(_monic_divmod(a, b)[1]))
     return _pmonic(a)
 
 
@@ -481,7 +483,7 @@ def _peval(a, x: Cyc) -> Cyc:
     return out
 
 
-class CycRat:
+class CycRat(_Scalar):
     """A canonical ratio of polynomials in q over Q(xi_m).
 
     Canonical form: numerator and denominator coprime, denominator monic.
@@ -502,8 +504,8 @@ class CycRat:
         if len(dv) > 1 and len(nv) > 1:
             g = _pgcd(nv, dv)
             if len(g) > 1:
-                nv = _pdivmod(nv, g)[0]
-                dv = _pdivmod(dv, g)[0]
+                nv = _pquo(nv, g)
+                dv = _pquo(dv, g)
         # a degree-0 numerator or denominator is automatically coprime
         lead = dv[-1]
         if lead != one:
@@ -569,15 +571,15 @@ class CycRat:
         if len(g) <= 1:
             num = _padd(_pmul(n1, d2), _pmul(n2, d1))
             return _mk_rat(self.m, num, _pmul(d1, d2))
-        d1r = _pdivmod(d1, g)[0]
-        d2r = _pdivmod(d2, g)[0]
+        d1r = _pquo(d1, g)
+        d2r = _pquo(d2, g)
         t = _padd(_pmul(n1, d2r), _pmul(n2, d1r))
         if not t:
             return CycRat(self.m)
         g2 = _pgcd(t, g)
         if len(g2) > 1:
-            t = _pdivmod(t, g2)[0]
-            g = _pdivmod(g, g2)[0]
+            t = _pquo(t, g2)
+            g = _pquo(g, g2)
         return _mk_rat(self.m, t, _pmul(_pmul(d1r, d2r), g))
 
     __radd__ = __add__
@@ -588,14 +590,8 @@ class CycRat:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
-        return _mk_rat(self.m, _pneg(self.num), self.den)
+        return _mk_rat(self.m, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
         o = self._co(other)
@@ -611,18 +607,18 @@ class CycRat:
         if len(n1) > 1 and len(d2) > 1:
             g = _pgcd(n1, d2)
             if len(g) > 1:
-                n1 = _pdivmod(n1, g)[0]
-                d2 = _pdivmod(d2, g)[0]
+                n1 = _pquo(n1, g)
+                d2 = _pquo(d2, g)
         if len(n2) > 1 and len(d1) > 1:
             g = _pgcd(n2, d1)
             if len(g) > 1:
-                n2 = _pdivmod(n2, g)[0]
-                d1 = _pdivmod(d1, g)[0]
+                n2 = _pquo(n2, g)
+                d1 = _pquo(d1, g)
         return _mk_rat(self.m, _pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "CycRat":
+    def inv(self) -> "CycRat":
         if not self.num:
             raise ZeroDivisionError("division by zero rational function")
         lead = self.num[-1]
@@ -631,31 +627,8 @@ class CycRat:
         li = lead.inv()
         return _mk_rat(self.m, _pscale(self.den, li), _pscale(self.num, li))
 
-    def __truediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self * o._inverse()
-
-    def __rtruediv__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o * self._inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self._inverse() ** (-n)
-        out = CycRat.from_const(self.m, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self) -> "CycRat":
+        return CycRat.from_const(self.m, 1)
 
     # -- structure ----------------------------------------------------------------
 
@@ -698,13 +671,10 @@ class CycRat:
         return hash((self.m, self.num, self.den))
 
     def __str__(self) -> str:
-        num = _render_poly(self.num)
+        num = _render_terms(self.num, "q", _cyc_word)
         if len(self.den) == 1:
             return num
-        return f"({num})/({_render_poly(self.den)})"
-
-    def __repr__(self) -> str:
-        return f"CycRat({self.m}, {self})"
+        return f"({num})/({_render_terms(self.den, 'q', _cyc_word)})"
 
 
 def _mk_rat(m: int, num, den) -> CycRat:
@@ -717,30 +687,9 @@ def _mk_rat(m: int, num, den) -> CycRat:
     return out
 
 
-def _render_poly(coeffs) -> str:
-    if not coeffs:
-        return "0"
-    pieces = []
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        cs = str(c)
-        if k == 0:
-            pieces.append(cs if c.is_rational else f"({cs})")
-            continue
-        mono = "q" if k == 1 else f"q^{k}"
-        if c == 1:
-            pieces.append(mono)
-        elif c == -1:
-            pieces.append(f"-{mono}")
-        elif c.is_rational:
-            pieces.append(f"{cs}*{mono}")
-        else:
-            pieces.append(f"({cs})*{mono}")
-    out = pieces[0]
-    for t in pieces[1:]:
-        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-    return out
+def _cyc_word(c: Cyc) -> str:
+    # a coefficient of q: an irrational one is parenthesized
+    return str(c) if c.is_rational else f"({c})"
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +712,6 @@ class ParamMode:
     @property
     def is_symbolic(self) -> bool:
         return self.q0 is None
-
-    def c_pow(self, k: int) -> Cyc:
-        return self.c0**k
 
     def qpow(self, k: int) -> CycRat:
         """q^k in this mode (a monomial, or the evaluated constant)."""
@@ -828,7 +774,7 @@ def epsilon(n: int, mode: ParamMode) -> CycRat:
             f"q0^{n} = 1 at the evaluation point: epsilon_{n} vanishes and the "
             "scalar product degenerates; choose a different q0"
         )
-    denom = (_cyc_one(m) - zeta(m, n)) * mode.c_pow(n)
+    denom = (_cyc_one(m) - zeta(m, n)) * mode.c0**n
     return (mode.qpow(n) - 1) * denom.inv()
 
 

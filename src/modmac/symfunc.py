@@ -262,7 +262,7 @@ def r_to_p(n: int, mode: ParamMode) -> PExpr:
         return PExpr.one(mode.m)
     m = mode.m
     one = Cyc(m, (1,))
-    cn = mode.c_pow(n)
+    cn = mode.c0**n
     terms = {}
     for rho in enumerate_partitions(n, "m_regular", m):
         w = cn

@@ -101,7 +101,7 @@ def s_apply(k: int, f: PExpr, mode: ParamMode) -> PExpr:
             continue
         w = mode.one()
         for part in rho.parts:
-            w = w * (mode.qpow(part) - 1) * mode.c_pow(-part)
+            w = w * (mode.qpow(part) - 1) * mode.c0**-part
         out = out + g.scale(w / mult_factorial(rho))
     return out
 

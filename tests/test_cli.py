@@ -47,6 +47,7 @@ USAGE_ERRORS = (
     ]
     + [(cmd, "--m", "2", *_VALID[cmd], *flags) for cmd in _MODE_CMDS for flags in (
         ("--q0", "2"),
+        ("--c0", "2"),
         ("--mode", "eval"),
         ("--mode", "eval", "--q0", "0"),
         ("--mode", "eval", "--q0", "2", "--c0", "0"),

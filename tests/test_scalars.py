@@ -276,3 +276,75 @@ def test_cyc_arithmetic_matches_sympy():
             assert same == a and hash(same) == hash(a)
             assert (a == b) == (pa - pb).rem(mod).is_zero
             assert (a == r) == (pa == pr) and (a == 3) == (pa == 3)
+
+
+def test_cycrat_arithmetic_matches_sympy():
+    # each value is built as (A*G)/(B*G) with a monic linear G, so the
+    # constructor's gcd runs; the operands share a linear factor, so the
+    # gcds of add and mul run, and (a - b) + b cancels a whole denominator factor
+    sympy = pytest.importorskip("sympy")
+    x, q = sympy.symbols("x q")
+    rng = random.Random(20261018)
+
+    def to_poly(cs):
+        # a polynomial in q over Q(xi_m) as a sympy Poly in x (for xi) and q
+        terms = {(i, k): sympy.Rational(f.numerator, f.denominator)
+                 for k, c in enumerate(cs) for i, f in enumerate(c.coeffs) if f}
+        return sympy.Poly.from_dict(terms or {(0, 0): 0}, x, q, domain="QQ")
+
+    def random_poly(m, deg):
+        lead = _random_cyc(rng, m)
+        while not lead:
+            lead = _random_cyc(rng, m)
+        return [_random_cyc(rng, m) for _ in range(deg)] + [lead]
+
+    for m in range(2, 7):
+        # Phi_m is monic in x, the leading variable, so rem is the reduction mod Phi_m
+        phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, q, domain="QQ")
+
+        def check(v, num, den):
+            # v is canonical and equals num/den
+            assert v.den[-1] == 1
+            if v.num:
+                assert v.num[-1]
+            pn, pd = to_poly(v.num), to_poly(v.den)
+            if len(v.num) > 1 and len(v.den) > 1:
+                res = pn.reorder(q, x).resultant(pd.reorder(q, x))
+                assert not sympy.Poly(res.as_expr(), x, q, domain="QQ").rem(phi).is_zero
+            assert (pn * den - num * pd).rem(phi).is_zero
+
+        def linear():
+            return [-_random_cyc(rng, m), Cyc(m, (1,))]
+
+        def value(numf, denf):
+            # (A*numf*G)/(B*denf*G) for random A, B and a random monic linear G
+            g = linear()
+            a = _pmul_list(random_poly(m, rng.randint(0, 2)), numf)
+            b = _pmul_list(random_poly(m, rng.randint(0, 1)), denf)
+            pg = to_poly(g)
+            return CycRat(m, _pmul_list(a, g), _pmul_list(b, g)), to_poly(a) * pg, to_poly(b) * pg
+
+        one = [Cyc(m, (1,))]
+        for _ in range(4):
+            # a and c share the factor h in their denominators, b has it on top
+            h = linear()
+            (a, na, da), (b, nb, db), (c, nc, dc) = value(one, h), value(h, one), value(one, h)
+            for v, num, den in ((a, na, da), (b, nb, db), (c, nc, dc)):
+                check(v, num, den)
+            check(a + b, na * db + nb * da, da * db)
+            check(a + c, na * dc + nc * da, da * dc)
+            check(a - b, na * db - nb * da, da * db)
+            check((a - b) + b, na, da)
+            check(a * b, na * nb, da * db)
+            check(a / b, na * db, da * nb)
+            check(a / c, na * dc, da * nc)
+            check(a**2, na**2, da**2)
+            check(a**-1, da, na)
+
+
+def _pmul_list(a, b):
+    out = [Cyc(a[0].m, ())] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out

@@ -124,7 +124,7 @@ def test_creation_series_consistency(mode):
     def coeff(k):
         if k % m == 0:
             return PExpr.zero(m)
-        w = (1 - zeta(m, k)) * mode.c_pow(k)
+        w = (1 - zeta(m, k)) * mode.c0**k
         return PExpr(m, {(k,): CycRat.from_const(m, w) / k})
 
     series = series_exp(coeff, top, m)
