@@ -61,6 +61,7 @@ from .scalars import (
     parse_scalar_literal,
     scalar_from_json,
     scalar_to_json,
+    scalar_to_str,
     symbolic_mode,
     zeta,
 )

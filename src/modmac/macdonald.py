@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError, PoleAtSpecialization
+from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
-from .scalars import CycRat, ParamMode, evaluate, scalar_to_json
+from .scalars import Cyc, CycRat, ParamMode, evaluate, scalar_to_json
 from .symfunc import PExpr, QExpr, p_multiply, scalar_product
 from .vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
@@ -44,17 +44,14 @@ class ModularMacdonald:
     m: int
     shape: Partition
     mode: ParamMode
-    q_coeffs: tuple[tuple[Partition, CycRat], ...]
+    q_coeffs: tuple[tuple[Partition, Cyc | CycRat], ...]
     p_form: PExpr
-    eigenvalue: CycRat
+    eigenvalue: Cyc | CycRat
 
-    def coeff(self, mu) -> CycRat:
+    def coeff(self, mu) -> Cyc | CycRat:
         if not isinstance(mu, Partition):
             mu = Partition(mu)
-        for lam, c in self.q_coeffs:
-            if lam == mu:
-                return c
-        return CycRat(self.m)
+        return dict(self.q_coeffs).get(mu, self.mode.zero())
 
     def to_json(self) -> dict:
         return {
@@ -75,8 +72,8 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
 
     Walking the dominance-above support upward from lam, each coordinate is
     sum of already-known coordinates against the operator matrix, divided by
-    the eigenvalue gap.  The result is checked to be an exact eigenvector of
-    the independent implementation of the operator.
+    the eigenvalue gap, nonzero by `x0_matrix`'s check.  The result must be an
+    exact eigenvector of the independent implementation of the operator.
     """
     m = mode.m
     if not lam.is_reduced(m):
@@ -88,20 +85,14 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
         )
     mat = x0_matrix(lam.weight, mode)
     support = [nu for nu in mat.order if dominates(nu, lam)]
-    coeffs: dict[Partition, CycRat] = {lam: mode.one()}
+    coeffs: dict[Partition, Cyc | CycRat] = {lam: mode.one()}
     for nu in reversed(support):
         if nu == lam:
             continue
         num = mode.zero()
         for mu, c in coeffs.items():
             num = num + c * mat.entry(nu, mu)
-        gap = ev - eigenvalue_c(nu, mode)
-        if gap.is_zero:
-            raise EigenvalueCollisionAtEvaluation(
-                f"eigenvalue gap between {lam.parts} and {nu.parts} vanishes at "
-                f"{mode.describe()}; choose a different q0"
-            )
-        c = num / gap
+        c = num / (ev - eigenvalue_c(nu, mode))
         if not c.is_zero:
             coeffs[nu] = c
     p_form = QExpr(m, coeffs).to_p(mode)
@@ -120,7 +111,7 @@ def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
     return [solve_q(lam, mode) for lam in x0_matrix(n, mode).order]
 
 
-def gram(n: int, mode: ParamMode) -> list[list[CycRat]]:
+def gram(n: int, mode: ParamMode) -> list[list[Cyc | CycRat]]:
     """Pairings of the weight-n eigenvectors; must come out diagonal."""
     qs = all_q(n, mode)
     out = []
@@ -149,7 +140,7 @@ def specialize_q0(mac: ModularMacdonald) -> PExpr:
     terms = {}
     for lam, c in mac.p_form.terms.items():
         try:
-            terms[lam] = CycRat.from_const(mac.m, evaluate(c, 0))
+            terms[lam] = evaluate(c, 0)
         except PoleAtSpecialization as exc:
             raise PoleAtSpecialization(
                 f"coefficient of p_{lam.parts} in Q_{mac.shape.parts} has a pole at q = 0"

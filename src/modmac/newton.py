@@ -23,7 +23,7 @@ from .partitions import (
     mult_factorial,
     subtract,
 )
-from .scalars import CycRat, ParamMode
+from .scalars import Cyc, CycRat, ParamMode
 from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 # a defining sequence: n >= 1 -> scalar
-DSeq = Callable[[int], CycRat]
+DSeq = Callable[[int], Cyc | CycRat]
 
 
 def qpow_dseq(mode: ParamMode) -> DSeq:
@@ -93,15 +93,13 @@ def nl_falling(lam: Partition, nu: Partition) -> int:
     return _clamped_quotient(prod, nu, "falling form")
 
 
-def d_mu(mu: Partition, d: DSeq) -> CycRat:
+def d_mu(mu: Partition, d: DSeq) -> Cyc | CycRat:
     """Expansion coefficient of the creation series over q-products:
     (-1)^{l-1} (l-1)!/m(mu)! * sum_k m_k(mu) d_k."""
     if mu.length == 0:
         raise ValueError("the coefficient is undefined for the empty partition")
-    acc = None
-    for k, mk in mu.multiplicities().items():
-        t = d(k) * mk
-        acc = t if acc is None else acc + t
+    terms = [d(k) * mk for k, mk in mu.multiplicities().items()]
+    acc = sum(terms[1:], terms[0])
     l = mu.length
     scale = Fraction(factorial(l - 1), mult_factorial(mu))
     if (l - 1) % 2:
@@ -121,7 +119,7 @@ def _proper_submultisets(mu: Partition):
         yield Partition(sorted(parts, reverse=True))
 
 
-def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> CycRat:
+def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> Cyc | CycRat:
     """Coefficient of q_mu in the raising sum for lam: sum over proper
     sub-multisets nu of mu of N_l(lam, nu) * d_{mu \\ nu}."""
     if lam.length == 0:
@@ -136,7 +134,7 @@ def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> CycRat:
         t = d_mu(subtract(mu, nu), d) * c
         total = t if total is None else total + t
     if total is None:
-        return CycRat(d(1).m)
+        return Cyc(d(1).m)
     return total
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -36,7 +37,7 @@ class Partition:
     __slots__ = ("_parts", "_weight")
 
     def __init__(self, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(map(index, parts))
         for i, p in enumerate(ps):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive, got {p}")

@@ -9,6 +9,10 @@ ends in a single gcd.  The deformation parameter q lives in a field of
 canonicalized rational functions (gcd-reduced, monic denominator), so
 equality is coefficient-wise.
 
+One rule picks the type: a scalar is a `Cyc` unless it depends on a formal
+q.  Eval mode never builds a `CycRat`; in symbolic mode a `Cyc` that meets a
+`CycRat` is promoted, and equality and hashing agree across the two.
+
 Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
 q that the Euclidean algorithm keeps monic.  One long division,
 `_monic_divmod`, serves both the reduction modulo Phi_m and the gcds in q.
@@ -37,6 +41,7 @@ __all__ = [
     "epsilon",
     "evaluate",
     "scalar_to_json",
+    "scalar_to_str",
     "scalar_from_json",
     "parse_scalar_literal",
 ]
@@ -139,9 +144,13 @@ def _galois_images(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 class _Scalar:
     """The operators that Cyc and CycRat share, written through each class's
-    coercion `_co`, its inverse `inv` and its unit `_one`."""
+    coercion `_co` and its inverse `inv`."""
 
     __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
 
     def __rsub__(self, other):
         o = self._co(other)
@@ -166,7 +175,7 @@ class _Scalar:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        out = self._one()
+        out = _cyc_one(self.m)
         base = self
         while n:
             if n & 1:
@@ -194,7 +203,9 @@ class Cyc(_Scalar):
     def __init__(self, m: int, coeffs: Iterable[Rational] = ()):
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"conductor m must be an integer >= 2, got {m!r}")
-        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        vals = tuple(coeffs)
+        if not all(isinstance(c, (int, Fraction)) for c in vals):
+            raise TypeError(f"Cyc coefficients must be ints or Fractions, got {vals!r}")
         den = lcm(*(c.denominator for c in vals))
         vec = [c.numerator * (den // c.denominator) for c in vals]
         mod = cyclotomic_polynomial(m)
@@ -298,9 +309,6 @@ class Cyc(_Scalar):
             out = _raw_cyc(self.m, (self.den if a0 > 0 else -self.den,) + a[1:], abs(a0))
         _INV_CACHE[key] = out
         return out
-
-    def _one(self) -> "Cyc":
-        return _cyc_one(self.m)
 
     # -- structure -----------------------------------------------------------
 
@@ -522,13 +530,14 @@ class CycRat(_Scalar):
             return c
         if isinstance(c, (int, Fraction)):
             return _rational_cyc(m, euler_phi(m), c)
-        return Cyc(m, (c,))
+        raise TypeError(f"a scalar must be an int, a Fraction or a Cyc, got {c!r}")
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_const(cls, m: int, v) -> "CycRat":
-        return cls(m, (v,))
+        c = cls._as_cyc(m, v)
+        return _mk_rat(m, (c,) if c else (), (_cyc_one(m),))
 
     @classmethod
     def q(cls, m: int, k: int = 1) -> "CycRat":
@@ -627,14 +636,7 @@ class CycRat(_Scalar):
         li = lead.inv()
         return _mk_rat(self.m, _pscale(self.den, li), _pscale(self.num, li))
 
-    def _one(self) -> "CycRat":
-        return CycRat.from_const(self.m, 1)
-
     # -- structure ----------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
 
     @property
     def is_one(self) -> bool:
@@ -671,10 +673,10 @@ class CycRat(_Scalar):
         return hash((self.m, self.num, self.den))
 
     def __str__(self) -> str:
-        num = _render_terms(self.num, "q", _cyc_word)
+        num = _render_terms(self.num, "q", scalar_to_str)
         if len(self.den) == 1:
             return num
-        return f"({num})/({_render_terms(self.den, 'q', _cyc_word)})"
+        return f"({num})/({_render_terms(self.den, 'q', scalar_to_str)})"
 
 
 def _mk_rat(m: int, num, den) -> CycRat:
@@ -687,9 +689,10 @@ def _mk_rat(m: int, num, den) -> CycRat:
     return out
 
 
-def _cyc_word(c: Cyc) -> str:
-    # a coefficient of q: an irrational one is parenthesized
-    return str(c) if c.is_rational else f"({c})"
+def scalar_to_str(a: Cyc | CycRat) -> str:
+    """str of a scalar, with an irrational Cyc parenthesized, as a coefficient
+    of q is; so a Cyc reads as the equal constant CycRat."""
+    return str(a) if isinstance(a, CycRat) or a.is_rational else f"({a})"
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +706,9 @@ class ParamMode:
     c is always concrete; the symbolic mode fixes c = xi_m^{-1}, which is the
     specialization every construction downstream relies on.  Eval mode
     substitutes an explicit nonzero (q0, c0).
+
+    A scalar is a Cyc unless it depends on a formal q: `one` and `zero` are
+    Cycs in both modes, and `qpow` is a CycRat only in symbolic mode.
     """
 
     m: int
@@ -713,19 +719,19 @@ class ParamMode:
     def is_symbolic(self) -> bool:
         return self.q0 is None
 
-    def qpow(self, k: int) -> CycRat:
+    def qpow(self, k: int) -> Cyc | CycRat:
         """q^k in this mode (a monomial, or the evaluated constant)."""
         if k < 0:
             raise ValueError("negative q powers are not used")
         if self.q0 is None:
             return CycRat.q(self.m, k)
-        return CycRat.from_const(self.m, self.q0**k)
+        return self.q0**k
 
-    def one(self) -> CycRat:
-        return CycRat.from_const(self.m, 1)
+    def one(self) -> Cyc:
+        return _cyc_one(self.m)
 
-    def zero(self) -> CycRat:
-        return CycRat(self.m)
+    def zero(self) -> Cyc:
+        return _cyc_zero(self.m)
 
     def describe(self) -> str:
         if self.is_symbolic:
@@ -758,7 +764,7 @@ def _require_m(m: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def epsilon(n: int, mode: ParamMode) -> CycRat:
+def epsilon(n: int, mode: ParamMode) -> Cyc | CycRat:
     """The scalar-product deformation parameter for degree n, m not dividing n.
 
     epsilon_n = (q^n - 1) / ((1 - xi^n) c^n); with the symbolic c = xi^{-1}
@@ -769,22 +775,24 @@ def epsilon(n: int, mode: ParamMode) -> CycRat:
         raise ValueError(f"epsilon is defined for positive n, got {n}")
     if n % m == 0:
         raise ValueError(f"epsilon_{n} is undefined: {m} divides {n}")
-    if not mode.is_symbolic and mode.q0**n == _cyc_one(m):
+    if mode.qpow(n) == 1:
         raise DegenerateEvaluationPoint(
             f"q0^{n} = 1 at the evaluation point: epsilon_{n} vanishes and the "
             "scalar product degenerates; choose a different q0"
         )
-    denom = (_cyc_one(m) - zeta(m, n)) * mode.c0**n
+    denom = (1 - zeta(m, n)) * mode.c0**n
     return (mode.qpow(n) - 1) * denom.inv()
 
 
-def evaluate(a: CycRat, q0) -> Cyc:
+def evaluate(a: Cyc | CycRat, q0) -> Cyc:
     """Exact substitution of q = q0; raises PoleAtSpecialization on a pole.
 
     The canonical form guarantees numerator and denominator have no common
-    root, so a vanishing denominator is a genuine pole.
+    root, so a vanishing denominator is a genuine pole.  A Cyc is constant.
     """
     x = CycRat._as_cyc(a.m, q0)
+    if isinstance(a, Cyc):
+        return a
     dv = _peval(a.den, x)
     if not dv:
         raise PoleAtSpecialization(f"denominator of {a} vanishes at q = {x}")
@@ -798,9 +806,12 @@ def _cyc_vec_json(c: Cyc) -> list[str]:
     return [str(x) for x in c.coeffs]
 
 
-def scalar_to_json(a: CycRat) -> dict:
+def scalar_to_json(a: Cyc | CycRat) -> dict:
     """{"num": [...], "den": [...]}: outer index is the power of q, inner the
-    coefficient vector over 1, xi, ..., xi^{phi(m)-1}, rationals as strings."""
+    coefficient vector over 1, xi, ..., xi^{phi(m)-1}, rationals as strings.
+    A Cyc is written as the equal constant CycRat."""
+    if isinstance(a, Cyc):
+        a = CycRat.from_const(a.m, a)
     return {
         "num": [_cyc_vec_json(c) for c in a.num],
         "den": [_cyc_vec_json(c) for c in a.den],

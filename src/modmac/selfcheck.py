@@ -28,7 +28,7 @@ from .newton import (
     r_from_recursion,
 )
 from .partitions import Partition, count_check, dominates, enumerate_partitions
-from .scalars import CycRat, eval_mode, symbolic_mode
+from .scalars import Cyc, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
     QExpr,
@@ -84,7 +84,7 @@ def _check_newton(m: int, bound: int, draws: int, rng: random.Random) -> dict:
         return bad
     emode = eval_mode(m, 2)
     for _ in range(draws):
-        vals = {n: CycRat.from_const(m, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        vals = {n: Cyc(m, (Fraction(rng.randint(-9, 9), rng.randint(1, 7)),))
                 for n in range(1, bound + 1)}
         d = lambda n: vals[n]
         rs = r_from_recursion(bound, d, emode)

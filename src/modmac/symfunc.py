@@ -18,7 +18,7 @@ from .partitions import (
     union,
     z_of,
 )
-from .scalars import Cyc, CycRat, ParamMode, epsilon, scalar_to_json, zeta
+from .scalars import Cyc, CycRat, ParamMode, epsilon, scalar_to_json, scalar_to_str, zeta
 
 __all__ = [
     "PExpr",
@@ -43,30 +43,30 @@ def _sort_key(lam: Partition):
 
 class _Expr:
     """Finitely supported map from partitions to nonzero scalars of one
-    modulus; zero coefficients are dropped.  Subclasses name their `basis`
-    and validate each key in `_check_key`."""
+    modulus; zero coefficients are dropped, and int and Fraction ones become
+    Cycs.  Subclasses name their `basis` and validate each key in `_check_key`."""
 
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms=None):
         self.m = m
-        clean: dict[Partition, CycRat] = {}
+        clean: dict[Partition, Cyc | CycRat] = {}
         for lam, c in (terms or {}).items():
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
             self._check_key(lam)
-            if not isinstance(c, CycRat):
-                c = CycRat.from_const(m, c)
+            if not isinstance(c, (Cyc, CycRat)):
+                c = Cyc(m, (c,))
             elif c.m != m:
                 raise ValueError(f"mixed moduli: {m} vs {c.m}")
-            if not c.is_zero:
+            if c:
                 clean[lam] = c
         self.terms = clean
 
-    def coeff(self, lam) -> CycRat:
+    def coeff(self, lam) -> Cyc | CycRat:
         if not isinstance(lam, Partition):
             lam = Partition(lam)
-        return self.terms.get(lam, CycRat(self.m))
+        return self.terms.get(lam, Cyc(self.m))
 
     @property
     def is_zero(self) -> bool:
@@ -75,7 +75,7 @@ class _Expr:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def sorted_items(self) -> list[tuple[Partition, CycRat]]:
+    def sorted_items(self) -> list[tuple[Partition, Cyc | CycRat]]:
         return sorted(self.terms.items(), key=lambda kv: _sort_key(kv[0]))
 
     def __eq__(self, other) -> bool:
@@ -87,7 +87,8 @@ class _Expr:
         name = type(self).__name__
         if not self.terms:
             return f"{name}(0)"
-        bits = [f"({c})*{self.basis[0]}{list(lam.parts)}" for lam, c in self.sorted_items()]
+        bits = [f"({scalar_to_str(c)})*{self.basis[0]}{list(lam.parts)}"
+                for lam, c in self.sorted_items()]
         return f"{name}(" + " + ".join(bits) + ")"
 
     def to_json(self) -> dict:
@@ -145,7 +146,7 @@ class PExpr(_Expr):
     def __mul__(self, other):
         if isinstance(other, PExpr):
             self._check(other)
-            out: dict[Partition, CycRat] = {}
+            out: dict[Partition, Cyc | CycRat] = {}
             for la, ca in self.terms.items():
                 for lb, cb in other.terms.items():
                     key = union(la, lb)
@@ -158,9 +159,7 @@ class PExpr(_Expr):
         return self.scale(other)
 
     def scale(self, c) -> "PExpr":
-        if not isinstance(c, CycRat):
-            c = CycRat.from_const(self.m, c)
-        if c.is_zero:
+        if not c:
             return PExpr.zero(self.m)
         return PExpr(self.m, {lam: v * c for lam, v in self.terms.items()})
 
@@ -214,7 +213,7 @@ def p_multiply(f: PExpr, g: PExpr) -> PExpr:
 
 
 @lru_cache(maxsize=None)
-def epsilon_product(lam: Partition, mode: ParamMode) -> CycRat:
+def epsilon_product(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     """Product of epsilon over the parts (empty partition gives 1)."""
     out = mode.one()
     for part in lam.parts:
@@ -261,14 +260,13 @@ def r_to_p(n: int, mode: ParamMode) -> PExpr:
     if n == 0:
         return PExpr.one(mode.m)
     m = mode.m
-    one = Cyc(m, (1,))
     cn = mode.c0**n
     terms = {}
     for rho in enumerate_partitions(n, "m_regular", m):
         w = cn
         for part in rho.parts:
-            w = w * (one - zeta(m, part))
-        terms[rho] = CycRat.from_const(m, w) / z_of(rho)
+            w = w * (1 - zeta(m, part))
+        terms[rho] = w / z_of(rho)
     return PExpr(m, terms)
 
 
@@ -278,7 +276,7 @@ def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
     return r_to_p(k, mode) * qprod_to_p(nu, mode)
 
 
-def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> CycRat:
+def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
     """Deformed Hall pairing: <p_lam, p_mu> = delta * z_lam * eps_lam."""
     if f.m != g.m or f.m != mode.m:
         raise ValueError("mixed moduli in scalar product")
@@ -297,7 +295,7 @@ def d_dp(n: int, f: PExpr) -> PExpr:
         raise ValueError(f"derivative index must be positive, got {n}")
     if n % f.m == 0:
         raise ValueError(f"p_{n} is not a generator: {f.m} divides {n}")
-    out: dict[Partition, CycRat] = {}
+    out: dict[Partition, Cyc | CycRat] = {}
     for lam, c in f.terms.items():
         k = lam.mult(n)
         if not k:
@@ -314,16 +312,17 @@ def d_dp(n: int, f: PExpr) -> PExpr:
 # change of basis to the m-reduced q-basis
 
 
-def _scalar_size(a: CycRat) -> int:
-    return len(a.num) + len(a.den)
+def _scalar_size(a: Cyc | CycRat) -> int:
+    # a Cyc counts as a constant CycRat: one numerator and one denominator term
+    return 2 if isinstance(a, Cyc) else len(a.num) + len(a.den)
 
 
-def _exact_inverse(a: list[list[CycRat]], m: int) -> list[list[CycRat]]:
+def _exact_inverse(a: list[list[Cyc | CycRat]], m: int) -> list[list[Cyc | CycRat]]:
     """Gauss-Jordan over the rational-function field, pivoting on the entry of
     smallest symbolic degree to limit coefficient growth."""
     n = len(a)
-    one = CycRat.from_const(m, 1)
-    zero = CycRat(m)
+    one = Cyc(m, (1,))
+    zero = Cyc(m)
     aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = None
@@ -408,7 +407,7 @@ def modular_relation_check(k: int, mode: ParamMode) -> QExpr:
         key = Partition(sorted((x for x in comp if x), reverse=True))
         w = zeta(m, expo)
         acc[key] = acc[key] + w if key in acc else w
-    relation = QExpr(m, {lam: CycRat.from_const(m, c) for lam, c in acc.items()})
+    relation = QExpr(m, acc)
     delta = relation.to_p(mode)
     if not delta.is_zero:
         raise VerificationError(

@@ -25,7 +25,7 @@ from .partitions import (
     lowering_tuple_counts,
     mult_factorial,
 )
-from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, zeta
+from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, scalar_to_str, zeta
 from .symfunc import (
     PExpr,
     d_dp,
@@ -46,13 +46,13 @@ __all__ = [
 ]
 
 
-def eigenvalue_c(lam: Partition, mode: ParamMode) -> CycRat:
+def eigenvalue_c(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     """Diagonal coefficient 1 + (1 - xi) sum_i (q^{lam_i} - 1) xi^{i-1}."""
     m = mode.m
     acc = mode.zero()
     for i, part in enumerate(lam.parts):
         acc = acc + (mode.qpow(part) - 1) * zeta(m, i)
-    return mode.one() + acc * (Cyc(m, (1,)) - zeta(m))
+    return mode.one() + acc * (1 - zeta(m))
 
 
 def eigen_collision(lam: Partition, mu: Partition, m: int) -> bool:
@@ -70,11 +70,10 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
     all tuples with i_j >= 0, where a_0 = 1 and a_k = 1 - xi for k >= 1.
     """
     m = mode.m
-    one_minus_xi = Cyc(m, (1,)) - zeta(m)
+    one_minus_xi = 1 - zeta(m)
     out = PExpr.zero(m)
     for (k, t, nu), c in lowering_tuple_counts(lam, 0):
-        w = CycRat.from_const(m, one_minus_xi**t * c)
-        out = out + r_times_qprod(k, nu, mode).scale(w)
+        out = out + r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
     return out
 
 
@@ -136,15 +135,15 @@ class X0Matrix:
     n: int
     mode: ParamMode
     order: tuple[Partition, ...]
-    entries: tuple[tuple[CycRat, ...], ...]
+    entries: tuple[tuple[Cyc | CycRat, ...], ...]
 
     def index(self, lam: Partition) -> int:
         return self.order.index(lam)
 
-    def entry(self, nu: Partition, lam: Partition) -> CycRat:
+    def entry(self, nu: Partition, lam: Partition) -> Cyc | CycRat:
         return self.entries[self.index(nu)][self.index(lam)]
 
-    def diagonal(self) -> list[CycRat]:
+    def diagonal(self) -> list[Cyc | CycRat]:
         return [self.entries[i][i] for i in range(len(self.order))]
 
     def to_json(self) -> dict:
@@ -161,14 +160,15 @@ class X0Matrix:
         labels = ["+".join(map(str, lam.parts)) for lam in self.order]
         writer.writerow([""] + labels)
         for label, row in zip(labels, self.entries):
-            writer.writerow([label] + [str(x) for x in row])
+            writer.writerow([label] + [scalar_to_str(x) for x in row])
         return buf.getvalue()
 
 
 def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> None:
+    # the one check that the basis eigenvalues differ, as the eigen-solve needs
     values = [eigenvalue_c(lam, mode) for lam in order]
     for (i, lam), (j, mu) in combinations(enumerate(order), 2):
-        if eigen_collision(lam, mu, mode.m):
+        if eigen_collision(lam, mu, mode.m) or (mode.is_symbolic and values[i] == values[j]):
             raise InternalCheckError(
                 f"identical eigenvalues for distinct m-reduced {lam.parts} and "
                 f"{mu.parts}: separation on the reduced set failed"
@@ -186,8 +186,7 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
     order = tuple(dominance_linear_extension(enumerate_partitions(n, "m_reduced", mode.m)))
-    if not mode.is_symbolic:
-        _collision_precheck(order, mode)
+    _collision_precheck(order, mode)
     columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode), mode) for lam in order}
     for lam in order:
         col = columns[lam]

@@ -15,7 +15,7 @@ from modmac.partitions import Partition, enumerate_partitions, z_of
 from modmac.scalars import Cyc, CycRat, eval_mode, symbolic_mode, zeta
 from modmac.selfcheck import _check_eigenbasis
 from modmac.symfunc import PExpr, p_multiply, q_to_p, qprod_to_p
-from modmac.vertex import eigenvalue_c, x0_apply_diff
+from modmac.vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
 P = Partition
 F = Fraction
@@ -145,6 +145,14 @@ def test_eval_mode_solutions():
         assert x0_apply_diff(mac.p_form, me) == mac.p_form.scale(mac.eigenvalue)
     g = gram(4, me)
     assert g[0][1].is_zero
+    # eval mode computes in Q(xi_m): every scalar it returns is a Cyc
+    for mode, n in ((me, 4), (eval_mode(3, F(1, 2), zeta(3)), 4)):
+        values = [x for row in x0_matrix(n, mode).entries for x in row]
+        values += [x for row in gram(n, mode) for x in row]
+        for mac in all_q(n, mode):
+            values += [c for _, c in mac.q_coeffs] + list(mac.p_form.terms.values())
+            values.append(mac.eigenvalue)
+        assert values and all(type(x) is Cyc for x in values)
     with pytest.raises(EigenvalueCollisionAtEvaluation):
         solve_q(P((2, 1)), eval_mode(2, 1))
 

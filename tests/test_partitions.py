@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,14 @@ def test_constructor_validation():
         P((2, 0))
     with pytest.raises(ValueError):
         P((-1,))
+
+
+@pytest.mark.parametrize("parts", [[2.7, 1], (2, 1.0), (Fraction(3),), ("2",)],
+                         ids=["float", "integral-float", "fraction", "str"])
+def test_non_integer_parts_are_a_type_error(parts):
+    # 2.7 must not be truncated to 2
+    with pytest.raises(TypeError):
+        P(parts)
 
 
 def test_basic_accessors():

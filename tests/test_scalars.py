@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from modmac.scalars import (
     symbolic_mode,
     zeta,
 )
+from modmac.symfunc import PExpr
 
 F = Fraction
 
@@ -167,6 +169,7 @@ def test_evaluate_examples():
     with pytest.raises(PoleAtSpecialization):
         evaluate(1 / (q - 1), 1)
     assert evaluate((q**2 - q) / q, 0) == -1
+    assert evaluate(zeta(3), 0) == zeta(3)  # a Cyc is a constant
 
 
 def test_cross_type_equality_and_hash():
@@ -174,6 +177,35 @@ def test_cross_type_equality_and_hash():
     assert CycRat.from_const(3, zeta(3)) == zeta(3)
     assert hash(CycRat.from_const(2, F(1, 2))) == hash(Cyc(2, (F(1, 2),)))
     assert CycRat.from_const(2, 5) == CycRat.from_const(3, 5)
+    # a Cyc mixes with a CycRat in either order as the equal constant CycRat does
+    q = CycRat.q(3)
+    for x in (zeta(3), Cyc(3, (F(-2, 3),))):
+        const = CycRat.from_const(3, x)
+        assert x == const and const == x and hash(x) == hash(const)
+        for f in ((q + x) / (q - 1), q * 2 + 1):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for a, b, pa, pb in ((x, f, const, f), (f, x, f, const)):
+                    got = op(a, b)
+                    assert isinstance(got, CycRat)
+                    assert got == op(pa, pb) and hash(got) == hash(op(pa, pb))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Cyc(2, (0.1,)),
+    lambda: Cyc(3, (1, "2")),
+    lambda: CycRat(2, (0.5,)),
+    lambda: CycRat(2, (1,), (1, 0.5)),
+    lambda: CycRat.from_const(2, 0.5),
+    lambda: eval_mode(2, 0.1),
+    lambda: eval_mode(2, 2, 0.1),
+    lambda: evaluate(CycRat.q(2), 0.5),
+    lambda: PExpr(2, {(1,): 0.5}),
+], ids=["cyc", "cyc-str", "cycrat-num", "cycrat-den", "from-const", "eval-q0", "eval-c0",
+        "evaluate", "pexpr"])
+def test_inexact_coefficient_is_a_type_error(make):
+    # a float is never rounded into a Fraction
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_json_round_trip():

@@ -4,11 +4,22 @@ from itertools import combinations
 
 import pytest
 
-from modmac.errors import EigenvalueCollisionAtEvaluation
+from modmac import vertex
+from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from modmac.partitions import Partition, enumerate_partitions
-from modmac.scalars import Cyc, CycRat, epsilon, eval_mode, symbolic_mode, zeta
+from modmac.scalars import (
+    Cyc,
+    CycRat,
+    epsilon,
+    eval_mode,
+    scalar_to_json,
+    scalar_to_str,
+    symbolic_mode,
+    zeta,
+)
 from modmac.symfunc import PExpr, d_dp, q_to_p, qprod_to_p
 from modmac.vertex import (
+    X0Matrix,
     eigen_collision,
     eigenvalue_c,
     s_apply,
@@ -170,6 +181,28 @@ def test_eval_collision_detection():
     # every eigenvalue degenerates to 1 at q0 = 1
     with pytest.raises(EigenvalueCollisionAtEvaluation):
         x0_matrix(3, eval_mode(2, 1))
+
+
+@pytest.mark.parametrize("patch", [
+    ("eigen_collision", lambda lam, mu, m: True),
+    ("eigenvalue_c", lambda lam, mode: mode.one()),
+], ids=["predicate", "values"])
+def test_symbolic_collision_is_an_internal_error(monkeypatch, patch):
+    # the separation precheck runs in symbolic mode too; with no q0 to move,
+    # equal eigenvalues contradict the theory
+    monkeypatch.setattr(vertex, *patch)
+    with pytest.raises(InternalCheckError, match="identical eigenvalues"):
+        x0_matrix.__wrapped__(3, M2)
+
+
+@pytest.mark.parametrize("c, text", [(Cyc(3), "0"), (Cyc(3, (F(-5, 2),)), "-5/2"),
+                                     (zeta(3), "(xi)")], ids=["zero", "rational", "xi"])
+def test_cyc_renders_as_the_constant_cycrat(c, text):
+    const = CycRat.from_const(3, c)
+    assert scalar_to_json(c) == scalar_to_json(const)
+    assert scalar_to_str(c) == str(const) == text
+    csvs = [X0Matrix(3, 1, M3, (P((1,)),), ((v,),)).to_csv() for v in (c, const)]
+    assert csvs[0] == csvs[1] == f",1\n1,{text}\n"
 
 
 def test_matrix_serialization():
