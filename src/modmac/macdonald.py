@@ -89,9 +89,7 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     for nu in reversed(support):
         if nu == lam:
             continue
-        num = mode.zero()
-        for mu, c in coeffs.items():
-            num = num + c * mat.entry(nu, mu)
+        num = sum((c * mat.entry(nu, mu) for mu, c in coeffs.items()), mode.zero())
         c = num / (ev - eigenvalue_c(nu, mode))
         if not c.is_zero:
             coeffs[nu] = c
@@ -168,11 +166,10 @@ def _classical_pair(a: int, b: int) -> PExpr:
     # two-row case: q_a q_b + 2 sum_{i=1}^{b} (-1)^i q_{a+i} q_{b-i}
     if b == 0:
         return _classical_q(a)
-    out = p_multiply(_classical_q(a), _classical_q(b))
-    for i in range(1, b + 1):
-        term = p_multiply(_classical_q(a + i), _classical_q(b - i)).scale(2)
-        out = out + term if i % 2 == 0 else out - term
-    return out
+    terms = [p_multiply(_classical_q(a), _classical_q(b))]
+    terms += (p_multiply(_classical_q(a + i), _classical_q(b - i)).scale(2 * (-1) ** i)
+              for i in range(1, b + 1))
+    return PExpr.sum(2, terms)
 
 
 @lru_cache(maxsize=None)
@@ -180,13 +177,10 @@ def _pfaffian(values: tuple[int, ...]) -> PExpr:
     # even-length strictly decreasing sequence, possibly padded with a final 0
     if not values:
         return PExpr.one(2)
-    out = PExpr.zero(2)
     head = values[0]
-    for j in range(1, len(values)):
-        rest = values[1:j] + values[j + 1:]
-        term = p_multiply(_classical_pair(head, values[j]), _pfaffian(rest))
-        out = out + term if j % 2 == 1 else out - term
-    return out
+    terms = (p_multiply(_classical_pair(head, values[j]), _pfaffian(values[1:j] + values[j + 1:]))
+             for j in range(1, len(values)))
+    return PExpr.sum(2, (t if j % 2 == 1 else -t for j, t in enumerate(terms, 1)))
 
 
 def schur_q_oracle(lam: Partition) -> PExpr:

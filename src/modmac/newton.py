@@ -126,16 +126,9 @@ def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> Cyc | CycRat:
         raise ValueError("lam must be nonempty")
     if lam.weight != mu.weight:
         raise ValueError(f"weight mismatch: |{lam.parts}| != |{mu.parts}|")
-    total = None
-    for nu in _proper_submultisets(mu):
-        c = nl_closed(lam, nu)
-        if not c:
-            continue
-        t = d_mu(subtract(mu, nu), d) * c
-        total = t if total is None else total + t
-    if total is None:
-        return Cyc(d(1).m)
-    return total
+    counts = ((nu, nl_closed(lam, nu)) for nu in _proper_submultisets(mu))
+    terms = [d_mu(subtract(mu, nu), d) * c for nu, c in counts if c]
+    return sum(terms[1:], terms[0]) if terms else Cyc(d(1).m)
 
 
 def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -> PExpr:
@@ -149,24 +142,19 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     """
     if lam.length == 0:
         raise ValueError("the identity is stated for nonempty partitions")
-    out = PExpr.zero(mode.m)
-    for (k, _, nu), c in lowering_tuple_counts(lam, 1):
-        if rs is None:
-            term = r_times_qprod(k, nu, mode)
-        else:
-            term = p_multiply(rs[k], qprod_to_p(nu, mode))
-        out = out + term.scale(c)
-    return out
+    terms = ((r_times_qprod(k, nu, mode) if rs is None
+              else p_multiply(rs[k], qprod_to_p(nu, mode))).scale(c)
+             for (k, _, nu), c in lowering_tuple_counts(lam, 1))
+    return PExpr.sum(mode.m, terms)
 
 
 def newton_rhs(lam: Partition, mode: ParamMode, d: DSeq) -> PExpr:
     """Right-hand side of the generalized Newton identity: the sum over mu
-    dominating lam of d_{lam,mu} q_mu, in the p basis."""
-    out = PExpr.zero(mode.m)
-    for mu in enumerate_partitions(lam.weight):
-        if dominates(mu, lam):
-            out = out + qprod_to_p(mu, mode).scale(d_lambda_mu(lam, mu, d))
-    return out
+    dominating lam of d_{lam,mu} q_mu, in the p basis.  Every dominating q_mu
+    is expanded, even under a zero coefficient, so a degenerate evaluation
+    point fails here as it does on the left-hand side."""
+    return PExpr.sum(mode.m, (qprod_to_p(mu, mode).scale(d_lambda_mu(lam, mu, d))
+                              for mu in enumerate_partitions(lam.weight) if dominates(mu, lam)))
 
 
 def r_from_recursion(nmax: int, d: DSeq, mode: ParamMode) -> list[PExpr]:
@@ -174,8 +162,6 @@ def r_from_recursion(nmax: int, d: DSeq, mode: ParamMode) -> list[PExpr]:
     R_n = d_n q_n - sum_{i<n} R_i q_{n-i}; returns [R_0..R_nmax]."""
     rs = [PExpr.one(mode.m)]
     for n in range(1, nmax + 1):
-        acc = q_to_p(n, mode).scale(d(n))
-        for i in range(1, n):
-            acc = acc - p_multiply(rs[i], q_to_p(n - i, mode))
-        rs.append(acc)
+        lower = (p_multiply(rs[i], q_to_p(n - i, mode)) for i in range(1, n))
+        rs.append(q_to_p(n, mode).scale(d(n)) - PExpr.sum(mode.m, lower))
     return rs

@@ -818,10 +818,14 @@ def scalar_to_json(a: Cyc | CycRat) -> dict:
     }
 
 
-def scalar_from_json(m: int, obj: dict) -> CycRat:
+def scalar_from_json(m: int, obj: dict) -> Cyc | CycRat:
+    """Inverse of `scalar_to_json`: a Cyc when the value is constant in q,
+    a CycRat otherwise."""
     num = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["num"]]
     den = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["den"]]
-    return CycRat(m, num, den)
+    a = CycRat(m, num, den)
+    c = a._constant_value()
+    return a if c is None else c
 
 
 _LITERAL = re.compile(r"^\s*(?P<sign>-)?\s*(?:(?P<rat>\d+(?:/\d+)?)\s*\*?\s*)?(?P<xi>xi(?:\^(?P<exp>-?\d+))?)?\s*$")

@@ -4,6 +4,12 @@ The canonical internal representation is the power-sum basis, where
 multiplication is union of partitions and derivations act term by term.
 The generalized complete basis (the q's) appears only as input/output
 coordinates; conversion to the m-reduced q-basis is an exact linear solve.
+
+Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
+validate every key and modulus and coerce int and Fraction coefficients.
+Ring operations on valid operands build their results through the trusted
+`_Expr._raw` or the keyed summation `_Expr._collect`, so nothing is checked
+twice.  Every sum of ring elements goes through `PExpr.sum`.
 """
 
 from __future__ import annotations
@@ -62,6 +68,23 @@ class _Expr:
             if c:
                 clean[lam] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, m: int, terms: dict) -> "_Expr":
+        # trusted constructor: keys valid for cls, coefficients nonzero scalars of modulus m
+        out = object.__new__(cls)
+        out.m = m
+        out.terms = terms
+        return out
+
+    @classmethod
+    def _collect(cls, m: int, pairs) -> "_Expr":
+        """Trusted (key, coefficient) pairs summed by key: equal keys add in
+        arrival order, and zero sums are dropped once, at the end."""
+        out: dict[Partition, Cyc | CycRat] = {}
+        for key, c in pairs:
+            out[key] = out[key] + c if key in out else c
+        return cls._raw(m, {key: c for key, c in out.items() if c})
 
     def coeff(self, lam) -> Cyc | CycRat:
         if not isinstance(lam, Partition):
@@ -124,35 +147,37 @@ class PExpr(_Expr):
     def monomial(cls, m: int, lam, coeff=1) -> "PExpr":
         return cls(m, {Partition(lam): coeff})
 
+    @classmethod
+    def sum(cls, m: int, exprs) -> "PExpr":
+        """Sum of ring elements of modulus m, in one pass; zero when empty."""
+
+        def pairs():
+            for f in exprs:
+                if f.m != m:
+                    raise ValueError(f"mixed moduli: {m} vs {f.m}")
+                yield from f.terms.items()
+
+        return cls._collect(m, pairs())
+
     # -- ring operations -----------------------------------------------------
 
-    def _check(self, other: "PExpr") -> None:
-        if self.m != other.m:
-            raise ValueError(f"mixed moduli: {self.m} vs {other.m}")
-
     def __add__(self, other: "PExpr") -> "PExpr":
-        self._check(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out[lam] + c if lam in out else c
-        return PExpr(self.m, out)
+        return PExpr.sum(self.m, (self, other))
 
     def __sub__(self, other: "PExpr") -> "PExpr":
         return self + (-other)
 
     def __neg__(self) -> "PExpr":
-        return PExpr(self.m, {lam: -c for lam, c in self.terms.items()})
+        return PExpr._raw(self.m, {lam: -c for lam, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PExpr):
-            self._check(other)
-            out: dict[Partition, Cyc | CycRat] = {}
-            for la, ca in self.terms.items():
-                for lb, cb in other.terms.items():
-                    key = union(la, lb)
-                    c = ca * cb
-                    out[key] = out[key] + c if key in out else c
-            return PExpr(self.m, out)
+            if self.m != other.m:
+                raise ValueError(f"mixed moduli: {self.m} vs {other.m}")
+            return PExpr._collect(self.m, (
+                (union(la, lb), ca * cb)
+                for la, ca in self.terms.items() for lb, cb in other.terms.items()
+            ))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -161,7 +186,7 @@ class PExpr(_Expr):
     def scale(self, c) -> "PExpr":
         if not c:
             return PExpr.zero(self.m)
-        return PExpr(self.m, {lam: v * c for lam, v in self.terms.items()})
+        return PExpr._raw(self.m, {lam: v * c for lam, v in self.terms.items()})
 
     # -- structure ----------------------------------------------------------
 
@@ -192,6 +217,12 @@ class QExpr(_Expr):
         if self.reduced and not lam.is_reduced(self.m):
             raise ValueError(f"q-basis key {lam.parts} has a multiplicity >= {self.m}")
 
+    @classmethod
+    def _raw(cls, m: int, terms: dict, reduced: bool = False) -> "QExpr":
+        out = super()._raw(m, terms)
+        out.reduced = reduced
+        return out
+
     @property
     def basis(self) -> str:
         return "q_reduced" if self.reduced else "q"
@@ -201,10 +232,7 @@ class QExpr(_Expr):
 
     def to_p(self, mode: ParamMode) -> PExpr:
         """Expand back into the power-sum basis."""
-        out = PExpr.zero(self.m)
-        for lam, c in self.sorted_items():
-            out = out + qprod_to_p(lam, mode).scale(c)
-        return out
+        return PExpr.sum(self.m, (qprod_to_p(lam, mode).scale(c) for lam, c in self.sorted_items()))
 
 
 def p_multiply(f: PExpr, g: PExpr) -> PExpr:
@@ -280,13 +308,9 @@ def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
     """Deformed Hall pairing: <p_lam, p_mu> = delta * z_lam * eps_lam."""
     if f.m != g.m or f.m != mode.m:
         raise ValueError("mixed moduli in scalar product")
-    out = mode.zero()
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    for lam, c in small.terms.items():
-        d = large.terms.get(lam)
-        if d is not None:
-            out = out + c * d * epsilon_product(lam, mode) * z_of(lam)
-    return out
+    return sum((c * large.terms[lam] * epsilon_product(lam, mode) * z_of(lam)
+                for lam, c in small.terms.items() if lam in large.terms), mode.zero())
 
 
 def d_dp(n: int, f: PExpr) -> PExpr:
@@ -295,17 +319,16 @@ def d_dp(n: int, f: PExpr) -> PExpr:
         raise ValueError(f"derivative index must be positive, got {n}")
     if n % f.m == 0:
         raise ValueError(f"p_{n} is not a generator: {f.m} divides {n}")
-    out: dict[Partition, Cyc | CycRat] = {}
-    for lam, c in f.terms.items():
-        k = lam.mult(n)
-        if not k:
-            continue
-        rest = list(lam.parts)
-        rest.remove(n)
-        key = Partition(rest)
-        c = c * k
-        out[key] = out[key] + c if key in out else c
-    return PExpr(f.m, out)
+
+    def lowered():
+        for lam, c in f.terms.items():
+            k = lam.mult(n)
+            if k:
+                rest = list(lam.parts)
+                rest.remove(n)
+                yield Partition(rest), c * k
+
+    return PExpr._collect(f.m, lowered())
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +388,10 @@ def p_to_q_reduced(f: PExpr, mode: ParamMode) -> QExpr:
         return QExpr(mode.m, {}, reduced=True)
     n = f.homogeneous_degree()
     rows, cols, inv = _reduced_basis_solver(n, mode)
-    b = [f.coeff(r) for r in rows]
-    coeffs = {}
-    for j, col in enumerate(cols):
-        x = mode.zero()
-        for k, bk in enumerate(b):
-            if not bk.is_zero:
-                x = x + inv[j][k] * bk
-        if not x.is_zero:
-            coeffs[col] = x
-    return QExpr(mode.m, coeffs, reduced=True)
+    b = [(k, f.terms[r]) for k, r in enumerate(rows) if r in f.terms]
+    coeffs = ((col, sum((inv[j][k] * bk for k, bk in b), mode.zero()))
+              for j, col in enumerate(cols))
+    return QExpr._raw(mode.m, {col: x for col, x in coeffs if x}, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +418,11 @@ def modular_relation_check(k: int, mode: ParamMode) -> QExpr:
         raise ValueError(f"k must be positive, got {k}")
     m = mode.m
     total = k * m
-    acc: dict[Partition, Cyc] = {}
-    for comp in _compositions(total, m):
-        expo = sum((i + 1) * ni for i, ni in enumerate(comp))
-        key = Partition(sorted((x for x in comp if x), reverse=True))
-        w = zeta(m, expo)
-        acc[key] = acc[key] + w if key in acc else w
-    relation = QExpr(m, acc)
+    relation = QExpr._collect(m, (
+        (Partition(sorted((x for x in comp if x), reverse=True)),
+         zeta(m, sum((i + 1) * ni for i, ni in enumerate(comp))))
+        for comp in _compositions(total, m)
+    ))
     delta = relation.to_p(mode)
     if not delta.is_zero:
         raise VerificationError(

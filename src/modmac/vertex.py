@@ -49,9 +49,7 @@ __all__ = [
 def eigenvalue_c(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     """Diagonal coefficient 1 + (1 - xi) sum_i (q^{lam_i} - 1) xi^{i-1}."""
     m = mode.m
-    acc = mode.zero()
-    for i, part in enumerate(lam.parts):
-        acc = acc + (mode.qpow(part) - 1) * zeta(m, i)
+    acc = sum(((mode.qpow(part) - 1) * zeta(m, i) for i, part in enumerate(lam.parts)), mode.zero())
     return mode.one() + acc * (1 - zeta(m))
 
 
@@ -71,10 +69,8 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
     """
     m = mode.m
     one_minus_xi = 1 - zeta(m)
-    out = PExpr.zero(m)
-    for (k, t, nu), c in lowering_tuple_counts(lam, 0):
-        out = out + r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
-    return out
+    return PExpr.sum(m, (r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
+                         for (k, t, nu), c in lowering_tuple_counts(lam, 0)))
 
 
 def s_apply(k: int, f: PExpr, mode: ParamMode) -> PExpr:
@@ -89,20 +85,22 @@ def s_apply(k: int, f: PExpr, mode: ParamMode) -> PExpr:
     if k == 0:
         return f
     m = mode.m
-    out = PExpr.zero(m)
-    for rho in enumerate_partitions(k, "m_regular", m):
-        g = f
-        for part in rho.parts:
-            g = d_dp(part, g)
+
+    def terms():
+        for rho in enumerate_partitions(k, "m_regular", m):
+            g = f
+            for part in rho.parts:
+                g = d_dp(part, g)
+                if g.is_zero:
+                    break
             if g.is_zero:
-                break
-        if g.is_zero:
-            continue
-        w = mode.one()
-        for part in rho.parts:
-            w = w * (mode.qpow(part) - 1) * mode.c0**-part
-        out = out + g.scale(w / mult_factorial(rho))
-    return out
+                continue
+            w = mode.one()
+            for part in rho.parts:
+                w = w * (mode.qpow(part) - 1) * mode.c0**-part
+            yield g.scale(w / mult_factorial(rho))
+
+    return PExpr.sum(m, terms())
 
 
 def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
@@ -112,14 +110,9 @@ def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
         raise ValueError("mixed moduli")
     if f.is_zero:
         return f
-    n = f.homogeneous_degree()
-    out = PExpr.zero(mode.m)
-    for k in range(0, n + 1):
-        low = s_apply(k, f, mode)
-        if low.is_zero:
-            continue
-        out = out + p_multiply(r_to_p(k, mode), low)
-    return out
+    lows = (s_apply(k, f, mode) for k in range(f.homogeneous_degree() + 1))
+    return PExpr.sum(mode.m, (p_multiply(r_to_p(k, mode), low)
+                              for k, low in enumerate(lows) if low))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ failing report is shown in full.  `pytest -v` prints one line per criterion.
 
 import random
 
+from modmac import selfcheck
 from modmac.selfcheck import (
     _check_convolution,
     _check_eigenbasis,
@@ -95,3 +96,15 @@ def test_composite_modulus_past_the_modular_weight():
     # m-regular and all partitions differ
     reports = run_selfcheck(4, 5)
     assert [r["status"] for r in reports] == ["ok"] * 11 + ["skipped"], reports
+
+
+def test_selfcheck_ranges_are_capped(monkeypatch):
+    # the cost of `selfcheck --max-n N` must stay bounded however large N is;
+    # equinumerosity enumerates every partition up to its bound
+    seen = {}
+    for name in [n for n in vars(selfcheck) if n.startswith("_check_")]:
+        monkeypatch.setattr(selfcheck, name,
+                            lambda *args, _name=name: seen.setdefault(_name, args))
+    selfcheck.run_selfcheck(2, 10**6)
+    assert seen["_check_equinumerosity"] == (2, 40)
+    assert max(a for args in seen.values() for a in args if isinstance(a, int)) <= 100

@@ -216,6 +216,19 @@ def test_json_round_trip():
     assert obj["den"][-1] == ["1", "0"]  # monic
 
 
+@pytest.mark.parametrize("value,kind", [
+    (Cyc(3), Cyc),
+    (Cyc(3, (F(-5, 2),)), Cyc),
+    (zeta(3), Cyc),
+    ((CycRat.q(3) - zeta(3)) / (CycRat.q(3) + 2), CycRat),
+], ids=["zero", "rational", "xi", "rational-function"])
+def test_json_round_trip_keeps_the_scalar_type(value, kind):
+    # one scalar rule: a value constant in q reads back as a Cyc
+    back = scalar_from_json(3, scalar_to_json(value))
+    assert type(back) is kind
+    assert back == value
+
+
 def test_parse_scalar_literal():
     assert parse_scalar_literal(3, "3") == 3
     assert parse_scalar_literal(3, "1/2") == F(1, 2)

@@ -63,6 +63,33 @@ def test_pexpr_validation():
     assert f.is_zero
 
 
+def test_pexpr_sum():
+    f = PExpr(3, {(1,): 2, (2, 1): CycRat.q(3)})
+    assert PExpr.sum(3, []) == PExpr.zero(3)
+    assert (f + (-f)).terms == {}
+    assert PExpr.sum(3, [f, -f]).terms == {}
+    g = PExpr.monomial(2, (1,))
+    with pytest.raises(ValueError):
+        f + g
+    with pytest.raises(ValueError):
+        PExpr.sum(3, [f, g])
+
+
+def test_pexpr_sum_matches_chained_addition():
+    q = CycRat.q(3)
+    lams = [P((2, 1)), P((1, 1, 1)), P((2, 1)), P((3,))]
+    coeffs = [q / (q + 2), zeta(3) * q**2 - 1, -q / (q + 2), 1 / (q - zeta(3))]
+    terms = [qprod_to_p(lam, M3).scale(c) for lam, c in zip(lams, coeffs)]
+    chained = PExpr.zero(3)
+    for t in terms:
+        chained = chained + t
+    total = PExpr.sum(3, terms)
+    assert total == chained
+    # the first and third terms cancel exactly
+    assert total == PExpr.sum(3, [terms[1], terms[3]])
+    assert not total.is_zero
+
+
 def test_p_multiply_examples():
     p1 = PExpr.monomial(2, (1,))
     p21 = PExpr.monomial(3, (2, 1))
