@@ -36,10 +36,7 @@ from .newton import (
     r_from_recursion,
 )
 from .partitions import (
-    CountCheck,
     Partition,
-    count_check,
-    dominance_compare,
     dominance_linear_extension,
     dominates,
     enumerate_partitions,

@@ -48,15 +48,20 @@ def _emit_matrix(mat: X0Matrix, out: str) -> None:
 
 
 class _PartitionType(click.ParamType):
-    """A partition written as comma-separated parts, e.g. 2,1."""
+    """A partition written as comma-separated parts, e.g. 2,1: each part is
+    ASCII decimal digits, spaces around it allowed; a blank value is the
+    empty partition."""
 
     name = "partition"
 
     def convert(self, value, param, ctx):
         if isinstance(value, Partition):
             return value
+        items = [x.strip() for x in value.split(",")] if value.strip() else []
         try:
-            return Partition([int(x) for x in value.split(",") if x.strip() != ""])
+            if not all(x.isascii() and x.isdigit() for x in items):
+                raise ValueError("parts must be comma-separated decimal integers")
+            return Partition(map(int, items))
         except ValueError as exc:
             self.fail(f"bad partition {value!r}: {exc}", param, ctx)
 

@@ -77,9 +77,9 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     """
     m = mode.m
     if not lam.is_reduced(m):
-        raise ValueError(f"{lam.parts} is not m-reduced for m = {m}")
+        raise ValueError(f"{lam} is not m-reduced for m = {m}")
     ev = eigenvalue_c(lam, mode)
-    if lam.length == 0:
+    if not lam:
         return ModularMacdonald(
             m, lam, mode, ((lam, mode.one()),), PExpr.one(m), ev
         )
@@ -96,7 +96,7 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     p_form = QExpr(m, coeffs).to_p(mode)
     if x0_apply_diff(p_form, mode) != p_form.scale(ev):
         raise InternalCheckError(
-            f"solved coordinates for {lam.parts} are not an eigenvector of the "
+            f"solved coordinates for {lam} are not an eigenvector of the "
             "normal-ordered implementation"
         )
     return ModularMacdonald(m, lam, mode, tuple(coeffs.items()), p_form, ev)
@@ -119,8 +119,7 @@ def gram(n: int, mode: ParamMode) -> list[list[Cyc | CycRat]]:
             v = scalar_product(a.p_form, b.p_form, mode)
             if i != j and not v.is_zero:
                 raise InternalCheckError(
-                    f"Gram matrix is not diagonal: <Q_{a.shape.parts}, "
-                    f"Q_{b.shape.parts}> = {v}"
+                    f"Gram matrix is not diagonal: <Q_{a.shape}, Q_{b.shape}> = {v}"
                 )
             row.append(v)
         out.append(row)
@@ -141,7 +140,7 @@ def specialize_q0(mac: ModularMacdonald) -> PExpr:
             terms[lam] = evaluate(c, 0)
         except PoleAtSpecialization as exc:
             raise PoleAtSpecialization(
-                f"coefficient of p_{lam.parts} in Q_{mac.shape.parts} has a pole at q = 0"
+                f"coefficient of p_{lam} in Q_{mac.shape} has a pole at q = 0"
             ) from exc
     return PExpr(mac.m, terms)
 
@@ -157,7 +156,7 @@ def _classical_q(r: int) -> PExpr:
         return PExpr.one(2)
     terms = {}
     for rho in enumerate_partitions(r, "m_regular", 2):
-        terms[rho] = Fraction(2**rho.length, z_of(rho))
+        terms[rho] = Fraction(2**len(rho), z_of(rho))
     return PExpr(2, terms)
 
 
@@ -193,8 +192,5 @@ def schur_q_oracle(lam: Partition) -> PExpr:
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if not lam.is_strict():
-        raise ValueError(f"Schur Q-functions are indexed by strict partitions, got {lam.parts}")
-    vals = lam.parts
-    if len(vals) % 2:
-        vals = vals + (0,)
-    return _pfaffian(vals)
+        raise ValueError(f"Schur Q-functions are indexed by strict partitions, got {lam}")
+    return _pfaffian(lam + (0,) if len(lam) % 2 else lam)

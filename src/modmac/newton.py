@@ -17,6 +17,7 @@ from typing import Callable
 from .errors import InternalCheckError
 from .partitions import (
     Partition,
+    _raw_partition,
     dominates,
     enumerate_partitions,
     lowering_tuple_counts,
@@ -61,7 +62,7 @@ def _clamped_quotient(prod: int, nu: Partition, formula: str) -> int:
     if prod % mf:
         raise InternalCheckError(
             f"{formula} gave {prod}, not divisible by m(nu)! = {mf} "
-            f"(nu={nu.parts}); the closed form is broken"
+            f"(nu={nu}); the closed form is broken"
         )
     return prod // mf
 
@@ -88,19 +89,19 @@ def nl_falling(lam: Partition, nu: Partition) -> int:
     """Falling-product closed form: k_1 (k_2 - 1) ... (k_t - (t-1)) / m(nu)!,
     where k_i counts the parts of lam strictly above nu_i."""
     prod = 1
-    for idx, v in enumerate(nu.parts):
-        prod *= sum(1 for p in lam.parts if p > v) - idx
+    for idx, v in enumerate(nu):
+        prod *= sum(1 for p in lam if p > v) - idx
     return _clamped_quotient(prod, nu, "falling form")
 
 
 def d_mu(mu: Partition, d: DSeq) -> Cyc | CycRat:
     """Expansion coefficient of the creation series over q-products:
     (-1)^{l-1} (l-1)!/m(mu)! * sum_k m_k(mu) d_k."""
-    if mu.length == 0:
+    if not mu:
         raise ValueError("the coefficient is undefined for the empty partition")
     terms = [d(k) * mk for k, mk in mu.multiplicities().items()]
     acc = sum(terms[1:], terms[0])
-    l = mu.length
+    l = len(mu)
     scale = Fraction(factorial(l - 1), mult_factorial(mu))
     if (l - 1) % 2:
         scale = -scale
@@ -116,16 +117,16 @@ def _proper_submultisets(mu: Partition):
         parts = []
         for c, (k, _) in zip(choice, values):
             parts.extend([k] * c)
-        yield Partition(sorted(parts, reverse=True))
+        yield _raw_partition(parts)  # values run largest first
 
 
 def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> Cyc | CycRat:
     """Coefficient of q_mu in the raising sum for lam: sum over proper
     sub-multisets nu of mu of N_l(lam, nu) * d_{mu \\ nu}."""
-    if lam.length == 0:
+    if not lam:
         raise ValueError("lam must be nonempty")
     if lam.weight != mu.weight:
-        raise ValueError(f"weight mismatch: |{lam.parts}| != |{mu.parts}|")
+        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
     counts = ((nu, nl_closed(lam, nu)) for nu in _proper_submultisets(mu))
     terms = [d_mu(subtract(mu, nu), d) * c for nu, c in counts if c]
     return sum(terms[1:], terms[0]) if terms else Cyc(d(1).m)
@@ -140,7 +141,7 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     ring products are taken.  `rs` overrides the creation sequence (index by
     total degree); by default the closed-form expansion is used.
     """
-    if lam.length == 0:
+    if not lam:
         raise ValueError("the identity is stated for nonempty partitions")
     terms = ((r_times_qprod(k, nu, mode) if rs is None
               else p_multiply(rs[k], qprod_to_p(nu, mode))).scale(c)

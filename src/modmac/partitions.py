@@ -1,24 +1,26 @@
 """Integer partitions, their classification, and the dominance order.
 
 Partitions index everything else in this package: power-sum monomials,
-generalized complete functions, operator matrices.  Values are immutable
-and hashable so they can be used freely as dictionary keys.
+generalized complete functions, operator matrices.  A `Partition` is a
+validated tuple: the public constructor checks that the parts are positive
+integers in weakly decreasing order, and everything else (hashing,
+equality, ordering, indexing, `repr`) is the tuple's own.  Partitions
+derived from valid ones (unions, differences, leftovers, prefixes) are built
+by the trusted `_raw_partition`, which skips the check.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from itertools import product as iproduct
 from math import factorial
 from operator import index
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 __all__ = [
     "Partition",
-    "CountCheck",
     "enumerate_partitions",
-    "count_check",
-    "dominance_compare",
     "dominates",
     "union",
     "subtract",
@@ -31,47 +33,34 @@ __all__ = [
 _KINDS = ("all", "m_regular", "m_reduced")
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("_parts", "_weight")
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         ps = tuple(map(index, parts))
         for i, p in enumerate(ps):
             if p <= 0:
                 raise ValueError(f"partition parts must be positive, got {p}")
             if i > 0 and ps[i - 1] < p:
                 raise ValueError(f"partition parts must be weakly decreasing, got {ps}")
-        self._parts = ps
-        self._weight = sum(ps)
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return tuple.__new__(cls, ps)
 
     @property
     def weight(self) -> int:
-        return self._weight
-
-    @property
-    def length(self) -> int:
-        return len(self._parts)
-
-    def mult(self, i: int) -> int:
-        """Multiplicity of the part value i."""
-        return self._parts.count(i)
+        return sum(self)
 
     def multiplicities(self) -> dict[int, int]:
         """Part value -> multiplicity, largest part first."""
         out: dict[int, int] = {}
-        for p in self._parts:
+        for p in self:
             out[p] = out.get(p, 0) + 1
         return out
 
     def is_regular(self, m: int) -> bool:
         """True when no part is divisible by m."""
-        return all(p % m != 0 for p in self._parts)
+        return all(p % m != 0 for p in self)
 
     def is_reduced(self, m: int) -> bool:
         """True when every multiplicity is strictly below m."""
@@ -79,54 +68,25 @@ class Partition:
 
     def is_strict(self) -> bool:
         """True when all parts are distinct."""
-        return len(set(self._parts)) == len(self._parts)
+        return len(set(self)) == len(self)
 
     def to_json(self) -> list[int]:
-        return list(self._parts)
-
-    @classmethod
-    def from_json(cls, obj: Iterable[int]) -> "Partition":
-        return cls(obj)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i):
-        return self._parts[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        if isinstance(other, tuple):
-            return self._parts == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self._parts)})"
+        return list(self)
 
 
-class CountCheck(NamedTuple):
-    regular_count: int
-    reduced_count: int
-    equal: bool
+def _raw_partition(parts: Iterable[int]) -> Partition:
+    # trusted constructor: parts already positive ints in weakly decreasing order
+    return tuple.__new__(Partition, parts)
 
 
 @lru_cache(maxsize=None)
 def _all_partitions(n: int) -> tuple[Partition, ...]:
     # Recursive descent emits reverse-lexicographic order: (n), (n-1,1), ...
-    if n == 0:
-        return (Partition(()),)
     out: list[Partition] = []
 
     def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(_raw_partition(prefix))
             return
         for p in range(min(maxpart, remaining), 0, -1):
             rec(remaining - p, p, prefix + (p,))
@@ -163,66 +123,34 @@ def enumerate_partitions(n: int, kind: str = "all", m: int | None = None) -> lis
     return list(ps)
 
 
-def count_check(n: int, m: int) -> CountCheck:
-    """Cardinalities of the m-regular and m-reduced partitions of n."""
-    _check_m(m, required=True)
-    a = len(enumerate_partitions(n, "m_regular", m))
-    b = len(enumerate_partitions(n, "m_reduced", m))
-    return CountCheck(a, b, a == b)
+def dominates(a: Partition, b: Partition) -> bool:
+    """True when a >= b in dominance (equal weight required).
 
-
-def _partial_sums(p: Partition, upto: int) -> list[int]:
-    out, acc = [], 0
-    for i in range(upto):
-        acc += p.parts[i] if i < p.length else 0
-        out.append(acc)
-    return out
-
-
-def dominance_compare(a: Partition, b: Partition) -> str:
-    """Compare two partitions of equal weight in the dominance order.
-
-    Returns "greater", "less", "equal" or "incomparable".  The shorter
-    partition is padded with zeros for the partial sums.
+    The partial sums are compared only up to the shorter partition: past its
+    end its partial sums equal the full weight, so padding with zeros would
+    decide nothing more.
     """
     if a.weight != b.weight:
-        raise ValueError(
-            f"dominance is defined only within one weight: |{a.parts}| != |{b.parts}|"
-        )
-    if a == b:
-        return "equal"
-    k = max(a.length, b.length)
-    sa, sb = _partial_sums(a, k), _partial_sums(b, k)
-    ge = all(x >= y for x, y in zip(sa, sb))
-    le = all(x <= y for x, y in zip(sa, sb))
-    if ge:
-        return "greater"
-    if le:
-        return "less"
-    return "incomparable"
-
-
-def dominates(a: Partition, b: Partition) -> bool:
-    """True when a >= b in dominance (equal weight required)."""
-    return dominance_compare(a, b) in ("greater", "equal")
+        raise ValueError(f"dominance is defined only within one weight: |{a}| != |{b}|")
+    return all(x >= y for x, y in zip(accumulate(a), accumulate(b)))
 
 
 def union(a: Partition, b: Partition) -> Partition:
     """Multiset union: multiplicities add."""
-    return Partition(sorted(a.parts + b.parts, reverse=True))
+    return _raw_partition(sorted(a + b, reverse=True))
 
 
 def subtract(a: Partition, b: Partition) -> Partition:
     """Multiset difference a \\ b; requires b's multiplicities to fit inside a's."""
-    remaining = list(a.parts)
-    for p in b.parts:
+    remaining = list(a)
+    for p in b:
         try:
             remaining.remove(p)
         except ValueError:
             raise ValueError(
-                f"cannot subtract {b.parts} from {a.parts}: multiplicity of {p} would go negative"
+                f"cannot subtract {b} from {a}: multiplicity of {p} would go negative"
             ) from None
-    return Partition(remaining)
+    return _raw_partition(remaining)
 
 
 def z_of(a: Partition) -> int:
@@ -246,14 +174,14 @@ def dominance_linear_extension(ps: Iterable[Partition]) -> list[Partition]:
 
     Reverse-lexicographic order refines dominance on a fixed weight (at the
     first differing index the dominance-greater partition has the larger
-    part), so sorting by the part tuples descending is already a linear
-    extension and is deterministic across runs.
+    part), so sorting the partitions as tuples, descending, is already a
+    linear extension and is deterministic across runs.
     """
     out = list(ps)
     weights = {p.weight for p in out}
     if len(weights) > 1:
         raise ValueError(f"mixed weights in linear extension input: {sorted(weights)}")
-    out.sort(key=lambda p: p.parts, reverse=True)
+    out.sort(reverse=True)
     return out
 
 
@@ -273,8 +201,8 @@ def lowering_tuple_counts(lam: Partition, start: int) -> LoweringCounts:
     if start not in (0, 1):
         raise ValueError(f"lowering tuples start at 0 or 1, got {start}")
     counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for tup in iproduct(*(range(start, p + 1) for p in lam.parts)):
-        left = tuple(sorted((p - i for p, i in zip(lam.parts, tup) if p > i), reverse=True))
+    for tup in iproduct(*(range(start, p + 1) for p in lam)):
+        left = tuple(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))
         key = (sum(tup), len(tup) - tup.count(0), left)
         counts[key] = counts.get(key, 0) + 1
-    return tuple(((k, t, Partition(left)), c) for (k, t, left), c in counts.items())
+    return tuple(((k, t, _raw_partition(left)), c) for (k, t, left), c in counts.items())

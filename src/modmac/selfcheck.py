@@ -27,7 +27,7 @@ from .newton import (
     qpow_dseq,
     r_from_recursion,
 )
-from .partitions import Partition, count_check, dominates, enumerate_partitions
+from .partitions import Partition, dominates, enumerate_partitions
 from .scalars import Cyc, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
@@ -52,9 +52,11 @@ def _report(identity: str, m: int, ok: bool, detail: str, **extra) -> dict:
 
 def _check_equinumerosity(m: int, top: int) -> dict:
     for n in range(0, top + 1):
-        c = count_check(n, m)
-        if not c.equal:
-            return _report("equinumerosity", m, False, f"counts differ at n={n}: {c}")
+        regular = len(enumerate_partitions(n, "m_regular", m))
+        reduced = len(enumerate_partitions(n, "m_reduced", m))
+        if regular != reduced:
+            return _report("equinumerosity", m, False,
+                           f"counts differ at n={n}: {regular} m-regular, {reduced} m-reduced")
     return _report("equinumerosity", m, True, f"n<={top}")
 
 
@@ -66,8 +68,8 @@ def _newton_sweep(m: int, bound: int, mode, d, rs=None) -> dict | None:
                 return _report("traisesq", m, False, "lhs != rhs",
                                **{"lambda": lam.to_json(), "delta": delta.to_json()})
             lead = d_lambda_mu(lam, lam, d)
-            want = d(lam.parts[-1])
-            if (lam.length - 1) % 2:
+            want = d(lam[-1])
+            if (len(lam) - 1) % 2:
                 want = -want
             if lead != want:
                 return _report("traisesq", m, False, "leading coefficient off",
@@ -104,7 +106,7 @@ def _check_nl(m: int, bound: int) -> dict:
                     ref = nl_brute(lam, nu)
                     if nl_closed(lam, nu) != ref or nl_falling(lam, nu) != ref:
                         return _report("lowering-count", m, False,
-                                       f"mismatch at lam={lam.parts}, nu={nu.parts}")
+                                       f"mismatch at lam={lam}, nu={nu}")
     return _report("lowering-count", m, True, f"|lambda|<={bound}")
 
 
@@ -150,7 +152,7 @@ def _check_operator_agreement(m: int, bound: int) -> dict:
     for n in range(0, bound + 1):
         for lam in enumerate_partitions(n):
             if x0_apply_series(lam, mode) != x0_apply_diff(qprod_to_p(lam, mode), mode):
-                return _report("operator-agreement", m, False, f"mismatch at {lam.parts}")
+                return _report("operator-agreement", m, False, f"mismatch at {lam}")
     return _report("operator-agreement", m, True, f"|lambda|<={bound}")
 
 
@@ -165,9 +167,9 @@ def _check_triangularity(m: int, bound: int) -> dict:
                 for j, lam in enumerate(mat.order):
                     if not mat.entries[i][j].is_zero and not dominates(nu, lam):
                         return _report("raising-triangular", m, False,
-                                       f"entry at non-dominating {nu.parts}, {lam.parts}")
+                                       f"entry at non-dominating {nu}, {lam}")
                 if mat.entries[i][i] != eigenvalue_c(nu, mode):
-                    return _report("raising-triangular", m, False, f"diagonal off at {nu.parts}")
+                    return _report("raising-triangular", m, False, f"diagonal off at {nu}")
     except InternalCheckError as exc:
         return _report("raising-triangular", m, False, str(exc))
     return _report("raising-triangular", m, True, f"n<={bound}")
@@ -198,16 +200,16 @@ def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.R
             diff = eigenvalue_c(lam, mode) - eigenvalue_c(mu, mode)
             if diff.is_zero:
                 return _report("eigenvalue-separation", m, False,
-                               f"collision {lam.parts} vs {mu.parts}")
+                               f"collision {lam} vs {mu}")
             if not diff.is_polynomial:
                 return _report("eigenvalue-separation", m, False,
-                               f"non-polynomial gap {lam.parts} vs {mu.parts}")
+                               f"non-polynomial gap {lam} vs {mu}")
     pool = [lam for n in range(0, pool_n + 1) for lam in enumerate_partitions(n)]
     for _ in range(pairs):
         lam, mu = rng.choice(pool), rng.choice(pool)
         if eigen_collision(lam, mu, m) != (eigenvalue_c(lam, mode) == eigenvalue_c(mu, mode)):
             return _report("eigenvalue-separation", m, False,
-                           f"predicate mismatch {lam.parts} vs {mu.parts}")
+                           f"predicate mismatch {lam} vs {mu}")
     for k in range(0, 3):
         for l in range(0, 3):
             lam = Partition([2] * (m + l) + [1] * k)
@@ -227,7 +229,7 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
         for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
             for n in range(1, bound + 1):
                 for mac in all_q(n, mode):
-                    where = mac.shape.parts
+                    where = mac.shape
                     if mac.coeff(mac.shape) != mode.one():
                         return _report("eigenbasis", m, False, f"not monic at {where}")
                     for nu, c in mac.q_coeffs:
@@ -236,7 +238,7 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
                                            f"support below index at {where}")
                         if c.is_zero:
                             return _report("eigenbasis", m, False,
-                                           f"zero coefficient at {nu.parts} in {where}")
+                                           f"zero coefficient at {nu} in {where}")
                     by_series = PExpr.sum(m, (x0_apply_series(nu, mode).scale(c)
                                               for nu, c in mac.q_coeffs))
                     if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
@@ -264,7 +266,7 @@ def _check_schur_q(m: int, bound: int) -> dict:
             if not lam.is_strict():
                 continue
             if specialize_q0(solve_q(lam, mode)) != schur_q_oracle(lam):
-                return _report("schur-q-limit", 2, False, f"mismatch at {lam.parts}")
+                return _report("schur-q-limit", 2, False, f"mismatch at {lam}")
     return _report("schur-q-limit", 2, True, f"strict |lambda|<={bound}")
 
 

@@ -19,6 +19,7 @@ from functools import lru_cache
 from .errors import InternalCheckError, VerificationError
 from .partitions import (
     Partition,
+    _raw_partition,
     dominance_linear_extension,
     enumerate_partitions,
     union,
@@ -44,7 +45,7 @@ __all__ = [
 
 def _sort_key(lam: Partition):
     # weight ascending, then reverse-lexicographic (dominance-compatible) within a weight
-    return (lam.weight, tuple(-p for p in lam.parts))
+    return (lam.weight, tuple(-p for p in lam))
 
 
 class _Expr:
@@ -110,7 +111,7 @@ class _Expr:
         name = type(self).__name__
         if not self.terms:
             return f"{name}(0)"
-        bits = [f"({scalar_to_str(c)})*{self.basis[0]}{list(lam.parts)}"
+        bits = [f"({scalar_to_str(c)})*{self.basis[0]}{list(lam)}"
                 for lam, c in self.sorted_items()]
         return f"{name}(" + " + ".join(bits) + ")"
 
@@ -133,7 +134,7 @@ class PExpr(_Expr):
 
     def _check_key(self, lam: Partition) -> None:
         if not lam.is_regular(self.m):
-            raise ValueError(f"p-basis key {lam.parts} has a part divisible by {self.m}")
+            raise ValueError(f"p-basis key {lam} has a part divisible by {self.m}")
 
     @classmethod
     def zero(cls, m: int) -> "PExpr":
@@ -215,7 +216,7 @@ class QExpr(_Expr):
 
     def _check_key(self, lam: Partition) -> None:
         if self.reduced and not lam.is_reduced(self.m):
-            raise ValueError(f"q-basis key {lam.parts} has a multiplicity >= {self.m}")
+            raise ValueError(f"q-basis key {lam} has a multiplicity >= {self.m}")
 
     @classmethod
     def _raw(cls, m: int, terms: dict, reduced: bool = False) -> "QExpr":
@@ -244,7 +245,7 @@ def p_multiply(f: PExpr, g: PExpr) -> PExpr:
 def epsilon_product(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     """Product of epsilon over the parts (empty partition gives 1)."""
     out = mode.one()
-    for part in lam.parts:
+    for part in lam:
         out = out * epsilon(part, mode)
     return out
 
@@ -269,10 +270,9 @@ def q_to_p(n: int, mode: ParamMode) -> PExpr:
 @lru_cache(maxsize=None)
 def qprod_to_p(lam: Partition, mode: ParamMode) -> PExpr:
     """Product of the generalized complete functions over the parts of lam."""
-    if lam.length == 0:
+    if not lam:
         return PExpr.one(mode.m)
-    rest = Partition(lam.parts[1:])
-    return q_to_p(lam.parts[0], mode) * qprod_to_p(rest, mode)
+    return q_to_p(lam[0], mode) * qprod_to_p(_raw_partition(lam[1:]), mode)
 
 
 @lru_cache(maxsize=None)
@@ -292,7 +292,7 @@ def r_to_p(n: int, mode: ParamMode) -> PExpr:
     terms = {}
     for rho in enumerate_partitions(n, "m_regular", m):
         w = cn
-        for part in rho.parts:
+        for part in rho:
             w = w * (1 - zeta(m, part))
         terms[rho] = w / z_of(rho)
     return PExpr(m, terms)
@@ -322,11 +322,11 @@ def d_dp(n: int, f: PExpr) -> PExpr:
 
     def lowered():
         for lam, c in f.terms.items():
-            k = lam.mult(n)
+            k = lam.count(n)
             if k:
-                rest = list(lam.parts)
+                rest = list(lam)
                 rest.remove(n)
-                yield Partition(rest), c * k
+                yield _raw_partition(rest), c * k
 
     return PExpr._collect(f.m, lowered())
 
@@ -419,7 +419,7 @@ def modular_relation_check(k: int, mode: ParamMode) -> QExpr:
     m = mode.m
     total = k * m
     relation = QExpr._collect(m, (
-        (Partition(sorted((x for x in comp if x), reverse=True)),
+        (_raw_partition(sorted((x for x in comp if x), reverse=True)),
          zeta(m, sum((i + 1) * ni for i, ni in enumerate(comp))))
         for comp in _compositions(total, m)
     ))

@@ -49,7 +49,7 @@ __all__ = [
 def eigenvalue_c(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     """Diagonal coefficient 1 + (1 - xi) sum_i (q^{lam_i} - 1) xi^{i-1}."""
     m = mode.m
-    acc = sum(((mode.qpow(part) - 1) * zeta(m, i) for i, part in enumerate(lam.parts)), mode.zero())
+    acc = sum(((mode.qpow(part) - 1) * zeta(m, i) for i, part in enumerate(lam)), mode.zero())
     return mode.one() + acc * (1 - zeta(m))
 
 
@@ -57,7 +57,7 @@ def eigen_collision(lam: Partition, mu: Partition, m: int) -> bool:
     """True iff the diagonal coefficients of lam and mu coincide identically,
     which happens exactly when all multiplicities agree mod m."""
     values = set(lam.multiplicities()) | set(mu.multiplicities())
-    return all((lam.mult(i) - mu.mult(i)) % m == 0 for i in values)
+    return all((lam.count(i) - mu.count(i)) % m == 0 for i in values)
 
 
 @lru_cache(maxsize=None)
@@ -89,14 +89,14 @@ def s_apply(k: int, f: PExpr, mode: ParamMode) -> PExpr:
     def terms():
         for rho in enumerate_partitions(k, "m_regular", m):
             g = f
-            for part in rho.parts:
+            for part in rho:
                 g = d_dp(part, g)
                 if g.is_zero:
                     break
             if g.is_zero:
                 continue
             w = mode.one()
-            for part in rho.parts:
+            for part in rho:
                 w = w * (mode.qpow(part) - 1) * mode.c0**-part
             yield g.scale(w / mult_factorial(rho))
 
@@ -150,7 +150,7 @@ class X0Matrix:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        labels = ["+".join(map(str, lam.parts)) for lam in self.order]
+        labels = ["+".join(map(str, lam)) for lam in self.order]
         writer.writerow([""] + labels)
         for label, row in zip(labels, self.entries):
             writer.writerow([label] + [scalar_to_str(x) for x in row])
@@ -163,12 +163,12 @@ def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> None:
     for (i, lam), (j, mu) in combinations(enumerate(order), 2):
         if eigen_collision(lam, mu, mode.m) or (mode.is_symbolic and values[i] == values[j]):
             raise InternalCheckError(
-                f"identical eigenvalues for distinct m-reduced {lam.parts} and "
-                f"{mu.parts}: separation on the reduced set failed"
+                f"identical eigenvalues for distinct m-reduced {lam} and {mu}: "
+                "separation on the reduced set failed"
             )
         if values[i] == values[j]:
             raise EigenvalueCollisionAtEvaluation(
-                f"eigenvalues of {lam.parts} and {mu.parts} coincide at "
+                f"eigenvalues of {lam} and {mu} coincide at "
                 f"{mode.describe()}; choose a different q0"
             )
 
@@ -186,15 +186,15 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
         for nu in col.support():
             if not dominates(nu, lam):
                 raise InternalCheckError(
-                    "raising property violated: image of q_" + str(lam.parts)
-                    + f" has support at non-dominating {nu.parts} "
-                    + f"(coefficient {col.coeff(nu)}); dump: {json.dumps(col.to_json())}"
+                    f"raising property violated: image of q_{lam} has support at "
+                    f"non-dominating {nu} (coefficient {col.coeff(nu)}); "
+                    f"dump: {json.dumps(col.to_json())}"
                 )
         diag = col.coeff(lam)
         expected = eigenvalue_c(lam, mode)
         if diag != expected:
             raise InternalCheckError(
-                f"diagonal mismatch at {lam.parts}: got {diag}, eigenvalue "
+                f"diagonal mismatch at {lam}: got {diag}, eigenvalue "
                 f"formula gives {expected}"
             )
     entries = tuple(

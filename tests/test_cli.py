@@ -5,7 +5,7 @@ import pytest
 
 from click.testing import CliRunner
 
-from modmac.cli import main
+from modmac.cli import _PARTITION, main
 
 
 def _run(*args):
@@ -37,7 +37,9 @@ _LAMBDA_CMDS = ("qexpand", "newton-verify", "x0-apply", "macdonald", "specialize
 _MODE_CMDS = ("qexpand", "newton-verify", "x0-matrix", "x0-apply", "macdonald", "gram")
 USAGE_ERRORS = (
     [(cmd, "--m", "1", *rest) for cmd, rest in _VALID.items()]
-    + [(cmd, "--m", "2", "--lambda", bad) for cmd in _LAMBDA_CMDS for bad in ("0", "1,2", "a")]
+    + [(cmd, "--m", "2", "--lambda", bad) for cmd in _LAMBDA_CMDS for bad in (
+        "0", "1,2", "a", "2,,1", ",1", "1,", "1_0", "+2", "\u0663",
+    )]
     + [
         ("partitions", "--m", "2", "--n", "-1"),
         ("partitions", "--n", "4"),
@@ -72,6 +74,13 @@ def test_usage_error(args):
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     assert "Error: " in res.stderr
+
+
+def test_lambda_allows_spaces_around_parts():
+    spaced = _run("x0-apply", "--m", "2", "--lambda", " 2, 1 ")
+    assert spaced.exit_code == 0
+    assert spaced.output == _run("x0-apply", "--m", "2", "--lambda", "2,1").output
+    assert _PARTITION.convert("2, 1", None, None) == (2, 1)
 
 
 def test_qexpand_command():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,6 @@ from hypothesis import strategies as st
 
 from modmac.partitions import (
     Partition,
-    count_check,
-    dominance_compare,
     dominance_linear_extension,
     dominates,
     enumerate_partitions,
@@ -22,7 +21,7 @@ P = Partition
 
 
 def test_constructor_validation():
-    assert P(()).parts == ()
+    assert P(()) == () and type(P(())) is Partition
     assert P((3, 1)).weight == 4
     with pytest.raises(ValueError):
         P((1, 3))
@@ -42,8 +41,8 @@ def test_non_integer_parts_are_a_type_error(parts):
 
 def test_basic_accessors():
     lam = P((3, 2, 2, 1))
-    assert lam.length == 4
-    assert lam.mult(2) == 2 and lam.mult(5) == 0
+    assert len(lam) == 4 and lam[0] == 3 and lam[1:] == (2, 2, 1)
+    assert lam.count(2) == 2 and lam.count(5) == 0
     assert lam.multiplicities() == {3: 1, 2: 2, 1: 1}
     assert lam.is_regular(4) and not lam.is_regular(2)
     assert lam.is_reduced(3) and not lam.is_reduced(2)
@@ -51,15 +50,19 @@ def test_basic_accessors():
 
 
 def test_enumerate_examples():
-    assert [p.parts for p in enumerate_partitions(4, "m_regular", 2)] == [(3, 1), (1, 1, 1, 1)]
-    assert [p.parts for p in enumerate_partitions(4, "m_reduced", 2)] == [(4,), (3, 1)]
-    assert [p.parts for p in enumerate_partitions(0, "all", 3)] == [()]
+    assert enumerate_partitions(4, "m_regular", 2) == [(3, 1), (1, 1, 1, 1)]
+    assert enumerate_partitions(4, "m_reduced", 2) == [(4,), (3, 1)]
+    assert enumerate_partitions(0, "all", 3) == [()]
+    # equinumerosity: as many m-regular as m-reduced partitions
+    for n, m, count in ((3, 3, 2), (4, 2, 2), (0, 5, 1)):
+        assert len(enumerate_partitions(n, "m_regular", m)) == count
+        assert len(enumerate_partitions(n, "m_reduced", m)) == count
 
 
 def test_enumerate_is_reverse_lexicographic():
     for n in range(0, 9):
         ps = enumerate_partitions(n)
-        assert ps == sorted(ps, key=lambda p: p.parts, reverse=True)
+        assert ps == sorted(ps, reverse=True)
         assert len(set(ps)) == len(ps)
 
 
@@ -74,19 +77,34 @@ def test_enumerate_errors():
         enumerate_partitions(3, "weird")
 
 
-def test_count_check_examples():
-    assert count_check(3, 3) == (2, 2, True)
-    assert count_check(4, 2) == (2, 2, True)
-    assert count_check(0, 5) == (1, 1, True)
-
-
 def test_dominance_examples():
-    assert dominance_compare(P((4,)), P((3, 1))) == "greater"
-    assert dominance_compare(P((3, 1, 1, 1)), P((2, 2, 2))) == "incomparable"
-    assert dominance_compare(P((2, 2)), P((2, 2))) == "equal"
-    assert dominance_compare(P((1, 1, 1)), P((3,))) == "less"
+    # greater: one way only
+    assert dominates(P((4,)), P((3, 1))) and not dominates(P((3, 1)), P((4,)))
+    assert dominates(P((3,)), P((1, 1, 1))) and not dominates(P((1, 1, 1)), P((3,)))
+    # incomparable: neither way
+    assert not dominates(P((3, 1, 1, 1)), P((2, 2, 2)))
+    assert not dominates(P((2, 2, 2)), P((3, 1, 1, 1)))
+    # equal: both ways
+    assert dominates(P((2, 2)), P((2, 2)))
     with pytest.raises(ValueError):
-        dominance_compare(P((2,)), P((1,)))
+        dominates(P((2,)), P((1,)))
+
+
+def _dominates_padded(a, b):
+    # the textbook definition: partial sums of both, zero-padded to one length
+    k = max(len(a), len(b))
+    sa = list(accumulate(tuple(a) + (0,) * (k - len(a))))
+    sb = list(accumulate(tuple(b) + (0,) * (k - len(b))))
+    return all(x >= y for x, y in zip(sa, sb))
+
+
+def test_dominates_matches_padded_partial_sums():
+    # every ordered pair of partitions of each n <= 12
+    for n in range(0, 13):
+        ps = enumerate_partitions(n)
+        for a in ps:
+            for b in ps:
+                assert dominates(a, b) == _dominates_padded(a, b), (a, b)
 
 
 def _partitions_of(n):
@@ -100,11 +118,11 @@ def test_dominance_is_a_partial_order(n, data):
     a = data.draw(st.sampled_from(ps))
     b = data.draw(st.sampled_from(ps))
     c = data.draw(st.sampled_from(ps))
-    # antisymmetry
-    if dominance_compare(a, b) == "greater":
-        assert dominance_compare(b, a) == "less"
-    # reflexivity-as-equality
-    assert dominance_compare(a, a) == "equal"
+    # antisymmetry: both ways only for equal partitions
+    if dominates(a, b) and dominates(b, a):
+        assert a == b
+    # reflexivity
+    assert dominates(a, a)
     # transitivity
     if dominates(a, b) and dominates(b, c):
         assert dominates(a, c)
@@ -117,7 +135,7 @@ def test_row_and_rectangle_are_extreme():
             n = k * m
             row, rect = P((n,)), P((k,) * m)
             for lam in enumerate_partitions(n):
-                if lam.length <= m:
+                if len(lam) <= m:
                     assert dominates(row, lam)
                     assert dominates(lam, rect)
 
@@ -131,11 +149,18 @@ def test_lowering_tuple_counts_examples():
     assert lowering_tuple_counts(P(()), 1) == (((0, 0, P(())), 1),)
     with pytest.raises(ValueError):
         lowering_tuple_counts(P((2,)), 2)
+    # a bare tuple would hash and compare equal but have no weight
+    for start in (0, 1):
+        for (_, _, nu), _ in lowering_tuple_counts(P((3, 2, 2)), start):
+            assert type(nu) is Partition
 
 
 def test_union_subtract_examples():
     assert union(P((2, 1)), P((1,))) == P((2, 1, 1))
     assert subtract(P((2, 2, 1)), P((2, 1))) == P((2,))
+    for derived in (union(P((2, 1)), P((1,))), subtract(P((2, 2, 1)), P((2, 1))),
+                    subtract(P((2, 1)), P((2, 1)))):
+        assert type(derived) is Partition
     with pytest.raises(ValueError):
         subtract(P((2, 1)), P((1, 1)))
 
@@ -162,10 +187,10 @@ def test_z_and_mult_factorial():
 
 
 def test_linear_extension():
-    assert [p.parts for p in dominance_linear_extension(enumerate_partitions(4))] == [
+    assert dominance_linear_extension(enumerate_partitions(4)) == [
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
     ]
-    assert [p.parts for p in dominance_linear_extension([P((2, 2)), P((4,))])] == [(4,), (2, 2)]
+    assert dominance_linear_extension([P((2, 2)), P((4,))]) == [(4,), (2, 2)]
     assert dominance_linear_extension([P(())]) == [P(())]
     with pytest.raises(ValueError):
         dominance_linear_extension([P((2,)), P((1,))])
@@ -184,10 +209,13 @@ def test_linear_extension_respects_dominance():
 def test_json_round_trip():
     lam = P((3, 1))
     assert lam.to_json() == [3, 1]
-    assert Partition.from_json([3, 1]) == lam
+    assert P(lam.to_json()) == lam
     assert P(()).to_json() == []
 
 
 def test_hash_and_equality():
     assert P((2, 1)) == P([2, 1]) == (2, 1)
     assert len({P((2, 1)), P((2, 1)), P((3,))}) == 2
+    # a partition is a tuple: same hash, and the tuple's repr
+    assert hash(P((2, 1))) == hash((2, 1))
+    assert repr(P((2, 1))) == "(2, 1)" and f"{P(())}" == "()"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from modmac.macdonald import solve_q
 from modmac.partitions import Partition, dominates, enumerate_partitions, mult_factorial
 from modmac.scalars import CycRat, epsilon, symbolic_mode, zeta
 from modmac.symfunc import (
@@ -18,6 +19,7 @@ from modmac.symfunc import (
     r_to_p,
     scalar_product,
 )
+from modmac.vertex import x0_apply_series, x0_matrix
 
 P = Partition
 F = Fraction
@@ -170,7 +172,7 @@ def test_log_inverse_round_trip(mode):
             continue
         acc = PExpr.zero(m)
         for lam in enumerate_partitions(n):
-            l = lam.length
+            l = len(lam)
             c = F(math.factorial(l - 1), mult_factorial(lam))
             if (l - 1) % 2:
                 c = -c
@@ -219,6 +221,18 @@ def test_d_dp_examples():
         d_dp(2, PExpr.monomial(2, (1,)))
     with pytest.raises(ValueError):
         d_dp(0, PExpr.monomial(2, (1,)))
+
+
+def test_derived_keys_are_partitions():
+    # a bare tuple key hashes and compares equal to a Partition but has no weight
+    f = qprod_to_p(P((2, 2, 1)), M3)
+    product = PExpr.monomial(3, (2, 1)) * PExpr.monomial(3, (1,))
+    exprs = (f, d_dp(1, f), d_dp(2, f), product, x0_apply_series(P((2, 1, 1)), M3),
+             p_to_q_reduced(f, M3))
+    keys = [lam for e in exprs for lam in e.terms]
+    keys += x0_matrix(4, M3).order
+    keys += [nu for nu, _ in solve_q(P((2, 1, 1)), M3).q_coeffs]
+    assert len(keys) > 20 and all(type(lam) is Partition for lam in keys)
 
 
 def test_p_to_q_reduced_examples():
