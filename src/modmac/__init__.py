@@ -37,7 +37,6 @@ from .newton import (
 )
 from .partitions import (
     Partition,
-    dominance_linear_extension,
     dominates,
     enumerate_partitions,
     lowering_tuple_counts,

@@ -26,7 +26,6 @@ __all__ = [
     "subtract",
     "z_of",
     "mult_factorial",
-    "dominance_linear_extension",
     "lowering_tuple_counts",
 ]
 
@@ -109,6 +108,10 @@ def enumerate_partitions(n: int, kind: str = "all", m: int | None = None) -> lis
 
     kind is one of "all", "m_regular" (no part divisible by m) or
     "m_reduced" (every multiplicity below m).
+
+    The order is a linear extension of dominance, greatest first: at the
+    first index where two partitions of n differ, the dominance-greater one
+    has the larger part.
     """
     if n < 0:
         raise ValueError(f"weight must be non-negative, got {n}")
@@ -166,22 +169,6 @@ def mult_factorial(a: Partition) -> int:
     out = 1
     for mi in a.multiplicities().values():
         out *= factorial(mi)
-    return out
-
-
-def dominance_linear_extension(ps: Iterable[Partition]) -> list[Partition]:
-    """Total order compatible with dominance, greatest first.
-
-    Reverse-lexicographic order refines dominance on a fixed weight (at the
-    first differing index the dominance-greater partition has the larger
-    part), so sorting the partitions as tuples, descending, is already a
-    linear extension and is deterministic across runs.
-    """
-    out = list(ps)
-    weights = {p.weight for p in out}
-    if len(weights) > 1:
-        raise ValueError(f"mixed weights in linear extension input: {sorted(weights)}")
-    out.sort(reverse=True)
     return out
 
 

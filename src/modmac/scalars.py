@@ -10,8 +10,9 @@ canonicalized rational functions (gcd-reduced, monic denominator), so
 equality is coefficient-wise.
 
 One rule picks the type: a scalar is a `Cyc` unless it depends on a formal
-q.  Eval mode never builds a `CycRat`; in symbolic mode a `Cyc` that meets a
-`CycRat` is promoted, and equality and hashing agree across the two.
+q, so every value constant in q, zero included, is a `Cyc` and a `CycRat`
+never equals one.  Eval mode never builds a `CycRat`; in symbolic mode a
+`Cyc` operand of a `CycRat` takes a gcd-free path.
 
 Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
 q that the Euclidean algorithm keeps monic.  One long division,
@@ -492,23 +493,21 @@ def _peval(a, x: Cyc) -> Cyc:
 
 
 class CycRat(_Scalar):
-    """A canonical ratio of polynomials in q over Q(xi_m).
+    """A rational function of q over Q(xi_m) that is not constant in q.
 
-    Canonical form: numerator and denominator coprime, denominator monic.
-    Coefficients are given ascending in the power of q.
+    Canonical form: numerator and denominator coprime, denominator monic,
+    coefficients ascending in q.  Every value constant in q is a `Cyc`
+    instead, so a CycRat is never zero and equals no Cyc, int or Fraction.
     """
 
     __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, num: Iterable = (), den: Iterable | None = None):
+    def __new__(cls, m: int, num: Iterable = (), den: Iterable | None = None):
         one = _cyc_one(m)
-        nv = _ptrim(tuple(self._as_cyc(m, c) for c in num))
-        dv = (one,) if den is None else _ptrim(tuple(self._as_cyc(m, c) for c in den))
+        nv = _ptrim(tuple(_as_cyc(m, c) for c in num))
+        dv = (one,) if den is None else _ptrim(tuple(_as_cyc(m, c) for c in den))
         if not dv:
             raise ZeroDivisionError("zero denominator")
-        if not nv:
-            self.m, self.num, self.den = m, (), (one,)
-            return
         if len(dv) > 1 and len(nv) > 1:
             g = _pgcd(nv, dv)
             if len(g) > 1:
@@ -520,28 +519,15 @@ class CycRat(_Scalar):
             li = lead.inv()
             nv = _pscale(nv, li)
             dv = _pscale(dv, li)
-        self.m, self.num, self.den = m, nv, dv
+        return _mk_rat(m, nv, dv)
 
-    @staticmethod
-    def _as_cyc(m: int, c) -> Cyc:
-        if isinstance(c, Cyc):
-            if c.m != m:
-                raise ValueError(f"mixed conductors: {m} vs {c.m}")
-            return c
-        if isinstance(c, (int, Fraction)):
-            return _rational_cyc(m, euler_phi(m), c)
-        raise TypeError(f"a scalar must be an int, a Fraction or a Cyc, got {c!r}")
-
-    # -- constructors --------------------------------------------------------
+    def __getnewargs__(self):
+        # __new__ needs its arguments to copy or unpickle a CycRat
+        return self.m, self.num, self.den
 
     @classmethod
-    def from_const(cls, m: int, v) -> "CycRat":
-        c = cls._as_cyc(m, v)
-        return _mk_rat(m, (c,) if c else (), (_cyc_one(m),))
-
-    @classmethod
-    def q(cls, m: int, k: int = 1) -> "CycRat":
-        """The monomial q^k."""
+    def q(cls, m: int, k: int = 1) -> "Cyc | CycRat":
+        """The monomial q^k (the Cyc one for k = 0)."""
         if k < 0:
             raise ValueError("use division for negative powers")
         return cls(m, (0,) * k + (1,))
@@ -554,23 +540,24 @@ class CycRat(_Scalar):
                 raise ValueError(f"mixed conductors: {self.m} vs {other.m}")
             return other
         if isinstance(other, (int, Fraction, Cyc)):
-            return CycRat.from_const(self.m, other)
+            return _as_cyc(self.m, other)
         return None
 
     # -- field operations -------------------------------------------------------
     #
     # Inputs are canonical, so classical cross-cancellation (Henrici) keeps
     # every gcd small and leaves results canonical without a final reduction.
+    # A Cyc operand c needs no gcd at all: (n + c d)/d and (c n)/d stay
+    # coprime with the same monic denominator.
 
     def __add__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        if not self.num:
-            return o
-        if not o.num:
-            return self
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        n1, d1 = self.num, self.den
+        if isinstance(o, Cyc):
+            return _mk_rat(self.m, _padd(n1, _pscale(d1, o)), d1) if o else self
+        n2, d2 = o.num, o.den
         if d1 == d2:
             num = _padd(n1, n2)
             if len(d1) == 1:
@@ -584,7 +571,7 @@ class CycRat(_Scalar):
         d2r = _pquo(d2, g)
         t = _padd(_pmul(n1, d2r), _pmul(n2, d1r))
         if not t:
-            return CycRat(self.m)
+            return _cyc_zero(self.m)
         g2 = _pgcd(t, g)
         if len(g2) > 1:
             t = _pquo(t, g2)
@@ -599,6 +586,10 @@ class CycRat(_Scalar):
             return NotImplemented
         return self + (-o)
 
+    def __rsub__(self, other):
+        # not o - self: a Cyc o would hand the subtraction straight back here
+        return -self + other
+
     def __neg__(self):
         return _mk_rat(self.m, tuple(-x for x in self.num), self.den)
 
@@ -606,13 +597,10 @@ class CycRat(_Scalar):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return CycRat(self.m)
-        if self.is_one:
-            return o
-        if o.is_one:
-            return self
-        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        n1, d1 = self.num, self.den
+        if isinstance(o, Cyc):
+            return _mk_rat(self.m, _pscale(n1, o), d1) if o else o
+        n2, d2 = o.num, o.den
         if len(n1) > 1 and len(d2) > 1:
             g = _pgcd(n1, d2)
             if len(g) > 1:
@@ -628,8 +616,6 @@ class CycRat(_Scalar):
     __rmul__ = __mul__
 
     def inv(self) -> "CycRat":
-        if not self.num:
-            raise ZeroDivisionError("division by zero rational function")
         lead = self.num[-1]
         if lead == _cyc_one(self.m):
             return _mk_rat(self.m, self.den, self.num)
@@ -639,37 +625,15 @@ class CycRat(_Scalar):
     # -- structure ----------------------------------------------------------------
 
     @property
-    def is_one(self) -> bool:
-        return len(self.num) == 1 and self.num[0] == _cyc_one(self.m) and len(self.den) == 1
-
-    @property
     def is_polynomial(self) -> bool:
         return len(self.den) == 1
 
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, CycRat):
-            if self.m != other.m:
-                co = self._constant_value()
-                oc = other._constant_value()
-                return co is not None and oc is not None and co == oc
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Cyc)):
-            c = self._constant_value()
-            return c is not None and c == other
-        return NotImplemented
-
-    def _constant_value(self) -> Cyc | None:
-        if len(self.den) == 1 and len(self.num) <= 1:
-            return self.num[0] if self.num else _cyc_zero(self.m)
-        return None
+        if not isinstance(other, CycRat):
+            return NotImplemented
+        return self.m == other.m and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        c = self._constant_value()
-        if c is not None:
-            return hash(c)
         return hash((self.m, self.num, self.den))
 
     def __str__(self) -> str:
@@ -679,19 +643,31 @@ class CycRat(_Scalar):
         return f"({num})/({_render_terms(self.den, 'q', scalar_to_str)})"
 
 
-def _mk_rat(m: int, num, den) -> CycRat:
-    # trusted constructor: num/den coprime with den monic, or num empty
-    out = object.__new__(CycRat)
+def _mk_rat(m: int, num, den) -> Cyc | CycRat:
+    # trusted constructor: num/den coprime with den monic; a value constant
+    # in q comes back as its Cyc
     if not num:
-        out.m, out.num, out.den = m, (), (_cyc_one(m),)
-    else:
-        out.m, out.num, out.den = m, num, den
+        return _cyc_zero(m)
+    if len(num) == 1 and len(den) == 1:
+        return num[0]
+    out = object.__new__(CycRat)
+    out.m, out.num, out.den = m, num, den
     return out
+
+
+def _as_cyc(m: int, c) -> Cyc:
+    if isinstance(c, Cyc):
+        if c.m != m:
+            raise ValueError(f"mixed conductors: {m} vs {c.m}")
+        return c
+    if isinstance(c, (int, Fraction)):
+        return _rational_cyc(m, euler_phi(m), c)
+    raise TypeError(f"a scalar must be an int, a Fraction or a Cyc, got {c!r}")
 
 
 def scalar_to_str(a: Cyc | CycRat) -> str:
     """str of a scalar, with an irrational Cyc parenthesized, as a coefficient
-    of q is; so a Cyc reads as the equal constant CycRat."""
+    of q is; so a Cyc reads as the constant term of a CycRat would."""
     return str(a) if isinstance(a, CycRat) or a.is_rational else f"({a})"
 
 
@@ -749,8 +725,8 @@ def symbolic_mode(m: int) -> ParamMode:
 def eval_mode(m: int, q0, c0=None) -> ParamMode:
     """Substituted parameters; both must be nonzero."""
     _require_m(m)
-    q0 = CycRat._as_cyc(m, q0)
-    c0 = zeta(m, -1) if c0 is None else CycRat._as_cyc(m, c0)
+    q0 = _as_cyc(m, q0)
+    c0 = zeta(m, -1) if c0 is None else _as_cyc(m, c0)
     if not q0:
         raise ValueError("q0 must be nonzero")
     if not c0:
@@ -790,7 +766,7 @@ def evaluate(a: Cyc | CycRat, q0) -> Cyc:
     The canonical form guarantees numerator and denominator have no common
     root, so a vanishing denominator is a genuine pole.  A Cyc is constant.
     """
-    x = CycRat._as_cyc(a.m, q0)
+    x = _as_cyc(a.m, q0)
     if isinstance(a, Cyc):
         return a
     dv = _peval(a.den, x)
@@ -809,13 +785,10 @@ def _cyc_vec_json(c: Cyc) -> list[str]:
 def scalar_to_json(a: Cyc | CycRat) -> dict:
     """{"num": [...], "den": [...]}: outer index is the power of q, inner the
     coefficient vector over 1, xi, ..., xi^{phi(m)-1}, rationals as strings.
-    A Cyc is written as the equal constant CycRat."""
+    A Cyc c is written as the constant c / 1 (zero as an empty numerator)."""
     if isinstance(a, Cyc):
-        a = CycRat.from_const(a.m, a)
-    return {
-        "num": [_cyc_vec_json(c) for c in a.num],
-        "den": [_cyc_vec_json(c) for c in a.den],
-    }
+        return {"num": [_cyc_vec_json(a)] if a else [], "den": [_cyc_vec_json(_cyc_one(a.m))]}
+    return {"num": [_cyc_vec_json(c) for c in a.num], "den": [_cyc_vec_json(c) for c in a.den]}
 
 
 def scalar_from_json(m: int, obj: dict) -> Cyc | CycRat:
@@ -823,12 +796,11 @@ def scalar_from_json(m: int, obj: dict) -> Cyc | CycRat:
     a CycRat otherwise."""
     num = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["num"]]
     den = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["den"]]
-    a = CycRat(m, num, den)
-    c = a._constant_value()
-    return a if c is None else c
+    return CycRat(m, num, den)
 
 
-_LITERAL = re.compile(r"^\s*(?P<sign>-)?\s*(?:(?P<rat>\d+(?:/\d+)?)\s*\*?\s*)?(?P<xi>xi(?:\^(?P<exp>-?\d+))?)?\s*$")
+_LITERAL = re.compile(r"^\s*(?P<sign>-)?\s*(?:(?P<rat>\d+(?:/\d+)?)\s*\*?\s*)?(?P<xi>xi(?:\^(?P<exp>-?\d+))?)?\s*$",
+                      re.ASCII)
 
 
 def parse_scalar_literal(m: int, text: str) -> Cyc:

@@ -28,7 +28,7 @@ from .newton import (
     r_from_recursion,
 )
 from .partitions import Partition, dominates, enumerate_partitions
-from .scalars import Cyc, eval_mode, symbolic_mode
+from .scalars import Cyc, CycRat, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
     QExpr,
@@ -201,7 +201,7 @@ def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.R
             if diff.is_zero:
                 return _report("eigenvalue-separation", m, False,
                                f"collision {lam} vs {mu}")
-            if not diff.is_polynomial:
+            if isinstance(diff, CycRat) and not diff.is_polynomial:
                 return _report("eigenvalue-separation", m, False,
                                f"non-polynomial gap {lam} vs {mu}")
     pool = [lam for n in range(0, pool_n + 1) for lam in enumerate_partitions(n)]

@@ -20,12 +20,11 @@ from .errors import InternalCheckError, VerificationError
 from .partitions import (
     Partition,
     _raw_partition,
-    dominance_linear_extension,
     enumerate_partitions,
     union,
     z_of,
 )
-from .scalars import Cyc, CycRat, ParamMode, epsilon, scalar_to_json, scalar_to_str, zeta
+from .scalars import Cyc, CycRat, ParamMode, _cyc_zero, epsilon, scalar_to_json, scalar_to_str, zeta
 
 __all__ = [
     "PExpr",
@@ -90,7 +89,7 @@ class _Expr:
     def coeff(self, lam) -> Cyc | CycRat:
         if not isinstance(lam, Partition):
             lam = Partition(lam)
-        return self.terms.get(lam, Cyc(self.m))
+        return self.terms.get(lam, _cyc_zero(self.m))
 
     @property
     def is_zero(self) -> bool:
@@ -371,7 +370,7 @@ def _exact_inverse(a: list[list[Cyc | CycRat]], m: int) -> list[list[Cyc | CycRa
 @lru_cache(maxsize=None)
 def _reduced_basis_solver(n: int, mode: ParamMode):
     rows = tuple(enumerate_partitions(n, "m_regular", mode.m))
-    cols = tuple(dominance_linear_extension(enumerate_partitions(n, "m_reduced", mode.m)))
+    cols = tuple(enumerate_partitions(n, "m_reduced", mode.m))
     if len(rows) != len(cols):
         raise InternalCheckError(
             f"|m-regular| != |m-reduced| at weight {n}: {len(rows)} vs {len(cols)}"

@@ -19,7 +19,6 @@ from itertools import combinations
 from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from .partitions import (
     Partition,
-    dominance_linear_extension,
     dominates,
     enumerate_partitions,
     lowering_tuple_counts,
@@ -119,9 +118,10 @@ def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
 class X0Matrix:
     """Matrix of the zero mode on the m-reduced q-basis of one weight.
 
-    `order` is the dominance linear extension (greatest first); the entry at
-    (row nu, column lam) is the q_nu coefficient of the image of q_lam, so
-    the matrix is upper triangular with the eigenvalues on the diagonal.
+    `order` is the `enumerate_partitions` order, a linear extension of
+    dominance (greatest first); the entry at (row nu, column lam) is the q_nu
+    coefficient of the image of q_lam, so the matrix is upper triangular with
+    the eigenvalues on the diagonal.
     """
 
     m: int
@@ -178,7 +178,7 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
     """Assemble and check the zero-mode matrix on the m-reduced basis of weight n."""
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
-    order = tuple(dominance_linear_extension(enumerate_partitions(n, "m_reduced", mode.m)))
+    order = tuple(enumerate_partitions(n, "m_reduced", mode.m))
     _collision_precheck(order, mode)
     columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode), mode) for lam in order}
     for lam in order:

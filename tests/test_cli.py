@@ -53,6 +53,8 @@ USAGE_ERRORS = (
         ("--mode", "eval"),
         ("--mode", "eval", "--q0", "0"),
         ("--mode", "eval", "--q0", "2", "--c0", "0"),
+        ("--mode", "eval", "--q0", "\u0663"),
+        ("--mode", "eval", "--q0", "2", "--c0", "xi^\u0662"),
     )]
     + [
         ("macdonald", "--m", "2", "--lambda", "1,1"),

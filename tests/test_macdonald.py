@@ -26,7 +26,7 @@ Q = CycRat.q(2)
 
 def test_solve_q_degree_one():
     mac = solve_q(P((1,)), M2)
-    assert mac.q_coeffs == ((P((1,)), CycRat.from_const(2, 1)),)
+    assert mac.q_coeffs == ((P((1,)), Cyc(2, (1,))),)
     assert mac.p_form == q_to_p(1, M2)
     assert mac.eigenvalue == 2 * Q - 1
     for m in (3, 4):
@@ -97,6 +97,16 @@ def test_gram_examples():
         for i in range(len(g)):
             for j in range(len(g)):
                 assert g[i][j].is_zero == (i != j)
+
+
+def test_gram_zeros_are_cycs():
+    # a zero pairing is the Cyc zero, as a zero x0_matrix entry is
+    g = gram(4, M3)
+    zeros = [(i, j) for i, row in enumerate(g) for j, v in enumerate(row) if not v]
+    assert zeros == [(i, j) for i in range(len(g)) for j in range(len(g)) if i != j]
+    assert len(zeros) == 12
+    assert all(type(g[i][j]) is Cyc for i, j in zeros)
+    assert all(type(x) is Cyc for row in x0_matrix(4, M3).entries for x in row if not x)
 
 
 def test_uniqueness_perturbation_breaks_eigenvector():

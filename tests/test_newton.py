@@ -15,7 +15,7 @@ from modmac.newton import (
     r_from_recursion,
 )
 from modmac.partitions import Partition, enumerate_partitions
-from modmac.scalars import CycRat, eval_mode, symbolic_mode
+from modmac.scalars import Cyc, CycRat, eval_mode, symbolic_mode
 from modmac.symfunc import q_to_p, r_to_p
 
 P = Partition
@@ -79,7 +79,7 @@ def test_theorem_generic_sequences():
     rng = random.Random(424242)
     me = eval_mode(3, 2)
     for _ in range(3):
-        vals = {n: CycRat.from_const(3, F(rng.randint(-9, 9), rng.randint(1, 7)))
+        vals = {n: Cyc(3, (F(rng.randint(-9, 9), rng.randint(1, 7)),))
                 for n in range(1, 6)}
         d = lambda n: vals[n]
         rs = r_from_recursion(5, d, me)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from modmac.partitions import (
     Partition,
-    dominance_linear_extension,
     dominates,
     enumerate_partitions,
     lowering_tuple_counts,
@@ -187,23 +186,25 @@ def test_z_and_mult_factorial():
 
 
 def test_linear_extension():
-    assert dominance_linear_extension(enumerate_partitions(4)) == [
-        (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)
+    # enumerate_partitions lists a weight greatest first in dominance
+    assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert enumerate_partitions(6, "m_regular", 3) == [
+        (5, 1), (4, 2), (4, 1, 1), (2, 2, 2), (2, 2, 1, 1), (2, 1, 1, 1, 1), (1,) * 6
     ]
-    assert dominance_linear_extension([P((2, 2)), P((4,))]) == [(4,), (2, 2)]
-    assert dominance_linear_extension([P(())]) == [P(())]
-    with pytest.raises(ValueError):
-        dominance_linear_extension([P((2,)), P((1,))])
+    assert enumerate_partitions(4, "m_reduced", 2) == [(4,), (3, 1)]
+    assert enumerate_partitions(0, "m_reduced", 2) == [()]
 
 
 def test_linear_extension_respects_dominance():
-    for n in range(1, 8):
-        order = dominance_linear_extension(enumerate_partitions(n))
-        pos = {lam: i for i, lam in enumerate(order)}
-        for a in order:
-            for b in order:
-                if a != b and dominates(a, b):
-                    assert pos[a] < pos[b]
+    # for each kind the tuples descend, and no partition dominates one listed
+    # before it
+    for kind, ms in (("all", (None,)), ("m_regular", (2, 3, 5)), ("m_reduced", (2, 3, 5))):
+        for m in ms:
+            for n in range(11):
+                order = enumerate_partitions(n, kind, m)
+                assert order == sorted(order, reverse=True)
+                for i, a in enumerate(order):
+                    assert not any(dominates(b, a) for b in order[i + 1:]), (kind, m, a)
 
 
 def test_json_round_trip():

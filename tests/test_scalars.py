@@ -1,5 +1,7 @@
+import copy
 import math
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -85,7 +87,7 @@ def _random_cycrat(rng, m):
 def test_field_axioms_random_sweep():
     rng = random.Random(20240815)
     for m in (2, 3, 4, 5):
-        one = CycRat.from_const(m, 1)
+        one = Cyc(m, (1,))
         for _ in range(1000):
             a, b, c = (_random_cycrat(rng, m) for _ in range(3))
             assert (a + b) + c == a + (b + c)
@@ -96,18 +98,36 @@ def test_field_axioms_random_sweep():
                 assert a * (one / a) == one
 
 
+def _assert_one_representation(v, m):
+    # a Cyc, or a CycRat that is not constant in q, in the representation the
+    # canonicalizing constructor produces
+    if isinstance(v, Cyc):
+        _assert_canonical(v, m)
+        return
+    assert type(v) is CycRat and v.m == m
+    assert len(v.num) > 1 or len(v.den) > 1
+    assert v.num[-1] and v.den[-1] == 1
+    w = CycRat(m, v.num, v.den)
+    assert (w.num, w.den) == (v.num, v.den)
+
+
 def test_arithmetic_results_stay_canonical():
     # fast-path add/mul/div must land on the same representation the
-    # canonicalizing constructor produces
+    # canonicalizing constructor produces, and on a Cyc exactly when the
+    # value is constant in q
     rng = random.Random(99)
     for m in (2, 3, 5):
         for _ in range(120):
             a, b = _random_cycrat(rng, m), _random_cycrat(rng, m)
-            for v in (a + b, a * b, a - b):
-                assert (v.num, v.den) == (CycRat(m, v.num, v.den).num, CycRat(m, v.num, v.den).den)
+            c = _random_cyc(rng, m)
+            results = [a + b, a * b, a - b, a - a, (a + b) - b, a + c, c - a, a * c]
             if not b.is_zero:
-                v = a / b
-                assert (v.num, v.den) == (CycRat(m, v.num, v.den).num, CycRat(m, v.num, v.den).den)
+                results += [a / b, b / b, a * b.inv() * b]
+            for v in results:
+                _assert_one_representation(v, m)
+            assert type(a - a) is Cyc and a - a == 0
+            back = (a + b) - b
+            assert type(back) is type(a) and back == a
 
 
 def test_canonicalization():
@@ -172,22 +192,46 @@ def test_evaluate_examples():
     assert evaluate(zeta(3), 0) == zeta(3)  # a Cyc is a constant
 
 
+@pytest.mark.parametrize("make, value", [
+    (lambda q: q - q, 0),
+    (lambda q: q * q.inv(), 1),
+    (lambda q: (q + 1) - q, 1),
+    (lambda q: q / q - zeta(3), 1 - zeta(3)),
+    (lambda q: (q + zeta(3)) / (q - 1) - 1 / (q - 1) * (q + zeta(3)), 0),
+    (lambda q: CycRat(3, (5,)), 5),
+    (lambda q: CycRat(3), 0),
+    (lambda q: CycRat(3, (2, 1), (1, F(1, 2))), 2),
+    (lambda q: CycRat.q(3, 0), 1),
+    (lambda q: symbolic_mode(3).qpow(0), 1),
+], ids=["q-q", "q*q^-1", "(q+1)-q", "q/q-xi", "cancelling-fractions", "ctor-constant",
+        "ctor-zero", "ctor-common-factor", "q^0", "qpow(0)"])
+def test_a_value_constant_in_q_is_a_cyc(make, value):
+    v = make(CycRat.q(3))
+    assert type(v) is Cyc and v == value
+
+
 def test_cross_type_equality_and_hash():
     assert Cyc(2, (3,)) == 3 and hash(Cyc(2, (3,))) == hash(3)
-    assert CycRat.from_const(3, zeta(3)) == zeta(3)
-    assert hash(CycRat.from_const(2, F(1, 2))) == hash(Cyc(2, (F(1, 2),)))
-    assert CycRat.from_const(2, 5) == CycRat.from_const(3, 5)
-    # a Cyc mixes with a CycRat in either order as the equal constant CycRat does
+    assert hash(Cyc(2, (F(1, 2),))) == hash(F(1, 2))
+    assert Cyc(2, (5,)) == Cyc(3, (5,))
+    # a CycRat is never constant in q, so it equals no Cyc, int or Fraction
     q = CycRat.q(3)
+    for f in (q, (q + zeta(3)) / (q - 1), q * 2 + 1):
+        assert f == CycRat(3, f.num, f.den) and hash(f) == hash(CycRat(3, f.num, f.den))
+        for x in (0, 1, F(1, 2), Cyc(3), zeta(3)):
+            assert f != x and x != f
+    assert CycRat.q(2) != CycRat.q(3)
+    # a Cyc mixes with a CycRat in either order; the result is checked at seven
+    # points, more than the degree of any difference of two such results
     for x in (zeta(3), Cyc(3, (F(-2, 3),))):
-        const = CycRat.from_const(3, x)
-        assert x == const and const == x and hash(x) == hash(const)
         for f in ((q + x) / (q - 1), q * 2 + 1):
             for op in (operator.add, operator.sub, operator.mul, operator.truediv):
-                for a, b, pa, pb in ((x, f, const, f), (f, x, f, const)):
+                for a, b in ((x, f), (f, x)):
                     got = op(a, b)
+                    _assert_one_representation(got, 3)
                     assert isinstance(got, CycRat)
-                    assert got == op(pa, pb) and hash(got) == hash(op(pa, pb))
+                    for t in range(2, 9):
+                        assert evaluate(got, t) == op(evaluate(a, t), evaluate(b, t))
 
 
 @pytest.mark.parametrize("make", [
@@ -195,12 +239,12 @@ def test_cross_type_equality_and_hash():
     lambda: Cyc(3, (1, "2")),
     lambda: CycRat(2, (0.5,)),
     lambda: CycRat(2, (1,), (1, 0.5)),
-    lambda: CycRat.from_const(2, 0.5),
+    lambda: CycRat.q(2) + 0.5,
     lambda: eval_mode(2, 0.1),
     lambda: eval_mode(2, 2, 0.1),
     lambda: evaluate(CycRat.q(2), 0.5),
     lambda: PExpr(2, {(1,): 0.5}),
-], ids=["cyc", "cyc-str", "cycrat-num", "cycrat-den", "from-const", "eval-q0", "eval-c0",
+], ids=["cyc", "cyc-str", "cycrat-num", "cycrat-den", "cycrat-op", "eval-q0", "eval-c0",
         "evaluate", "pexpr"])
 def test_inexact_coefficient_is_a_type_error(make):
     # a float is never rounded into a Fraction
@@ -214,6 +258,13 @@ def test_json_round_trip():
     obj = scalar_to_json(a)
     assert scalar_from_json(4, obj) == a
     assert obj["den"][-1] == ["1", "0"]  # monic
+
+
+def test_copy_and_pickle_round_trip():
+    q = CycRat.q(4)
+    for a in (zeta(4), (q**2 - zeta(4)) / (q + 2)):
+        for back in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert type(back) is type(a) and back == a
 
 
 @pytest.mark.parametrize("value,kind", [
@@ -240,6 +291,10 @@ def test_parse_scalar_literal():
         parse_scalar_literal(3, "zeta")
     with pytest.raises(ValueError):
         parse_scalar_literal(3, "")
+    # only ASCII digits: an Arabic-Indic three or two is not a literal
+    for text in ("\u0663", "xi^\u0662", "\u0663*xi"):
+        with pytest.raises(ValueError):
+            parse_scalar_literal(3, text)
 
 
 def test_rendering_is_stable():
@@ -344,18 +399,23 @@ def test_cycrat_arithmetic_matches_sympy():
         return [_random_cyc(rng, m) for _ in range(deg)] + [lead]
 
     for m in range(2, 7):
+        one = [Cyc(m, (1,))]
         # Phi_m is monic in x, the leading variable, so rem is the reduction mod Phi_m
         phi = sympy.Poly(sympy.cyclotomic_poly(m, x), x, q, domain="QQ")
 
         def check(v, num, den):
-            # v is canonical and equals num/den
-            assert v.den[-1] == 1
-            if v.num:
-                assert v.num[-1]
-            pn, pd = to_poly(v.num), to_poly(v.den)
-            if len(v.num) > 1 and len(v.den) > 1:
-                res = pn.reorder(q, x).resultant(pd.reorder(q, x))
-                assert not sympy.Poly(res.as_expr(), x, q, domain="QQ").rem(phi).is_zero
+            # v equals num/den; it is a Cyc exactly when num/den is constant
+            # in q (its q-derivative vanishes), and a CycRat is canonical
+            constant = (num.diff(q) * den - num * den.diff(q)).rem(phi).is_zero
+            assert isinstance(v, Cyc) == constant
+            if constant:
+                pn, pd = to_poly([v]), to_poly(one)
+            else:
+                assert v.den[-1] == 1 and v.num[-1]
+                pn, pd = to_poly(v.num), to_poly(v.den)
+                if len(v.num) > 1 and len(v.den) > 1:
+                    res = pn.reorder(q, x).resultant(pd.reorder(q, x))
+                    assert not sympy.Poly(res.as_expr(), x, q, domain="QQ").rem(phi).is_zero
             assert (pn * den - num * pd).rem(phi).is_zero
 
         def linear():
@@ -369,7 +429,6 @@ def test_cycrat_arithmetic_matches_sympy():
             pg = to_poly(g)
             return CycRat(m, _pmul_list(a, g), _pmul_list(b, g)), to_poly(a) * pg, to_poly(b) * pg
 
-        one = [Cyc(m, (1,))]
         for _ in range(4):
             # a and c share the factor h in their denominators, b has it on top
             h = linear()
@@ -385,6 +444,18 @@ def test_cycrat_arithmetic_matches_sympy():
             check(a / c, na * dc, da * nc)
             check(a**2, na**2, da**2)
             check(a**-1, da, na)
+            # constant results, and the gcd-free paths of a Cyc operand r
+            check(a - a, 0 * da, da)
+            check(a / a, da, da)
+            check((a * b) / b, na, da)
+            r = _random_cyc(rng, m)
+            pr = to_poly([r])
+            check(a + r, na + pr * da, da)
+            check(r - a, pr * da - na, da)
+            check(a * r, na * pr, da)
+            if r:
+                check(r / a, pr * da, na)
+                check(a / r, na, da * pr)
 
 
 def _pmul_list(a, b):

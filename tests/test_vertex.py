@@ -195,14 +195,18 @@ def test_symbolic_collision_is_an_internal_error(monkeypatch, patch):
         x0_matrix.__wrapped__(3, M2)
 
 
-@pytest.mark.parametrize("c, text", [(Cyc(3), "0"), (Cyc(3, (F(-5, 2),)), "-5/2"),
-                                     (zeta(3), "(xi)")], ids=["zero", "rational", "xi"])
-def test_cyc_renders_as_the_constant_cycrat(c, text):
-    const = CycRat.from_const(3, c)
-    assert scalar_to_json(c) == scalar_to_json(const)
-    assert scalar_to_str(c) == str(const) == text
-    csvs = [X0Matrix(3, 1, M3, (P((1,)),), ((v,),)).to_csv() for v in (c, const)]
-    assert csvs[0] == csvs[1] == f",1\n1,{text}\n"
+@pytest.mark.parametrize("c, text, num", [
+    (Cyc(3), "0", []),
+    (Cyc(3, (F(-5, 2),)), "-5/2", [["-5/2", "0"]]),
+    (zeta(3), "(xi)", [["0", "1"]]),
+], ids=["zero", "rational", "xi"])
+def test_cyc_renders_as_the_constant_cycrat(c, text, num):
+    # a Cyc is written as the constant rational function c / 1, and as the
+    # constant term of a CycRat is
+    assert scalar_to_json(c) == {"num": num, "den": [["1", "0"]]}
+    assert scalar_to_str(c) == text
+    assert str(CycRat.q(3) + c) == ("q" if not c else f"{text} + q")
+    assert X0Matrix(3, 1, M3, (P((1,)),), ((c,),)).to_csv() == f",1\n1,{text}\n"
 
 
 def test_matrix_serialization():
