@@ -5,6 +5,11 @@ dominance-above part of the m-reduced q-basis.  The coefficients come from a
 triangular recursion; the eigenvector property is re-verified through the
 independent normal-ordered implementation before anything is returned.
 
+Both checks on the eigenvectors, that re-verification and `gram`'s
+orthogonality, run on N = L * p_form, with L the monic lcm of the
+denominators of the p-coefficients.  Both are linear and L is nonzero, so
+they stay exact, and on the polynomial coefficients of N no sum takes a gcd.
+
 The q -> 0 limit is taken on symbolically computed coefficients, never by
 re-running the solve at q = 0: there the eigenvalues depend only on the
 length mod m and collide, so the recursion's denominators vanish.
@@ -18,7 +23,7 @@ from functools import lru_cache
 
 from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
-from .scalars import Cyc, CycRat, ParamMode, evaluate, scalar_to_json
+from .scalars import Cyc, CycRat, ParamMode, clear_denominators, evaluate, scalar_to_json
 from .symfunc import PExpr, QExpr, p_multiply, scalar_product
 from .vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
@@ -74,6 +79,9 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     sum of already-known coordinates against the operator matrix, divided by
     the eigenvalue gap, nonzero by `x0_matrix`'s check.  The result must be an
     exact eigenvector of the independent implementation of the operator.
+
+    That check runs on the cleared form N = L * p_form: X0 is linear and L
+    is nonzero, so X0 N = ev N exactly when X0 p_form = ev p_form.
     """
     m = mode.m
     if not lam.is_reduced(m):
@@ -94,12 +102,20 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
         if not c.is_zero:
             coeffs[nu] = c
     p_form = QExpr(m, coeffs).to_p(mode)
-    if x0_apply_diff(p_form, mode) != p_form.scale(ev):
+    cleared = _cleared(p_form)[1]
+    if x0_apply_diff(cleared, mode) != cleared.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam} are not an eigenvector of the "
             "normal-ordered implementation"
         )
     return ModularMacdonald(m, lam, mode, tuple(coeffs.items()), p_form, ev)
+
+
+def _cleared(p_form: PExpr) -> tuple[Cyc | CycRat, PExpr]:
+    # (L, L * p_form) for the monic lcm L of the coefficient denominators;
+    # (1, p_form) when every coefficient is a polynomial, as in eval mode
+    lcm, nums = clear_denominators(p_form.m, list(p_form.terms.values()))
+    return lcm, (p_form if lcm == 1 else PExpr(p_form.m, dict(zip(p_form.terms, nums))))
 
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
@@ -110,19 +126,26 @@ def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
 
 
 def gram(n: int, mode: ParamMode) -> list[list[Cyc | CycRat]]:
-    """Pairings of the weight-n eigenvectors; must come out diagonal."""
+    """Pairings of the weight-n eigenvectors; must come out diagonal.
+
+    <N_a, N_b> = L_a L_b <Q_a, Q_b> is a gcd-free sum of polynomials, zero
+    exactly when <Q_a, Q_b> is; a diagonal entry is then divided by L_a^2.
+    The pairing is symmetric, so only i <= j is formed: the first nonzero
+    off-diagonal entry in row-major order has i < j.
+    """
     qs = all_q(n, mode)
-    out = []
-    for i, a in enumerate(qs):
-        row = []
-        for j, b in enumerate(qs):
-            v = scalar_product(a.p_form, b.p_form, mode)
-            if i != j and not v.is_zero:
+    cleared = [_cleared(a.p_form) for a in qs]
+    out = [[mode.zero()] * len(qs) for _ in qs]
+    for i, (la, na) in enumerate(cleared):
+        out[i][i] = scalar_product(na, na, mode) / (la * la)
+        for j in range(i + 1, len(qs)):
+            lb, nb = cleared[j]
+            v = scalar_product(na, nb, mode)
+            if not v.is_zero:
                 raise InternalCheckError(
-                    f"Gram matrix is not diagonal: <Q_{a.shape}, Q_{b.shape}> = {v}"
+                    f"Gram matrix is not diagonal: <Q_{qs[i].shape}, Q_{qs[j].shape}> = "
+                    f"{v / (la * lb)}"
                 )
-            row.append(v)
-        out.append(row)
     return out
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "euler_phi",
     "zeta",
     "epsilon",
+    "clear_denominators",
     "evaluate",
     "scalar_to_json",
     "scalar_to_str",
@@ -653,6 +654,22 @@ def _mk_rat(m: int, num, den) -> Cyc | CycRat:
     out = object.__new__(CycRat)
     out.m, out.num, out.den = m, num, den
     return out
+
+
+def clear_denominators(m: int, values: list) -> tuple[Cyc | CycRat, list]:
+    """The monic lcm L of the denominators of nonzero scalars, and the list
+    of L * value, each a polynomial in q; (1, values) when all already are.
+    One gcd per distinct denominator after the first, none per value."""
+    dens = list(dict.fromkeys(v.den for v in values if isinstance(v, CycRat) and len(v.den) > 1))
+    if not dens:
+        return _cyc_one(m), values
+    common = dens[0]
+    for d in dens[1:]:
+        common = _pmul(common, _pquo(d, _pgcd(common, d)))
+    one = (_cyc_one(m),)
+    out = [_mk_rat(m, _pscale(common, v) if isinstance(v, Cyc) else _pmul(v.num, _pquo(common, v.den)), one)
+           for v in values]
+    return _mk_rat(m, common, one), out
 
 
 def _as_cyc(m: int, c) -> Cyc:

@@ -9,6 +9,8 @@ failing report is shown in full.  `pytest -v` prints one line per criterion.
 import random
 
 from modmac import selfcheck
+from modmac.macdonald import gram
+from modmac.scalars import symbolic_mode
 from modmac.selfcheck import (
     _check_convolution,
     _check_eigenbasis,
@@ -96,6 +98,16 @@ def test_composite_modulus_past_the_modular_weight():
     # m-regular and all partitions differ
     reports = run_selfcheck(4, 5)
     assert [r["status"] for r in reports] == ["ok"] * 11 + ["skipped"], reports
+
+
+def test_symbolic_eigenbasis_past_the_modular_weight():
+    # m = 5, 6 at n = m and m + 1, weights `run_selfcheck` never solves
+    # symbolically: `solve_q` re-checks every eigenvector and `gram` every
+    # off-diagonal pairing, so what remains is a nonzero diagonal
+    for m, weights in ((5, (5, 6)), (6, (6, 7))):
+        for n in weights:
+            g = gram(n, symbolic_mode(m))
+            assert all(not row[i].is_zero for i, row in enumerate(g)), (m, n)
 
 
 def test_selfcheck_ranges_are_capped(monkeypatch):

@@ -1,9 +1,12 @@
 import json
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from modmac.errors import EigenvalueCollisionAtEvaluation
+from modmac import macdonald
+from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from modmac.macdonald import (
     all_q,
     gram,
@@ -12,9 +15,9 @@ from modmac.macdonald import (
     specialize_q0,
 )
 from modmac.partitions import Partition, enumerate_partitions, z_of
-from modmac.scalars import Cyc, CycRat, eval_mode, symbolic_mode, zeta
+from modmac.scalars import Cyc, CycRat, _pgcd, eval_mode, symbolic_mode, zeta
 from modmac.selfcheck import _check_eigenbasis
-from modmac.symfunc import PExpr, p_multiply, q_to_p, qprod_to_p
+from modmac.symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, scalar_product
 from modmac.vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
 P = Partition
@@ -99,6 +102,35 @@ def test_gram_examples():
                 assert g[i][j].is_zero == (i != j)
 
 
+CLEARED_CASES = ([(M2, n) for n in range(1, 7)] + [(M3, n) for n in range(1, 6)]
+                 + [(symbolic_mode(4), n) for n in range(1, 6)]
+                 + [(eval_mode(3, 2), n) for n in range(1, 7)])
+
+
+@pytest.mark.parametrize("mode,n", CLEARED_CASES,
+                         ids=[f"m{mode.m}-{'symbolic' if mode.is_symbolic else 'eval'}-n{n}"
+                              for mode, n in CLEARED_CASES])
+def test_cleared_route_equals_direct_route(mode, n):
+    qs = all_q(n, mode)
+    # the direct pairings of the p-forms are the oracle for gram's cleared ones
+    assert gram(n, mode) == [[scalar_product(a.p_form, b.p_form, mode) for b in qs] for a in qs]
+    for mac in qs:
+        lcm, cleared = macdonald._cleared(mac.p_form)
+        if isinstance(lcm, Cyc):
+            assert lcm == 1 and cleared is mac.p_form
+            g = (lcm,)
+        else:
+            assert mode.is_symbolic and lcm.is_polynomial and lcm.num[-1] == 1
+            g = lcm.num
+        assert cleared.terms.keys() == mac.p_form.terms.keys()
+        for lam, c in cleared.terms.items():
+            assert isinstance(c, Cyc) or c.is_polynomial
+            assert c / lcm == mac.p_form.terms[lam]
+            g = _pgcd(g, c.num if isinstance(c, CycRat) else (c,))
+        # the least common multiple: no factor of L divides every numerator
+        assert len(g) == 1, mac.shape
+
+
 def test_gram_zeros_are_cycs():
     # a zero pairing is the Cyc zero, as a zero x0_matrix entry is
     g = gram(4, M3)
@@ -123,6 +155,40 @@ def test_uniqueness_perturbation_breaks_eigenvector():
         amount = F(rng.randint(1, 5), rng.randint(1, 3))
         perturbed = mac.p_form + qprod_to_p(nu, mode).scale(amount)
         assert x0_apply_diff(perturbed, mode) != perturbed.scale(mac.eigenvalue), (lam, nu)
+
+
+@pytest.mark.parametrize("mode", [M2, eval_mode(2, 2)], ids=["symbolic", "eval"])
+def test_eigenvector_recheck_fires(monkeypatch, mode):
+    # one perturbed recursion coefficient: the entry of the image of q_(3,1)
+    # at q_(4), the only one the solve for (3,1) reads
+    mat = x0_matrix(4, mode)
+    assert mat.order == (P((4,)), P((3, 1)))
+    rows = [list(row) for row in mat.entries]
+    rows[0][1] = rows[0][1] + 1
+    bad = replace(mat, entries=tuple(map(tuple, rows)))
+    monkeypatch.setattr(macdonald, "x0_matrix",
+                        lambda n, md: bad if (n, md) == (4, mode) else x0_matrix(n, md))
+    solve_q.cache_clear()
+    try:
+        with pytest.raises(InternalCheckError, match="not an eigenvector"):
+            solve_q(P((3, 1)), mode)
+    finally:
+        solve_q.cache_clear()
+
+
+@pytest.mark.parametrize("mode", [M3, eval_mode(3, 2)], ids=["symbolic", "eval"])
+def test_gram_off_diagonal_check_fires(monkeypatch, mode):
+    # Q_2 + Q_0 in place of Q_2 pairs with Q_0 to <Q_0, Q_0>, which is nonzero;
+    # the message must carry the true pairing, not the cleared one
+    qs = all_q(4, mode)
+    p_form = qs[2].p_form + qs[0].p_form
+    mixed = replace(qs[2], p_form=p_form)
+    monkeypatch.setattr(macdonald, "all_q", lambda n, md: qs[:2] + [mixed] + qs[3:])
+    direct = scalar_product(qs[0].p_form, p_form, mode)
+    assert not direct.is_zero and direct == scalar_product(qs[0].p_form, qs[0].p_form, mode)
+    message = f"Gram matrix is not diagonal: <Q_{qs[0].shape}, Q_{qs[2].shape}> = {direct}"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        gram(4, mode)
 
 
 def test_specialize_examples():

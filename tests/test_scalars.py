@@ -11,6 +11,7 @@ from modmac.errors import PoleAtSpecialization
 from modmac.scalars import (
     Cyc,
     CycRat,
+    clear_denominators,
     cyclotomic_polynomial,
     epsilon,
     euler_phi,
@@ -250,6 +251,19 @@ def test_inexact_coefficient_is_a_type_error(make):
     # a float is never rounded into a Fraction
     with pytest.raises(TypeError):
         make()
+
+
+def test_clear_denominators():
+    # L is the monic lcm of the denominators; L * value is a polynomial
+    q = CycRat.q(3)
+    values = [Cyc(3, (2,)), 1 / (q - 1), (q + 1) / (q * q - 1) + zeta(3) / (q + 2), q]
+    lcm, nums = clear_denominators(3, values)
+    assert lcm == (q - 1) * (q + 2)
+    assert [x / lcm for x in nums] == values
+    assert all(isinstance(x, Cyc) or x.is_polynomial for x in nums)
+    polys = [Cyc(3, (2,)), q * q + zeta(3)]
+    lcm, nums = clear_denominators(3, polys)
+    assert lcm == 1 and type(lcm) is Cyc and nums is polys
 
 
 def test_json_round_trip():
