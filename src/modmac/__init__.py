@@ -74,6 +74,7 @@ from .symfunc import (
     qprod_to_p,
     r_to_p,
     scalar_product,
+    to_p,
 )
 from .vertex import (
     X0Matrix,

@@ -25,7 +25,7 @@ from .newton import newton_lhs, newton_rhs, qpow_dseq
 from .partitions import Partition, enumerate_partitions
 from .scalars import ParamMode, eval_mode, parse_scalar_literal, symbolic_mode
 from .selfcheck import run_selfcheck
-from .symfunc import q_to_p, qprod_to_p
+from .symfunc import q_to_p, qprod_to_p, to_p
 from .vertex import X0Matrix, x0_apply_series, x0_matrix
 
 _FAILURES = (
@@ -142,8 +142,8 @@ def qexpand_cmd(pm: ParamMode, n: int | None, lam: Partition | None) -> None:
     """Expand a generalized complete function in the power-sum basis."""
     if (n is None) == (lam is None):
         raise click.BadParameter("give exactly one of --n or --lambda")
-    f = q_to_p(n, pm) if n is not None else qprod_to_p(lam, pm)
-    _emit(f.to_json())
+    f = q_to_p(n, pm.m) if n is not None else qprod_to_p(lam, pm.m)
+    _emit(to_p(f, pm).to_json())
 
 
 @main.command("newton-verify")
@@ -158,7 +158,7 @@ def newton_verify_cmd(pm: ParamMode, lam: Partition) -> None:
         "m": pm.m,
         "lambda": lam.to_json(),
         "status": "ok" if delta.is_zero else "fail",
-        "delta": delta.to_json(),
+        "delta": to_p(delta, pm).to_json(),
     }
     _emit(report)
     if not delta.is_zero:
@@ -181,7 +181,7 @@ def x0_matrix_cmd(pm: ParamMode, n: int, out: str) -> None:
 @_mode_opts
 def x0_apply_cmd(pm: ParamMode, lam: Partition) -> None:
     """Apply the zero mode to a q-product, reported in the power-sum basis."""
-    _emit(x0_apply_series(lam, pm).to_json())
+    _emit(to_p(x0_apply_series(lam, pm), pm).to_json())
 
 
 @main.command("macdonald")

@@ -20,8 +20,9 @@ class EigenvalueCollisionAtEvaluation(ValueError):
 class DegenerateEvaluationPoint(ValueError):
     """The evaluation point makes the scalar product degenerate.
 
-    At q0 with q0^n = 1 for a degree n prime to m, epsilon_n vanishes; this
-    is bad input, so the command line reports it as a usage error.
+    At q0 with q0^n = 1 for a degree n that m does not divide, epsilon_n
+    vanishes; `epsilon` raises this wherever it is needed (a conversion to
+    p, or R_k with k >= n).  Bad input: the command line's usage error.
     """
 
 

@@ -5,10 +5,10 @@ dominance-above part of the m-reduced q-basis.  The coefficients come from a
 triangular recursion; the eigenvector property is re-verified through the
 independent normal-ordered implementation before anything is returned.
 
-Both checks on the eigenvectors, that re-verification and `gram`'s
-orthogonality, run on N = L * p_form, with L the monic lcm of the
-denominators of the p-coefficients.  Both are linear and L is nonzero, so
-they stay exact, and on the polynomial coefficients of N no sum takes a gcd.
+Both checks on the eigenvectors are linear, so they run exactly on cleared
+forms whose sums take no gcd: the re-verification on N = sum (L c_mu) q_mu
+in P, L the monic lcm of the q-coordinates' denominators, whence the p-form
+N_rho / (L eps_rho); `gram`'s orthogonality on p_form times its own lcm.
 
 The q -> 0 limit is taken on symbolically computed coefficients, never by
 re-running the solve at q = 0: there the eigenvalues depend only on the
@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
 from .scalars import Cyc, CycRat, ParamMode, clear_denominators, evaluate, scalar_to_json
-from .symfunc import PExpr, QExpr, p_multiply, scalar_product
+from .symfunc import PExpr, QExpr, p_multiply, scalar_product, to_p
 from .vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
 __all__ = [
@@ -80,8 +80,8 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     the eigenvalue gap, nonzero by `x0_matrix`'s check.  The result must be an
     exact eigenvector of the independent implementation of the operator.
 
-    That check runs on the cleared form N = L * p_form: X0 is linear and L
-    is nonzero, so X0 N = ev N exactly when X0 p_form = ev p_form.
+    That check runs on the cleared form N = L * eigenvector in P: X0 is
+    linear and L is nonzero, so X0 N = ev N exactly when X0 Q = ev Q.
     """
     m = mode.m
     if not lam.is_reduced(m):
@@ -101,13 +101,14 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
         c = num / (ev - eigenvalue_c(nu, mode))
         if not c.is_zero:
             coeffs[nu] = c
-    p_form = QExpr(m, coeffs).to_p(mode)
-    cleared = _cleared(p_form)[1]
+    lcm, nums = clear_denominators(m, list(coeffs.values()))
+    cleared = QExpr._raw(m, dict(zip(coeffs, nums))).to_p()
     if x0_apply_diff(cleared, mode) != cleared.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam} are not an eigenvector of the "
             "normal-ordered implementation"
         )
+    p_form = to_p(cleared, mode).scale(lcm.inv())
     return ModularMacdonald(m, lam, mode, tuple(coeffs.items()), p_form, ev)
 
 

@@ -136,7 +136,7 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     """Brute-force left-hand side of the generalized Newton identity.
 
     Sums R_{i_1+...+i_s} q_{lam_1-i_1} ... q_{lam_s-i_s} over all tuples with
-    every i_j >= 1, in the p basis.  Tuples are enumerated exhaustively and
+    every i_j >= 1, in P.  Tuples are enumerated exhaustively and
     grouped only by their (total, leftover-partition) signature before the
     ring products are taken.  `rs` overrides the creation sequence (index by
     total degree); by default the closed-form expansion is used.
@@ -144,17 +144,17 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     if not lam:
         raise ValueError("the identity is stated for nonempty partitions")
     terms = ((r_times_qprod(k, nu, mode) if rs is None
-              else p_multiply(rs[k], qprod_to_p(nu, mode))).scale(c)
+              else p_multiply(rs[k], qprod_to_p(nu, mode.m))).scale(c)
              for (k, _, nu), c in lowering_tuple_counts(lam, 1))
     return PExpr.sum(mode.m, terms)
 
 
 def newton_rhs(lam: Partition, mode: ParamMode, d: DSeq) -> PExpr:
     """Right-hand side of the generalized Newton identity: the sum over mu
-    dominating lam of d_{lam,mu} q_mu, in the p basis.  Every dominating q_mu
-    is expanded, even under a zero coefficient, so a degenerate evaluation
-    point fails here as it does on the left-hand side."""
-    return PExpr.sum(mode.m, (qprod_to_p(mu, mode).scale(d_lambda_mu(lam, mu, d))
+    dominating lam of d_{lam,mu} q_mu, in P.  The q-products are free of the
+    parameters, so a degenerate evaluation point fails on the left-hand
+    side alone, where the creation coefficients need q."""
+    return PExpr.sum(mode.m, (qprod_to_p(mu, mode.m).scale(d_lambda_mu(lam, mu, d))
                               for mu in enumerate_partitions(lam.weight) if dominates(mu, lam)))
 
 
@@ -163,6 +163,6 @@ def r_from_recursion(nmax: int, d: DSeq, mode: ParamMode) -> list[PExpr]:
     R_n = d_n q_n - sum_{i<n} R_i q_{n-i}; returns [R_0..R_nmax]."""
     rs = [PExpr.one(mode.m)]
     for n in range(1, nmax + 1):
-        lower = (p_multiply(rs[i], q_to_p(n - i, mode)) for i in range(1, n))
-        rs.append(q_to_p(n, mode).scale(d(n)) - PExpr.sum(mode.m, lower))
+        lower = (p_multiply(rs[i], q_to_p(n - i, mode.m)) for i in range(1, n))
+        rs.append(q_to_p(n, mode.m).scale(d(n)) - PExpr.sum(mode.m, lower))
     return rs

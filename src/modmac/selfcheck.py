@@ -38,6 +38,7 @@ from .symfunc import (
     qprod_to_p,
     r_to_p,
     scalar_product,
+    to_p,
 )
 from .vertex import eigen_collision, eigenvalue_c, x0_apply_diff, x0_apply_series, x0_matrix
 
@@ -66,7 +67,7 @@ def _newton_sweep(m: int, bound: int, mode, d, rs=None) -> dict | None:
             delta = newton_lhs(lam, mode, rs=rs) - newton_rhs(lam, mode, d)
             if not delta.is_zero:
                 return _report("traisesq", m, False, "lhs != rhs",
-                               **{"lambda": lam.to_json(), "delta": delta.to_json()})
+                               **{"lambda": lam.to_json(), "delta": to_p(delta, mode).to_json()})
             lead = d_lambda_mu(lam, lam, d)
             want = d(lam[-1])
             if (len(lam) - 1) % 2:
@@ -116,7 +117,7 @@ def _check_r_expansion(m: int, bound: int) -> dict:
     for n in range(1, bound + 1):
         if n % m == 0:
             continue
-        rhs = QExpr(m, {mu: d_mu(mu, d) for mu in enumerate_partitions(n)}).to_p(mode)
+        rhs = QExpr(m, {mu: d_mu(mu, d) for mu in enumerate_partitions(n)}).to_p()
         if r_to_p(n, mode) != rhs:
             return _report("creation-expansion", m, False, f"mismatch at n={n}")
     return _report("creation-expansion", m, True, f"n<={bound}")
@@ -125,9 +126,9 @@ def _check_r_expansion(m: int, bound: int) -> dict:
 def _check_convolution(m: int, bound: int) -> dict:
     mode = symbolic_mode(m)
     for n in range(1, bound + 1):
-        acc = PExpr.sum(m, (p_multiply(r_to_p(i, mode), q_to_p(n - i, mode))
+        acc = PExpr.sum(m, (p_multiply(r_to_p(i, mode), q_to_p(n - i, m))
                             for i in range(1, n + 1)))
-        if acc != q_to_p(n, mode).scale(mode.qpow(n) - 1):
+        if acc != q_to_p(n, m).scale(mode.qpow(n) - 1):
             return _report("convolution", m, False, f"mismatch at n={n}")
     return _report("convolution", m, True, f"n<={bound}")
 
@@ -138,7 +139,7 @@ def _check_modular_relation(m: int, top: int) -> dict:
     ks = [k for k in range(1, top // m + 1)]
     try:
         for k in ks:
-            rel = modular_relation_check(k, symbolic_mode(m))
+            rel = modular_relation_check(k, m)
             if rel.coeff(Partition((k * m,))) != m:
                 return _report("twisted-product", m, False,
                                f"q_({k * m}) coordinate of the relation is not {m}")
@@ -151,7 +152,7 @@ def _check_operator_agreement(m: int, bound: int) -> dict:
     mode = symbolic_mode(m)
     for n in range(0, bound + 1):
         for lam in enumerate_partitions(n):
-            if x0_apply_series(lam, mode) != x0_apply_diff(qprod_to_p(lam, mode), mode):
+            if x0_apply_series(lam, mode) != x0_apply_diff(qprod_to_p(lam, m), mode):
                 return _report("operator-agreement", m, False, f"mismatch at {lam}")
     return _report("operator-agreement", m, True, f"|lambda|<={bound}")
 
@@ -178,8 +179,9 @@ def _check_triangularity(m: int, bound: int) -> dict:
 def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> dict:
     for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
         for n in range(1, bound + 1):
-            basis = [qprod_to_p(lam, mode) for lam in enumerate_partitions(n, "m_reduced", m)]
-            images = [x0_apply_diff(f, mode) for f in basis]
+            basis = [qprod_to_p(lam, m) for lam in enumerate_partitions(n, "m_reduced", m)]
+            images = [to_p(x0_apply_diff(f, mode), mode) for f in basis]
+            basis = [to_p(f, mode) for f in basis]
             for i, f in enumerate(basis):
                 for j, g in enumerate(basis):
                     if scalar_product(images[i], g, mode) != scalar_product(f, images[j], mode):
@@ -243,7 +245,7 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
                                               for nu, c in mac.q_coeffs))
                     if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
                         return _report("eigenbasis", m, False, f"eigenvalue off at {where}")
-                    if by_series != mac.p_form.scale(mac.eigenvalue):
+                    if to_p(by_series, mode) != mac.p_form.scale(mac.eigenvalue):
                         return _report("eigenbasis", m, False,
                                        f"not an eigenvector of the series form at {where}")
                 for i, row in enumerate(gram(n, mode)):

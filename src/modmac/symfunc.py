@@ -1,9 +1,10 @@
 """The graded ring generated by the power sums p_n with n prime to m.
 
-The canonical internal representation is the power-sum basis, where
-multiplication is union of partitions and derivations act term by term.
-The generalized complete basis (the q's) appears only as input/output
-coordinates; conversion to the m-reduced q-basis is an exact linear solve.
+Elements are kept on the normalized power sums P_rho = p_rho / eps_rho: eps
+is multiplicative, so multiplication is union of partitions and derivations
+act term by term.  There q_n = sum P_rho / z_rho, so the q-products and the
+change to the m-reduced q-basis are rational and depend on m alone.  p is
+an output format: `to_p` converts once, at the edge; the pairing takes p.
 
 Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
 validate every key and modulus and coerce int and Fraction coefficients.
@@ -14,6 +15,7 @@ twice.  Every sum of ring elements goes through `PExpr.sum`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, VerificationError
@@ -30,6 +32,7 @@ __all__ = [
     "PExpr",
     "QExpr",
     "p_multiply",
+    "to_p",
     "q_to_p",
     "qprod_to_p",
     "r_to_p",
@@ -126,7 +129,8 @@ class _Expr:
 
 
 class PExpr(_Expr):
-    """Finitely supported map from m-regular partitions to scalars (p basis)."""
+    """Finitely supported map from m-regular partitions to scalars, on the
+    P basis, or on the p basis once `to_p` has converted it."""
 
     __slots__ = ()
     basis = "p"
@@ -230,9 +234,9 @@ class QExpr(_Expr):
     def support(self) -> list[Partition]:
         return sorted(self.terms, key=_sort_key)
 
-    def to_p(self, mode: ParamMode) -> PExpr:
-        """Expand back into the power-sum basis."""
-        return PExpr.sum(self.m, (qprod_to_p(lam, mode).scale(c) for lam, c in self.sorted_items()))
+    def to_p(self) -> PExpr:
+        """Expand back into the P coordinates."""
+        return PExpr.sum(self.m, (qprod_to_p(lam, self.m).scale(c) for lam, c in self.sorted_items()))
 
 
 def p_multiply(f: PExpr, g: PExpr) -> PExpr:
@@ -249,62 +253,63 @@ def epsilon_product(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     return out
 
 
-@lru_cache(maxsize=None)
-def q_to_p(n: int, mode: ParamMode) -> PExpr:
-    """The degree-n generalized complete function over power sums.
+def to_p(f: PExpr, mode: ParamMode) -> PExpr:
+    """f on the p basis: a_rho P_rho = (a_rho / eps_rho) p_rho."""
+    if f.m != mode.m:
+        raise ValueError("mixed moduli")
+    return PExpr._raw(f.m, {rho: c / epsilon_product(rho, mode) for rho, c in f.terms.items()})
 
-    Sum of p_rho / (z_rho eps_rho) over m-regular rho of weight n; zero for
+
+@lru_cache(maxsize=None)
+def q_to_p(n: int, m: int) -> PExpr:
+    """The degree-n generalized complete function, in P.
+
+    Sum of P_rho / z_rho over m-regular rho of weight n; zero for
     negative n, one for n = 0.
     """
     if n < 0:
-        return PExpr.zero(mode.m)
-    if n == 0:
-        return PExpr.one(mode.m)
-    terms = {}
-    for rho in enumerate_partitions(n, "m_regular", mode.m):
-        terms[rho] = mode.one() / (epsilon_product(rho, mode) * z_of(rho))
-    return PExpr(mode.m, terms)
+        return PExpr.zero(m)
+    return PExpr(m, {rho: Fraction(1, z_of(rho)) for rho in enumerate_partitions(n, "m_regular", m)})
 
 
 @lru_cache(maxsize=None)
-def qprod_to_p(lam: Partition, mode: ParamMode) -> PExpr:
-    """Product of the generalized complete functions over the parts of lam."""
+def qprod_to_p(lam: Partition, m: int) -> PExpr:
+    """Product of the generalized complete functions over the parts of lam, in P."""
     if not lam:
-        return PExpr.one(mode.m)
-    return q_to_p(lam[0], mode) * qprod_to_p(_raw_partition(lam[1:]), mode)
+        return PExpr.one(m)
+    return q_to_p(lam[0], m) * qprod_to_p(_raw_partition(lam[1:]), m)
 
 
 @lru_cache(maxsize=None)
 def r_to_p(n: int, mode: ParamMode) -> PExpr:
-    """Degree-n coefficient of the creation exponential, in the p basis.
+    """Degree-n coefficient of the creation exponential, in P.
 
-    Closed form: c^n * sum over m-regular rho of weight n of
-    prod_i (1 - xi^{rho_i}) p_rho / z_rho.  The series-expansion tests pin
-    this against a direct truncated exponential.
+    Closed form: sum over m-regular rho of weight n of
+    prod_i (q^{rho_i} - 1) P_rho / z_rho.  A weight that vanishes at an
+    evaluation point is a vanishing eps_rho, for `epsilon` to reject.  The
+    series-expansion tests pin this against a direct truncated exponential.
     """
     if n < 0:
         return PExpr.zero(mode.m)
-    if n == 0:
-        return PExpr.one(mode.m)
-    m = mode.m
-    cn = mode.c0**n
     terms = {}
-    for rho in enumerate_partitions(n, "m_regular", m):
-        w = cn
+    for rho in enumerate_partitions(n, "m_regular", mode.m):
+        w = mode.one()
         for part in rho:
-            w = w * (1 - zeta(m, part))
+            w = w * (mode.qpow(part) - 1)
+        if not w:
+            epsilon_product(rho, mode)  # raises DegenerateEvaluationPoint
         terms[rho] = w / z_of(rho)
-    return PExpr(m, terms)
+    return PExpr._raw(mode.m, terms)
 
 
 @lru_cache(maxsize=None)
 def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
     """Cached product R_k * q_nu; shared by the Newton and operator sums."""
-    return r_to_p(k, mode) * qprod_to_p(nu, mode)
+    return r_to_p(k, mode) * qprod_to_p(nu, mode.m)
 
 
 def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
-    """Deformed Hall pairing: <p_lam, p_mu> = delta * z_lam * eps_lam."""
+    """Deformed Hall pairing on the p basis: <p_lam, p_mu> = delta * z_lam * eps_lam."""
     if f.m != g.m or f.m != mode.m:
         raise ValueError("mixed moduli in scalar product")
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
@@ -313,7 +318,7 @@ def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
 
 
 def d_dp(n: int, f: PExpr) -> PExpr:
-    """Formal partial derivative with respect to the degree-n power sum."""
+    """Formal partial derivative with respect to the degree-n basis element."""
     if n <= 0:
         raise ValueError(f"derivative index must be positive, got {n}")
     if n % f.m == 0:
@@ -334,24 +339,12 @@ def d_dp(n: int, f: PExpr) -> PExpr:
 # change of basis to the m-reduced q-basis
 
 
-def _scalar_size(a: Cyc | CycRat) -> int:
-    # a Cyc counts as a constant CycRat: one numerator and one denominator term
-    return 2 if isinstance(a, Cyc) else len(a.num) + len(a.den)
-
-
-def _exact_inverse(a: list[list[Cyc | CycRat]], m: int) -> list[list[Cyc | CycRat]]:
-    """Gauss-Jordan over the rational-function field, pivoting on the entry of
-    smallest symbolic degree to limit coefficient growth."""
+def _exact_inverse(a: list[list[Cyc]], m: int) -> list[list[Cyc]]:
+    """Gauss-Jordan over Q(xi_m), pivoting on the first nonzero entry."""
     n = len(a)
-    one = Cyc(m, (1,))
-    zero = Cyc(m)
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
+    aug = [list(row) + [Cyc(m, (int(i == j),)) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not aug[r][col].is_zero:
-                if pivot is None or _scalar_size(aug[r][col]) < _scalar_size(aug[pivot][col]):
-                    pivot = r
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise InternalCheckError(
                 f"singular change-of-basis matrix at column {col}: the m-reduced "
@@ -368,29 +361,27 @@ def _exact_inverse(a: list[list[Cyc | CycRat]], m: int) -> list[list[Cyc | CycRa
 
 
 @lru_cache(maxsize=None)
-def _reduced_basis_solver(n: int, mode: ParamMode):
-    rows = tuple(enumerate_partitions(n, "m_regular", mode.m))
-    cols = tuple(enumerate_partitions(n, "m_reduced", mode.m))
+def _reduced_basis_solver(n: int, m: int):
+    rows = tuple(enumerate_partitions(n, "m_regular", m))
+    cols = tuple(enumerate_partitions(n, "m_reduced", m))
     if len(rows) != len(cols):
         raise InternalCheckError(
             f"|m-regular| != |m-reduced| at weight {n}: {len(rows)} vs {len(cols)}"
         )
-    matrix = [[qprod_to_p(c, mode).coeff(r) for c in cols] for r in rows]
-    return rows, cols, _exact_inverse(matrix, mode.m)
+    matrix = [[qprod_to_p(c, m).coeff(r) for c in cols] for r in rows]
+    return rows, cols, _exact_inverse(matrix, m)
 
 
-def p_to_q_reduced(f: PExpr, mode: ParamMode) -> QExpr:
+def p_to_q_reduced(f: PExpr) -> QExpr:
     """Unique coordinates of a homogeneous element in the m-reduced q-basis."""
-    if f.m != mode.m:
-        raise ValueError("mixed moduli")
+    m = f.m
     if f.is_zero:
-        return QExpr(mode.m, {}, reduced=True)
-    n = f.homogeneous_degree()
-    rows, cols, inv = _reduced_basis_solver(n, mode)
+        return QExpr(m, {}, reduced=True)
+    rows, cols, inv = _reduced_basis_solver(f.homogeneous_degree(), m)
     b = [(k, f.terms[r]) for k, r in enumerate(rows) if r in f.terms]
-    coeffs = ((col, sum((inv[j][k] * bk for k, bk in b), mode.zero()))
+    coeffs = ((col, sum((inv[j][k] * bk for k, bk in b), _cyc_zero(m)))
               for j, col in enumerate(cols))
-    return QExpr._raw(mode.m, {col: x for col, x in coeffs if x}, reduced=True)
+    return QExpr._raw(m, {col: x for col, x in coeffs if x}, reduced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -406,25 +397,24 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def modular_relation_check(k: int, mode: ParamMode) -> QExpr:
+def modular_relation_check(k: int, m: int) -> QExpr:
     """Degree-km coefficient of the m-fold twisted product of the q series.
 
     The product over i of Y(xi^i z) telescopes to 1, so the coefficient must
-    vanish identically; it is expanded in the p basis and asserted zero.
+    vanish identically; it is expanded in P and asserted zero.
     Returns the intermediate q-coordinates (the relation itself) on success.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    m = mode.m
     total = k * m
     relation = QExpr._collect(m, (
         (_raw_partition(sorted((x for x in comp if x), reverse=True)),
          zeta(m, sum((i + 1) * ni for i, ni in enumerate(comp))))
         for comp in _compositions(total, m)
     ))
-    delta = relation.to_p(mode)
+    delta = relation.to_p()
     if not delta.is_zero:
         raise VerificationError(
-            f"twisted q-series product has a nonzero z^{total} coefficient: {delta!r}"
+            f"twisted q-series product has a nonzero z^{total} coefficient, in P: {delta!r}"
         )
     return relation

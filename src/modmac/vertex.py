@@ -4,7 +4,8 @@ Two independent implementations are kept side by side: a raising-series sum
 over lowering tuples, and a normal-ordered product of a creation
 multiplication with an annihilation derivation.  Their agreement, the
 dominance triangularity, and the closed-form diagonal are the load-bearing
-checks for everything downstream.
+checks for everything downstream.  Both act on the P basis of `symfunc`, where
+R_k is polynomial in q and the annihilation weights are constants.
 """
 
 from __future__ import annotations
@@ -72,18 +73,18 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
                          for (k, t, nu), c in lowering_tuple_counts(lam, 0)))
 
 
-def s_apply(k: int, f: PExpr, mode: ParamMode) -> PExpr:
+def s_apply(k: int, f: PExpr) -> PExpr:
     """Degree-k component of the annihilation exponential applied to f.
 
-    Closed form: sum over m-regular rho of weight k of
-    prod_i (q^{rho_i} - 1) c^{-rho_i} / m(rho)! times the iterated derivative
-    d^rho.  Pinned against a direct operator exponential by the tests.
+    Closed form: sum over m-regular rho of weight k of the constant
+    prod_i (1 - xi^{rho_i}) / m(rho)! times the iterated derivative d^rho.
+    Pinned against a direct operator exponential by the tests.
     """
     if k < 0:
         raise ValueError("lowering degree must be non-negative")
     if k == 0:
         return f
-    m = mode.m
+    m = f.m
 
     def terms():
         for rho in enumerate_partitions(k, "m_regular", m):
@@ -94,9 +95,9 @@ def s_apply(k: int, f: PExpr, mode: ParamMode) -> PExpr:
                     break
             if g.is_zero:
                 continue
-            w = mode.one()
+            w = Cyc(m, (1,))
             for part in rho:
-                w = w * (mode.qpow(part) - 1) * mode.c0**-part
+                w = w * (1 - zeta(m, part))
             yield g.scale(w / mult_factorial(rho))
 
     return PExpr.sum(m, terms())
@@ -109,7 +110,7 @@ def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
         raise ValueError("mixed moduli")
     if f.is_zero:
         return f
-    lows = (s_apply(k, f, mode) for k in range(f.homogeneous_degree() + 1))
+    lows = (s_apply(k, f) for k in range(f.homogeneous_degree() + 1))
     return PExpr.sum(mode.m, (p_multiply(r_to_p(k, mode), low)
                               for k, low in enumerate(lows) if low))
 
@@ -180,7 +181,7 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
         raise ValueError(f"weight must be positive, got {n}")
     order = tuple(enumerate_partitions(n, "m_reduced", mode.m))
     _collision_precheck(order, mode)
-    columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode), mode) for lam in order}
+    columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode)) for lam in order}
     for lam in order:
         col = columns[lam]
         for nu in col.support():

@@ -365,6 +365,29 @@ def test_degenerate_eval_point_is_usage_error(args):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args,code", [
+    (("x0-apply", "--lambda", "1,1"), 2),
+    (("x0-apply", "--lambda", "1"), 0),
+    (("x0-matrix", "--n", "1"), 0),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_degenerate_point_needs_the_vanishing_epsilon(args, code):
+    # at m = 3, q0 = -1 only epsilon_2 vanishes: a command fails exactly when
+    # its weight reaches 2, as the p output of the image of q_(1,1) does
+    res = _run(*args, "--m", "3", "--mode", "eval", "--q0", "-1")
+    assert res.exit_code == code
+    if code:
+        assert "epsilon_2 vanishes" in res.output and res.stdout == ""
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("out", ["json", "csv"])
+def test_x0_matrix_does_not_depend_on_c0(m, out):
+    # the matrix on the q-basis depends on q alone: c enters through eps only
+    outputs = {_run("x0-matrix", "--m", str(m), "--n", "5", "--mode", "eval", "--q0", "2",
+                    "--c0", c0, "--out", out).stdout for c0 in ("1/3", "-2*xi", "3*xi^2")}
+    assert len(outputs) == 1 and outputs.pop().startswith("{" if out == "json" else ",")
+
+
 @pytest.mark.parametrize("flags", [("--q0", "1/0"), ("--q0", "2", "--c0", "1/0")],
                          ids=["q0", "c0"])
 def test_zero_denominator_literal_is_usage_error(flags):

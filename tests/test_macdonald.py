@@ -17,7 +17,7 @@ from modmac.macdonald import (
 from modmac.partitions import Partition, enumerate_partitions, z_of
 from modmac.scalars import Cyc, CycRat, _pgcd, eval_mode, symbolic_mode, zeta
 from modmac.selfcheck import _check_eigenbasis
-from modmac.symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, scalar_product
+from modmac.symfunc import PExpr, QExpr, p_multiply, q_to_p, qprod_to_p, scalar_product, to_p
 from modmac.vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
 P = Partition
@@ -27,21 +27,26 @@ M3 = symbolic_mode(3)
 Q = CycRat.q(2)
 
 
+def _in_P(mac):
+    # the eigenvector in the P coordinates the operator acts on
+    return QExpr(mac.m, dict(mac.q_coeffs)).to_p()
+
+
 def test_solve_q_degree_one():
     mac = solve_q(P((1,)), M2)
     assert mac.q_coeffs == ((P((1,)), Cyc(2, (1,))),)
-    assert mac.p_form == q_to_p(1, M2)
+    assert mac.p_form == to_p(q_to_p(1, 2), M2)
     assert mac.eigenvalue == 2 * Q - 1
     for m in (3, 4):
         mode = symbolic_mode(m)
         mac = solve_q(P((1,)), mode)
-        assert mac.p_form == q_to_p(1, mode)
+        assert mac.p_form == to_p(q_to_p(1, m), mode)
         assert mac.eigenvalue == eigenvalue_c(P((1,)), mode)
 
 
 def test_solve_q_singleton_weight():
     mac = solve_q(P((2,)), M2)
-    assert mac.p_form == q_to_p(2, M2)
+    assert mac.p_form == to_p(q_to_p(2, 2), M2)
     assert mac.coeff(P((2,))) == 1
 
 
@@ -50,7 +55,9 @@ def test_solve_q_two_dimensional():
     assert mac.coeff(P((2, 1))) == 1
     assert mac.coeff(P((3,))) == -2 * (Q**2 + Q + 1) / (Q**2 + 1)
     # eigenvector property through the independent implementation
-    assert x0_apply_diff(mac.p_form, M2) == mac.p_form.scale(mac.eigenvalue)
+    f = _in_P(mac)
+    assert to_p(f, M2) == mac.p_form
+    assert x0_apply_diff(f, M2) == f.scale(mac.eigenvalue)
 
 
 def test_solve_q_validation():
@@ -153,7 +160,7 @@ def test_uniqueness_perturbation_breaks_eigenvector():
             continue
         nu = rng.choice(above)
         amount = F(rng.randint(1, 5), rng.randint(1, 3))
-        perturbed = mac.p_form + qprod_to_p(nu, mode).scale(amount)
+        perturbed = _in_P(mac) + qprod_to_p(nu, mode.m).scale(amount)
         assert x0_apply_diff(perturbed, mode) != perturbed.scale(mac.eigenvalue), (lam, nu)
 
 
@@ -218,7 +225,9 @@ def test_eval_mode_solutions():
     me = eval_mode(2, 2)
     qs = all_q(4, me)
     for mac in qs:
-        assert x0_apply_diff(mac.p_form, me) == mac.p_form.scale(mac.eigenvalue)
+        f = _in_P(mac)
+        assert to_p(f, me) == mac.p_form
+        assert x0_apply_diff(f, me) == f.scale(mac.eigenvalue)
     g = gram(4, me)
     assert g[0][1].is_zero
     # eval mode computes in Q(xi_m): every scalar it returns is a Cyc

@@ -61,7 +61,7 @@ def test_d_lambda_mu_examples():
 
 def test_newton_lhs_examples():
     assert newton_lhs(P((1,)), M2) == r_to_p(1, M2)
-    assert newton_lhs(P((2,)), M2) == q_to_p(2, M2).scale(Q**2 - 1)
+    assert newton_lhs(P((2,)), M2) == q_to_p(2, 2).scale(Q**2 - 1)
     with pytest.raises(ValueError):
         newton_lhs(P(()), M2)
 

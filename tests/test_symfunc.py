@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from modmac.macdonald import solve_q
-from modmac.partitions import Partition, dominates, enumerate_partitions, mult_factorial
-from modmac.scalars import Cyc, CycRat, epsilon, symbolic_mode, zeta
+from modmac.partitions import Partition, dominates, enumerate_partitions, mult_factorial, z_of
+from modmac.scalars import Cyc, CycRat, epsilon, eval_mode, symbolic_mode, zeta
 from modmac.symfunc import (
     PExpr,
     QExpr,
@@ -18,8 +18,9 @@ from modmac.symfunc import (
     qprod_to_p,
     r_to_p,
     scalar_product,
+    to_p,
 )
-from modmac.vertex import x0_apply_series, x0_matrix
+from modmac.vertex import s_apply, x0_apply_series, x0_matrix
 
 P = Partition
 F = Fraction
@@ -81,7 +82,7 @@ def test_pexpr_sum_matches_chained_addition():
     q = CycRat.q(3)
     lams = [P((2, 1)), P((1, 1, 1)), P((2, 1)), P((3,))]
     coeffs = [q / (q + 2), zeta(3) * q**2 - 1, -q / (q + 2), 1 / (q - zeta(3))]
-    terms = [qprod_to_p(lam, M3).scale(c) for lam, c in zip(lams, coeffs)]
+    terms = [qprod_to_p(lam, 3).scale(c) for lam, c in zip(lams, coeffs)]
     chained = PExpr.zero(3)
     for t in terms:
         chained = chained + t
@@ -105,27 +106,92 @@ def test_p_multiply_examples():
 
 def test_q_to_p_examples():
     e1 = epsilon(1, M2)
-    assert q_to_p(2, M2) == PExpr(2, {(1, 1): 1 / (2 * e1 * e1)})
-    assert q_to_p(2, M3) == PExpr(3, {
+    assert to_p(q_to_p(2, 2), M2) == PExpr(2, {(1, 1): 1 / (2 * e1 * e1)})
+    assert to_p(q_to_p(2, 3), M3) == PExpr(3, {
         (2,): 1 / (2 * epsilon(2, M3)),
         (1, 1): 1 / (2 * epsilon(1, M3) ** 2),
     })
-    assert q_to_p(0, M3) == PExpr.one(3)
-    assert q_to_p(-1, M3).is_zero
+    assert to_p(q_to_p(0, 3), M3) == PExpr.one(3)
+    assert q_to_p(-1, 3).is_zero
 
 
 def test_qprod_examples():
     e1 = epsilon(1, M2)
-    assert qprod_to_p(P(()), M2) == PExpr.one(2)
-    assert qprod_to_p(P((1, 1)), M2) == PExpr(2, {(1, 1): 1 / (e1 * e1)})
-    assert qprod_to_p(P((2,)), M2) == q_to_p(2, M2)
+    assert to_p(qprod_to_p(P(()), 2), M2) == PExpr.one(2)
+    assert to_p(qprod_to_p(P((1, 1)), 2), M2) == PExpr(2, {(1, 1): 1 / (e1 * e1)})
+    assert qprod_to_p(P((2,)), 2) == q_to_p(2, 2)
 
 
 def test_r_to_p_examples():
-    assert r_to_p(0, M2) == PExpr.one(2)
-    assert r_to_p(1, M2) == PExpr(2, {(1,): -2})
-    assert r_to_p(2, M2) == PExpr(2, {(1, 1): 2})
+    assert to_p(r_to_p(0, M2), M2) == PExpr.one(2)
+    assert to_p(r_to_p(1, M2), M2) == PExpr(2, {(1,): -2})
+    assert to_p(r_to_p(2, M2), M2) == PExpr(2, {(1, 1): 2})
     assert r_to_p(-3, M2).is_zero
+
+
+def test_to_p_divides_by_epsilon():
+    f = PExpr(3, {(): 5, (2, 1): CycRat.q(3)})
+    assert to_p(f, M3) == PExpr(3, {(): 5, (2, 1): CycRat.q(3) / (epsilon(2, M3) * epsilon(1, M3))})
+    assert to_p(PExpr.zero(3), M3).is_zero
+    with pytest.raises(ValueError):
+        to_p(f, M2)
+
+
+# ---------------------------------------------------------------------------
+# the P-basis closed forms against the p-basis formulas they replaced, kept
+# here as the oracle: q_n = sum p_rho / (z_rho eps_rho), R_n = c^n sum
+# prod_i (1 - xi^{rho_i}) p_rho / z_rho, and the annihilation component
+# sum prod_i (q^{rho_i} - 1) c^{-rho_i} / m(rho)! d^rho in p
+
+
+def _p_basis_q(n, mode):
+    m = mode.m
+    return PExpr(m, {rho: 1 / (epsilon_product(rho, mode) * z_of(rho))
+                     for rho in enumerate_partitions(n, "m_regular", m)})
+
+
+def _p_basis_r(n, mode):
+    m = mode.m
+    terms = {}
+    for rho in enumerate_partitions(n, "m_regular", m):
+        w = mode.c0**n
+        for part in rho:
+            w = w * (1 - zeta(m, part))
+        terms[rho] = w / z_of(rho)
+    return PExpr(m, terms)
+
+
+def _p_basis_s(k, f, mode):
+    m = mode.m
+    out = PExpr.zero(m)
+    for rho in enumerate_partitions(k, "m_regular", m):
+        g = f
+        for part in rho:
+            g = d_dp(part, g)
+        w = mode.one()
+        for part in rho:
+            w = w * (mode.qpow(part) - 1) * mode.c0**-part
+        out = out + g.scale(w / mult_factorial(rho))
+    return out
+
+
+CLOSED_FORM_MODES = ([symbolic_mode(m) for m in range(2, 7)]
+                     + [eval_mode(m, F(3, 2), F(-2, 5) * zeta(m)) for m in range(2, 7)])
+
+
+@pytest.mark.parametrize("mode", CLOSED_FORM_MODES,
+                         ids=[f"m{mode.m}-{'symbolic' if mode.is_symbolic else 'eval'}"
+                              for mode in CLOSED_FORM_MODES])
+def test_p_basis_closed_forms(mode):
+    # n <= 7 at m = 2..6, symbolic and at an eval point with c0 != xi^-1
+    m = mode.m
+    for n in range(0, 8):
+        assert to_p(q_to_p(n, m), mode) == (_p_basis_q(n, mode) if n else PExpr.one(m)), n
+        assert to_p(r_to_p(n, mode), mode) == (_p_basis_r(n, mode) if n else PExpr.one(m)), n
+        # every P_rho of weight n at once, so that each derivative term shows
+        f = PExpr(m, {rho: 1 for rho in enumerate_partitions(n, "m_regular", m)})
+        for k in range(0, n + 1):
+            assert to_p(s_apply(k, f), mode) == _p_basis_s(k, to_p(f, mode), mode), (n, k)
 
 
 @pytest.mark.parametrize("mode", [M2, M3])
@@ -141,7 +207,7 @@ def test_generating_function_consistency(mode):
 
     series = series_exp(coeff, top, m)
     for n in range(top + 1):
-        assert q_to_p(n, mode) == series[n], n
+        assert to_p(q_to_p(n, m), mode) == series[n], n
 
 
 @pytest.mark.parametrize("mode", [M2, M3])
@@ -158,7 +224,7 @@ def test_creation_series_consistency(mode):
 
     series = series_exp(coeff, top, m)
     for n in range(top + 1):
-        assert r_to_p(n, mode) == series[n], n
+        assert to_p(r_to_p(n, mode), mode) == series[n], n
 
 
 @pytest.mark.parametrize("mode", [M2, M3])
@@ -176,15 +242,15 @@ def test_log_inverse_round_trip(mode):
             c = F(math.factorial(l - 1), mult_factorial(lam))
             if (l - 1) % 2:
                 c = -c
-            acc = acc + qprod_to_p(lam, mode).scale(epsilon(n, mode) * n * c)
-        assert acc == PExpr.monomial(m, (n,)), n
+            acc = acc + qprod_to_p(lam, m).scale(epsilon(n, mode) * n * c)
+        assert to_p(acc, mode) == PExpr.monomial(m, (n,)), n
 
 
 def test_scalar_product_examples():
     p1 = PExpr.monomial(2, (1,))
     assert scalar_product(p1, p1, M2) == epsilon(1, M2)
     assert scalar_product(PExpr.monomial(3, (1,)), PExpr.monomial(3, (2,)), M3).is_zero
-    q1 = q_to_p(1, M2)
+    q1 = to_p(q_to_p(1, 2), M2)
     assert scalar_product(q1, q1, M2) == 1 / epsilon(1, M2)
     with pytest.raises(ValueError):
         scalar_product(p1, PExpr.monomial(3, (1,)), M2)
@@ -225,10 +291,10 @@ def test_d_dp_examples():
 
 def test_derived_keys_are_partitions():
     # a bare tuple key hashes and compares equal to a Partition but has no weight
-    f = qprod_to_p(P((2, 2, 1)), M3)
+    f = qprod_to_p(P((2, 2, 1)), 3)
     product = PExpr.monomial(3, (2, 1)) * PExpr.monomial(3, (1,))
     exprs = (f, d_dp(1, f), d_dp(2, f), product, x0_apply_series(P((2, 1, 1)), M3),
-             p_to_q_reduced(f, M3))
+             p_to_q_reduced(f), to_p(f, M3))
     keys = [lam for e in exprs for lam in e.terms]
     keys += x0_matrix(4, M3).order
     keys += [nu for nu, _ in solve_q(P((2, 1, 1)), M3).q_coeffs]
@@ -236,25 +302,28 @@ def test_derived_keys_are_partitions():
 
 
 def test_p_to_q_reduced_examples():
-    qx = p_to_q_reduced(qprod_to_p(P((3, 1)), M2), M2)
+    qx = p_to_q_reduced(qprod_to_p(P((3, 1)), 2))
     assert qx.reduced
     assert qx.terms == {P((3, 1)): Cyc(2, (1,))}
-    qx = p_to_q_reduced(PExpr.monomial(2, (1,)), M2)
+    # p_1 = eps_1 P_1
+    p1 = PExpr.monomial(2, (1,), epsilon(1, M2))
+    assert to_p(p1, M2) == PExpr.monomial(2, (1,))
+    qx = p_to_q_reduced(p1)
     assert qx.terms == {P((1,)): epsilon(1, M2)}
-    qx = p_to_q_reduced(qprod_to_p(P((1, 1)), M2), M2)
+    qx = p_to_q_reduced(qprod_to_p(P((1, 1)), 2))
     assert qx.terms == {P((2,)): Cyc(2, (2,))}
-    assert p_to_q_reduced(PExpr.zero(2), M2).is_zero
-    assert p_to_q_reduced(PExpr.one(3), M3).terms == {P(()): Cyc(3, (1,))}
+    assert p_to_q_reduced(PExpr.zero(2)).is_zero
+    assert p_to_q_reduced(PExpr.one(3)).terms == {P(()): Cyc(3, (1,))}
     with pytest.raises(ValueError):
-        p_to_q_reduced(PExpr(2, {(1,): 1, (1, 1): 1}), M2)
+        p_to_q_reduced(PExpr(2, {(1,): 1, (1, 1): 1}))
 
 
 def test_round_trip_through_reduced_basis():
-    for mode, top in ((M2, 7), (M3, 6)):
+    for m, top in ((2, 7), (3, 6)):
         for n in range(0, top + 1):
-            for lam in enumerate_partitions(n, "m_reduced", mode.m):
-                f = qprod_to_p(lam, mode)
-                back = p_to_q_reduced(f, mode).to_p(mode)
+            for lam in enumerate_partitions(n, "m_reduced", m):
+                f = qprod_to_p(lam, m)
+                back = p_to_q_reduced(f).to_p()
                 assert back == f, lam
 
 
@@ -263,7 +332,7 @@ def test_reduced_expansion_triangularity(mode, top):
     # q_lam expands over reduced mu >= lam, with coefficient 1 at a reduced lam
     for n in range(0, top + 1):
         for lam in enumerate_partitions(n):
-            qx = p_to_q_reduced(qprod_to_p(lam, mode), mode)
+            qx = p_to_q_reduced(qprod_to_p(lam, mode.m))
             for mu in qx.support():
                 assert dominates(mu, lam), (lam, mu)
             if lam.is_reduced(mode.m):
@@ -271,14 +340,14 @@ def test_reduced_expansion_triangularity(mode, top):
 
 
 def test_modular_relation_examples():
-    rel = modular_relation_check(1, M2)
+    rel = modular_relation_check(1, 2)
     assert rel.coeff(P((2,))) == 2 and rel.coeff(P((1, 1))) == -1
-    rel3 = modular_relation_check(1, M3)
+    rel3 = modular_relation_check(1, 3)
     assert rel3.coeff(P((3,))) == 3
     assert rel3.coeff(P((1, 1, 1))) == 1  # sign (-1)^{(m+1)k} with m=3, k=1
-    modular_relation_check(2, M2)
+    modular_relation_check(2, 2)
     with pytest.raises(ValueError):
-        modular_relation_check(0, M2)
+        modular_relation_check(0, 2)
 
 
 def test_modular_relation_against_direct_series_product():
@@ -286,7 +355,7 @@ def test_modular_relation_against_direct_series_product():
     for mode, k in ((M2, 2), (M3, 1)):
         m = mode.m
         top = k * m
-        series = [[q_to_p(n, mode).scale(zeta(m, i * n))
+        series = [[to_p(q_to_p(n, m), mode).scale(zeta(m, i * n))
                    for n in range(top + 1)] for i in range(1, m + 1)]
         prod = [PExpr.one(m)] + [PExpr.zero(m) for _ in range(top)]
         for s in series:
@@ -299,8 +368,8 @@ def test_modular_relation_against_direct_series_product():
                         nxt[i + j] = nxt[i + j] + p_multiply(prod[i], s[j])
             prod = nxt
         assert prod[top].is_zero
-        rel = modular_relation_check(k, mode)
-        assert rel.to_p(mode).is_zero
+        rel = modular_relation_check(k, m)
+        assert rel.to_p().is_zero
 
 
 def test_qexpr_validation_and_json():
@@ -312,7 +381,7 @@ def test_qexpr_validation_and_json():
 
 
 def test_pexpr_json_shape():
-    f = q_to_p(2, M2)
+    f = to_p(q_to_p(2, 2), M2)
     obj = f.to_json()
     assert obj == {
         "m": 2,

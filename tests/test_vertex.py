@@ -17,7 +17,7 @@ from modmac.scalars import (
     symbolic_mode,
     zeta,
 )
-from modmac.symfunc import PExpr, d_dp, q_to_p, qprod_to_p
+from modmac.symfunc import PExpr, d_dp, q_to_p, qprod_to_p, to_p
 from modmac.vertex import (
     X0Matrix,
     eigen_collision,
@@ -90,19 +90,20 @@ def test_collision_predicate_matches_symbolic_equality():
 
 def test_series_examples():
     assert x0_apply_series(P(()), M2) == PExpr.one(2)
-    assert x0_apply_series(P((1,)), M2) == q_to_p(1, M2).scale(2 * Q2 - 1)
+    assert x0_apply_series(P((1,)), M2) == q_to_p(1, 2).scale(2 * Q2 - 1)
     for m in (3, 4):
         mode = symbolic_mode(m)
         got = x0_apply_series(P((1,)), mode)
-        assert got == q_to_p(1, mode).scale(eigenvalue_c(P((1,)), mode))
+        assert got == q_to_p(1, m).scale(eigenvalue_c(P((1,)), mode))
 
 
 def test_diff_examples():
     assert x0_apply_diff(PExpr.one(2), M2) == PExpr.one(2)
-    assert x0_apply_diff(q_to_p(1, M2), M2) == q_to_p(1, M2).scale(2 * Q2 - 1)
-    # linearity cross-check on p_(1,1) = eps_1^2 q_(1,1)
+    assert x0_apply_diff(q_to_p(1, 2), M2) == q_to_p(1, 2).scale(2 * Q2 - 1)
+    # linearity cross-check on p_(1,1) = eps_1^2 q_(1,1), in P eps_1^2 P_(1,1)
     e1 = epsilon(1, M2)
-    f = PExpr.monomial(2, (1, 1))
+    f = PExpr.monomial(2, (1, 1), e1 * e1)
+    assert to_p(f, M2) == PExpr.monomial(2, (1, 1))
     assert x0_apply_diff(f, M2) == x0_apply_series(P((1, 1)), M2).scale(e1 * e1)
     with pytest.raises(ValueError):
         x0_apply_diff(PExpr(2, {(1,): 1, (1, 1): 1}), M2)
@@ -144,20 +145,21 @@ def _annihilation_exponential_components(f, mode):
 
 @pytest.mark.parametrize("mode", [M2, M3])
 def test_s_apply_matches_operator_exponential(mode):
+    # s_apply acts on P coordinates, the oracle on p coordinates
     m = mode.m
     samples = []
     for n in range(0, 7):
         for lam in enumerate_partitions(n, "m_regular", m):
             samples.append(PExpr.monomial(m, lam))
-    samples.append(q_to_p(4, mode))
-    samples.append(qprod_to_p(P((2, 1)), mode) if m != 2 else qprod_to_p(P((3, 1)), mode))
+    samples.append(q_to_p(4, m))
+    samples.append(qprod_to_p(P((2, 1)), m) if m != 2 else qprod_to_p(P((3, 1)), m))
     for f in samples:
         n = f.homogeneous_degree()
-        parts = _annihilation_exponential_components(f, mode)
+        parts = _annihilation_exponential_components(to_p(f, mode), mode)
         for k in range(0, n + 1):
-            assert s_apply(k, f, mode) == parts.get(k, PExpr.zero(m)), (f, k)
+            assert to_p(s_apply(k, f), mode) == parts.get(k, PExpr.zero(m)), (f, k)
     with pytest.raises(ValueError):
-        s_apply(-1, samples[0], mode)
+        s_apply(-1, samples[0])
 
 
 def test_x0_matrix_frozen_values():
