@@ -5,9 +5,11 @@ m-th cyclotomic polynomial, stored as an integer numerator vector over the
 power basis 1, xi, ..., xi^{phi(m)-1} and one positive common denominator,
 reduced so that gcd(content, den) = 1 (zero has den = 1).  Phi_m is monic
 with integer coefficients, so every field operation stays in integers and
-ends in a single gcd.  The deformation parameter q lives in a field of
-canonicalized rational functions (gcd-reduced, monic denominator), so
-equality is coefficient-wise.
+ends in a single gcd.  A polynomial in q over Q(xi_m) is packed the same way,
+one denominator over flat integer rows of phi(m) entries per power of q, so
+it too takes one gcd per operation, not one per coefficient.  The
+deformation parameter q lives in a field of canonicalized rational functions
+(gcd-reduced, monic denominator), so equality is coefficient-wise.
 
 One rule picks the type: a scalar is a `Cyc` unless it depends on a formal
 q, so every value constant in q, zero included, is a `Cyc` and a `CycRat`
@@ -15,8 +17,8 @@ never equals one.  Eval mode never builds a `CycRat`; in symbolic mode a
 `Cyc` operand of a `CycRat` takes a gcd-free path.
 
 Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
-q that the Euclidean algorithm keeps monic.  One long division,
-`_monic_divmod`, serves both the reduction modulo Phi_m and the gcds in q.
+q that the Euclidean algorithm keeps monic.  One long division, `_qdivmod`,
+serves both the reduction modulo Phi_m and the gcds in q.
 """
 
 from __future__ import annotations
@@ -54,40 +56,25 @@ Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# polynomial long division, and integer polynomials modulo Phi_m
-
-def _monic_divmod(vec, monic) -> tuple[list, list]:
-    # quotient and remainder of vec by a monic polynomial, both as ascending
-    # coefficient lists of ints or Cycs, the remainder cut to len(monic) - 1
-    # entries.  The divisor must be monic; every caller's is (Phi_m, or a gcd
-    # that _pgcd has made monic), so no leading coefficient is inverted.
-    rem = list(vec)
-    d = len(monic) - 1
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(d):
-                rem[i - d + j] -= c * monic[j]
-    # step i only changes the entries below i, so rem[i] is final when it is
-    # read: it is the quotient's coefficient of x^(i - d)
-    return rem[d:], rem[:d]
-
+# integer polynomials modulo Phi_m
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m (ascending powers), computed by dividing x^m - 1
-    by Phi_d for every proper divisor d of m."""
+    by Phi_d for every proper divisor d of m (as packed polynomials at m = 1,
+    where rows are single integers and nothing is reduced)."""
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    poly = [-1] + [0] * (m - 1) + [1]
+    poly = (1, (-1,) + (0,) * (m - 1) + (1,))
     for d in range(1, m):
         if m % d == 0:
-            poly, rem = _monic_divmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
+            poly, rem = _qdivmod(1, poly, (1, cyclotomic_polynomial(d)))
+            if rem[1]:
                 raise RuntimeError(f"cyclotomic recurrence failed at m={m}, d={d}")
-    return tuple(poly)
+    return poly[1]
 
 
+@lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
@@ -98,13 +85,7 @@ def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # (power, coefficient) pairs
     mod = cyclotomic_polynomial(m)
     phi = len(mod) - 1
-    first = [-c for c in mod[:phi]]  # x^phi mod Phi_m
-    rows = [first]
-    cur = first
-    for _ in range(phi - 2):
-        lead = cur[-1]
-        cur = [x + lead * y for x, y in zip([0] + cur[:-1], first)]
-        rows.append(cur)
+    rows = (_qdivmod(1, (1, (0,) * j + (1,)), (1, mod))[1][1] for j in range(phi, 2 * phi - 1))
     return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
 
 
@@ -213,10 +194,9 @@ class Cyc(_Scalar):
         mod = cyclotomic_polynomial(m)
         phi = len(mod) - 1
         if len(vec) > phi:
-            vec = _monic_divmod(vec, mod)[1]
-        else:
-            vec += [0] * (phi - len(vec))
-        c = _mk_cyc(m, vec, den)
+            # the remainder modulo Phi_m, trimmed
+            vec = list(_qdivmod(1, (1, vec), (1, mod))[1][1])
+        c = _mk_cyc(m, vec + [0] * (phi - len(vec)), den)
         self.m, self.num, self.den = m, c.num, c.den
 
     @property
@@ -423,115 +403,218 @@ def _cyc_one(m: int) -> Cyc:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials in q over Cyc; zero is the empty tuple.  Q(xi) has no zero
-# divisors, so the product of two trimmed polynomials, and a trimmed one times
-# a nonzero scalar, keep a nonzero leading coefficient and need no trim.
+# dense polynomials in q over Q(xi_m), packed as a pair (d, v): v is a flat
+# tuple of ints, phi(m) per power of q in ascending order, standing for v / d.
+# The form is canonical: d > 0, gcd(d, *v) = 1 and the top row of v is
+# nonzero; zero is (1, ()).  A nonzero Cyc c is the constant (c.den, c.num).
+# Q(xi) has no zero divisors, so a product of nonzero polynomials keeps a
+# nonzero top row and needs no trim.
 
-def _ptrim(c):
-    n = len(c)
-    while n and not c[n - 1]:
-        n -= 1
-    return c[:n]
-
-
-def _padd(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    z = _cyc_zero(a[0].m)
-    n = max(len(a), len(b))
-    return _ptrim(tuple(
-        (a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)
-    ))
+def _qnorm(d: int, v) -> tuple[int, tuple[int, ...]]:
+    # divide out gcd(d, *v): one gcd for the whole polynomial
+    if d != 1:
+        g = gcd(d, *v)
+        if g != 1:
+            return d // g, tuple([x // g for x in v])
+    return d, tuple(v)
 
 
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    z = _cyc_zero(a[0].m)
-    out = [z] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return tuple(out)
+def _qtrim(phi: int, v: list) -> list:
+    n = len(v)
+    while n and not any(v[n - phi:n]):
+        n -= phi
+    del v[n:]
+    return v
 
 
-def _pscale(a, c: Cyc):
-    # c is nonzero
-    return tuple(x * c for x in a)
+def _qconv(m: int, a, b) -> list[int]:
+    # integer product of two nonempty flat row vectors, reduced mod Phi_m; the
+    # inner loops run over the longer operand
+    if len(a) < len(b):
+        a, b = b, a
+    phi = euler_phi(m)
+    if phi == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
+                    out[j] += x * y
+        return out
+    if phi == 2:
+        # xi^2 = -c1 xi - 1, as in _int_mul
+        c1 = cyclotomic_polynomial(m)[1]
+        out = [0] * (len(a) + len(b) - 2)
+        a0, a1 = a[0::2], a[1::2]
+        for j in range(0, len(b), 2):
+            y0, y1 = b[j], b[j + 1]
+            for k, x0, x1 in zip(range(j, j + len(a), 2), a0, a1):
+                t = x1 * y1
+                out[k] += x0 * y0 - t
+                out[k + 1] += x0 * y1 + x1 * y0 - c1 * t
+        return out
+    # rows of stride 2 phi - 1 hold the unreduced products; each is reduced
+    # once.  About a third of the entries are zero at phi = 4, so they are
+    # dropped from the inner loop.
+    s = 2 * phi - 1
+    nz = [(i + i // phi * (phi - 1), x) for i, x in enumerate(a) if x]
+    full = [0] * ((len(a) + len(b)) // phi * s - s)
+    for i, y in enumerate(b):
+        if y:
+            o = i + i // phi * (phi - 1)
+            for j, x in nz:
+                full[o + j] += x * y
+    out = []
+    table = _reduction_table(m)
+    for base in range(0, len(full), s):
+        row = full[base:base + phi]
+        for pairs, c in zip(table, full[base + phi:base + s]):
+            if c:
+                for i, r in pairs:
+                    row[i] += c * r
+        out += row
+    return out
 
 
-def _pquo(a, g):
-    # a / g for a monic g that divides a nonzero a; the quotient's leading
-    # coefficient is a's, so it is trimmed
-    return tuple(_monic_divmod(a, g)[0])
+def _qadd(m: int, a, b):
+    # over the lcm of the denominators; only a sum of equal lengths can
+    # cancel its top rows
+    (da, va), (db, vb) = a, b
+    if not va or not vb:
+        return a if va else b
+    if da != db:
+        g = gcd(da, db)
+        va, vb, da = [x * (db // g) for x in va], [y * (da // g) for y in vb], da // g * db
+    if len(va) < len(vb):
+        va, vb = vb, va
+    out = [x + y for x, y in zip(va, vb)]
+    if len(va) > len(vb):
+        out += va[len(vb):]
+    else:
+        _qtrim(euler_phi(m), out)
+    return _qnorm(da, out)
 
 
-def _pmonic(a):
-    if not a or a[-1] == _cyc_one(a[-1].m):
-        return a
-    return _pscale(a, a[-1].inv())
+def _qmul(m: int, a, b):
+    if not a[1] or not b[1]:
+        return 1, ()
+    return _qnorm(a[0] * b[0], _qconv(m, a[1], b[1]))
 
 
-def _pgcd(a, b):
+def _qdivmod(m: int, a, g):
+    # quotient and remainder of a by a monic g.  g's top row is (dg, 0, ...),
+    # so a is scaled once by dg^steps and every quotient row is an exact
+    # integer division by dg
+    (da, va), (dg, vg) = a, g
+    phi = euler_phi(m)
+    low = len(vg) - phi
+    steps = (len(va) - low) // phi
+    if steps <= 0:
+        return (1, ()), a
+    s = dg**steps
+    rem = [x * s for x in va]
+    quo = [0] * (steps * phi)
+    for i in range(len(quo) - phi, -1, -phi):
+        c = rem[i + low:i + low + phi]
+        if any(c):
+            if dg != 1:
+                c = [x // dg for x in c]
+            quo[i:i + phi] = c
+            if low:
+                for k, y in enumerate(_qconv(m, c, vg[:low]), i):
+                    rem[k] -= y
+    return _qnorm(da * s // dg, quo), _qnorm(da * s, _qtrim(phi, rem[:low]))
+
+
+def _monic(m: int, a, *rest) -> tuple:
+    # a and each of rest divided by the leading coefficient of a, which makes
+    # a monic
+    d, v = a
+    top = v[-euler_phi(m):]
+    if top[0] == d and not any(top[1:]):
+        return (a, *rest)
+    li = _mk_cyc(m, top, d).inv()
+    return tuple(_qmul(m, p, (li.den, li.num)) for p in (a, *rest))
+
+
+def _pgcd(m: int, a, b):
     # monic Euclidean algorithm over the field Q(xi_m); normalizing every
     # remainder to monic keeps the rational coefficients from blowing up and
-    # lets _monic_divmod divide by it; the gcd returned is monic too
-    while b:
-        b = _pmonic(b)
-        a, b = b, _ptrim(tuple(_monic_divmod(a, b)[1]))
-    return _pmonic(a)
+    # lets _qdivmod divide by it; the gcd returned is monic too
+    while b[1]:
+        b = _monic(m, b)[0]
+        a, b = b, _qdivmod(m, a, b)[1]
+    return _monic(m, a)[0]
 
 
-def _peval(a, x: Cyc) -> Cyc:
-    out = _cyc_zero(x.m)
-    for c in reversed(a):
-        out = out * x + c
-    return out
+def _cancel(m: int, a, b):
+    # a / g, b / g and g for the monic gcd g of a and b, or a, b and None
+    # when g = 1; a constant is coprime to anything
+    phi = euler_phi(m)
+    if len(a[1]) > phi and len(b[1]) > phi:
+        g = _pgcd(m, a, b)
+        if len(g[1]) > phi:
+            return _qdivmod(m, a, g)[0], _qdivmod(m, b, g)[0], g
+    return a, b, None
+
+
+def _qeval(m: int, a, x: Cyc) -> Cyc:
+    # Horner on the rows of a nonzero a: with x = xn / xd, sum_k v_k x^k / d
+    # is (sum_k v_k xn^k xd^(top-k)) / (d xd^top)
+    d, v = a
+    phi = euler_phi(m)
+    acc, p = list(v[-phi:]), 1
+    for i in range(len(v) - 2 * phi, -1, -phi):
+        p *= x.den
+        acc = [y + p * r for y, r in zip(_qconv(m, acc, x.num), v[i:i + phi])]
+    return _mk_cyc(m, acc, d * p)
+
+
+def _qpack(m: int, coeffs: Iterable):
+    cs = [_as_cyc(m, c) for c in coeffs]
+    d = lcm(*(c.den for c in cs))
+    return _qnorm(d, _qtrim(euler_phi(m), [x * (d // c.den) for c in cs for x in c.num]))
+
+
+def _qunpack(m: int, a) -> tuple[Cyc, ...]:
+    d, v = a
+    phi = euler_phi(m)
+    return tuple(_mk_cyc(m, v[i:i + phi], d) for i in range(0, len(v), phi))
 
 
 class CycRat(_Scalar):
     """A rational function of q over Q(xi_m) that is not constant in q.
 
-    Canonical form: numerator and denominator coprime, denominator monic,
-    coefficients ascending in q.  Every value constant in q is a `Cyc`
-    instead, so a CycRat is never zero and equals no Cyc, int or Fraction.
+    Stored as two packed polynomials in q, `_num` over `_den`: coprime, with
+    the denominator monic, so equality is tuple equality.  The read-only
+    `num` and `den` give them as tuples of Cyc coefficients, ascending in q.
+    Every value constant in q is a `Cyc` instead, so a CycRat is never zero
+    and equals no Cyc, int or Fraction.
     """
 
-    __slots__ = ("m", "num", "den")
+    __slots__ = ("m", "_num", "_den")
 
     def __new__(cls, m: int, num: Iterable = (), den: Iterable | None = None):
-        one = _cyc_one(m)
-        nv = _ptrim(tuple(_as_cyc(m, c) for c in num))
-        dv = (one,) if den is None else _ptrim(tuple(_as_cyc(m, c) for c in den))
-        if not dv:
+        dv = _qpack(m, (1,) if den is None else den)
+        if not dv[1]:
             raise ZeroDivisionError("zero denominator")
-        if len(dv) > 1 and len(nv) > 1:
-            g = _pgcd(nv, dv)
-            if len(g) > 1:
-                nv = _pquo(nv, g)
-                dv = _pquo(dv, g)
-        # a degree-0 numerator or denominator is automatically coprime
-        lead = dv[-1]
-        if lead != one:
-            li = lead.inv()
-            nv = _pscale(nv, li)
-            dv = _pscale(dv, li)
+        nv, dv, _ = _cancel(m, _qpack(m, num), dv)
+        dv, nv = _monic(m, dv, nv)
         return _mk_rat(m, nv, dv)
 
     def __getnewargs__(self):
         # __new__ needs its arguments to copy or unpickle a CycRat
         return self.m, self.num, self.den
 
+    num = property(lambda self: _qunpack(self.m, self._num))
+    den = property(lambda self: _qunpack(self.m, self._den))
+
     @classmethod
     def q(cls, m: int, k: int = 1) -> "Cyc | CycRat":
         """The monomial q^k (the Cyc one for k = 0)."""
         if k < 0:
             raise ValueError("use division for negative powers")
-        return cls(m, (0,) * k + (1,))
+        one = _cyc_one(m).num
+        return _mk_rat(m, (1, (0,) * (len(one) * k) + one), (1, one))
 
     # -- coercion -------------------------------------------------------------
 
@@ -555,29 +638,21 @@ class CycRat(_Scalar):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        n1, d1 = self.num, self.den
+        m, n1, d1 = self.m, self._num, self._den
         if isinstance(o, Cyc):
-            return _mk_rat(self.m, _padd(n1, _pscale(d1, o)), d1) if o else self
-        n2, d2 = o.num, o.den
+            return _mk_rat(m, _qadd(m, n1, _qmul(m, d1, (o.den, o.num))), d1) if o else self
+        n2, d2 = o._num, o._den
         if d1 == d2:
-            num = _padd(n1, n2)
-            if len(d1) == 1:
-                return _mk_rat(self.m, num, d1)
-            return CycRat(self.m, num, d1)
-        g = _pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else ()
-        if len(g) <= 1:
-            num = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            return _mk_rat(self.m, num, _pmul(d1, d2))
-        d1r = _pquo(d1, g)
-        d2r = _pquo(d2, g)
-        t = _padd(_pmul(n1, d2r), _pmul(n2, d1r))
-        if not t:
-            return _cyc_zero(self.m)
-        g2 = _pgcd(t, g)
-        if len(g2) > 1:
-            t = _pquo(t, g2)
-            g = _pquo(g, g2)
-        return _mk_rat(self.m, t, _pmul(_pmul(d1r, d2r), g))
+            # a monic d1 stays monic once a common factor is divided out
+            return _mk_rat(m, *_cancel(m, _qadd(m, n1, n2), d1)[:2])
+        # n1/d1 + n2/d2 = (n1 d2r + n2 d1r) / (g d1r d2r) with g = gcd(d1, d2)
+        d1r, d2r, g = _cancel(m, d1, d2)
+        t = _qadd(m, _qmul(m, n1, d2r), _qmul(m, n2, d1r))
+        den = _qmul(m, d1r, d2r)
+        if g is not None:
+            t, g, _ = _cancel(m, t, g)
+            den = _qmul(m, den, g)
+        return _mk_rat(m, t, den)
 
     __radd__ = __add__
 
@@ -592,67 +667,57 @@ class CycRat(_Scalar):
         return -self + other
 
     def __neg__(self):
-        return _mk_rat(self.m, tuple(-x for x in self.num), self.den)
+        d, v = self._num
+        return _mk_rat(self.m, (d, tuple([-x for x in v])), self._den)
 
     def __mul__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        n1, d1 = self.num, self.den
+        m, n1, d1 = self.m, self._num, self._den
         if isinstance(o, Cyc):
-            return _mk_rat(self.m, _pscale(n1, o), d1) if o else o
-        n2, d2 = o.num, o.den
-        if len(n1) > 1 and len(d2) > 1:
-            g = _pgcd(n1, d2)
-            if len(g) > 1:
-                n1 = _pquo(n1, g)
-                d2 = _pquo(d2, g)
-        if len(n2) > 1 and len(d1) > 1:
-            g = _pgcd(n2, d1)
-            if len(g) > 1:
-                n2 = _pquo(n2, g)
-                d1 = _pquo(d1, g)
-        return _mk_rat(self.m, _pmul(n1, n2), _pmul(d1, d2))
+            return _mk_rat(m, _qmul(m, n1, (o.den, o.num)), d1) if o else o
+        n1, d2, _ = _cancel(m, n1, o._den)
+        n2, d1, _ = _cancel(m, o._num, d1)
+        return _mk_rat(m, _qmul(m, n1, n2), _qmul(m, d1, d2))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycRat":
-        lead = self.num[-1]
-        if lead == _cyc_one(self.m):
-            return _mk_rat(self.m, self.den, self.num)
-        li = lead.inv()
-        return _mk_rat(self.m, _pscale(self.den, li), _pscale(self.num, li))
+        n, d = _monic(self.m, self._num, self._den)
+        return _mk_rat(self.m, d, n)
 
     # -- structure ----------------------------------------------------------------
 
     @property
     def is_polynomial(self) -> bool:
-        return len(self.den) == 1
+        return len(self._den[1]) == euler_phi(self.m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycRat):
             return NotImplemented
-        return self.m == other.m and self.num == other.num and self.den == other.den
+        return self.m == other.m and self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash((self.m, self.num, self.den))
+        return hash((self.m, self._num, self._den))
 
     def __str__(self) -> str:
         num = _render_terms(self.num, "q", scalar_to_str)
-        if len(self.den) == 1:
+        if self.is_polynomial:
             return num
         return f"({num})/({_render_terms(self.den, 'q', scalar_to_str)})"
 
 
 def _mk_rat(m: int, num, den) -> Cyc | CycRat:
-    # trusted constructor: num/den coprime with den monic; a value constant
-    # in q comes back as its Cyc
-    if not num:
+    # trusted constructor: packed num/den coprime with den monic; a value
+    # constant in q comes back as its Cyc
+    if not num[1]:
         return _cyc_zero(m)
-    if len(num) == 1 and len(den) == 1:
-        return num[0]
+    phi = euler_phi(m)
+    if len(num[1]) == phi and len(den[1]) == phi:
+        return _raw_cyc(m, num[1], num[0])
     out = object.__new__(CycRat)
-    out.m, out.num, out.den = m, num, den
+    out.m, out._num, out._den = m, num, den
     return out
 
 
@@ -660,14 +725,15 @@ def clear_denominators(m: int, values: list) -> tuple[Cyc | CycRat, list]:
     """The monic lcm L of the denominators of nonzero scalars, and the list
     of L * value, each a polynomial in q; (1, values) when all already are.
     One gcd per distinct denominator after the first, none per value."""
-    dens = list(dict.fromkeys(v.den for v in values if isinstance(v, CycRat) and len(v.den) > 1))
+    dens = list(dict.fromkeys(v._den for v in values if isinstance(v, CycRat) and not v.is_polynomial))
     if not dens:
         return _cyc_one(m), values
     common = dens[0]
     for d in dens[1:]:
-        common = _pmul(common, _pquo(d, _pgcd(common, d)))
-    one = (_cyc_one(m),)
-    out = [_mk_rat(m, _pscale(common, v) if isinstance(v, Cyc) else _pmul(v.num, _pquo(common, v.den)), one)
+        common = _qmul(m, common, _qdivmod(m, d, _pgcd(m, common, d))[0])
+    one = (1, _cyc_one(m).num)
+    out = [_mk_rat(m, _qmul(m, common, (v.den, v.num)) if isinstance(v, Cyc)
+                   else _qmul(m, v._num, _qdivmod(m, common, v._den)[0]), one)
            for v in values]
     return _mk_rat(m, common, one), out
 
@@ -786,10 +852,10 @@ def evaluate(a: Cyc | CycRat, q0) -> Cyc:
     x = _as_cyc(a.m, q0)
     if isinstance(a, Cyc):
         return a
-    dv = _peval(a.den, x)
+    dv = _qeval(a.m, a._den, x)
     if not dv:
         raise PoleAtSpecialization(f"denominator of {a} vanishes at q = {x}")
-    return _peval(a.num, x) * dv.inv()
+    return _qeval(a.m, a._num, x) * dv.inv()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .partitions import (
     lowering_tuple_counts,
     mult_factorial,
 )
-from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, scalar_to_str, zeta
+from .scalars import Cyc, CycRat, ParamMode, _cyc_one, scalar_to_json, scalar_to_str, zeta
 from .symfunc import (
     PExpr,
     d_dp,
@@ -95,7 +95,7 @@ def s_apply(k: int, f: PExpr) -> PExpr:
                     break
             if g.is_zero:
                 continue
-            w = Cyc(m, (1,))
+            w = _cyc_one(m)
             for part in rho:
                 w = w * (1 - zeta(m, part))
             yield g.scale(w / mult_factorial(rho))

@@ -101,11 +101,11 @@ def test_composite_modulus_past_the_modular_weight():
 
 
 def test_symbolic_eigenbasis_past_the_modular_weight():
-    # m = 5, 6 at n = m and m + 1, and the prime m = 7 (phi = 6) at n = m,
-    # weights `run_selfcheck` never solves symbolically: `solve_q` re-checks
-    # every eigenvector and `gram` every off-diagonal pairing, so what
-    # remains is a nonzero diagonal
-    for m, weights in ((5, (5, 6)), (6, (6, 7)), (7, (7,))):
+    # m = 5, 6 at n = m and m + 1, the prime m = 7 (phi = 6) and the prime
+    # power m = 8 at n = m, weights `run_selfcheck` never solves
+    # symbolically: `solve_q` re-checks every eigenvector and `gram` every
+    # off-diagonal pairing, so what remains is a nonzero diagonal
+    for m, weights in ((5, (5, 6)), (6, (6, 7)), (7, (7,)), (8, (8,))):
         for n in weights:
             g = gram(n, symbolic_mode(m))
             assert all(not row[i].is_zero for i, row in enumerate(g)), (m, n)

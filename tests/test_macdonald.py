@@ -123,19 +123,20 @@ def test_cleared_route_equals_direct_route(mode, n):
     assert gram(n, mode) == [[scalar_product(a.p_form, b.p_form, mode) for b in qs] for a in qs]
     for mac in qs:
         lcm, cleared = macdonald._cleared(mac.p_form)
+        one = Cyc(mode.m, (1,))
         if isinstance(lcm, Cyc):
             assert lcm == 1 and cleared is mac.p_form
-            g = (lcm,)
+            g = (lcm.den, lcm.num)
         else:
             assert mode.is_symbolic and lcm.is_polynomial and lcm.num[-1] == 1
-            g = lcm.num
+            g = lcm._num
         assert cleared.terms.keys() == mac.p_form.terms.keys()
         for lam, c in cleared.terms.items():
             assert isinstance(c, Cyc) or c.is_polynomial
             assert c / lcm == mac.p_form.terms[lam]
-            g = _pgcd(g, c.num if isinstance(c, CycRat) else (c,))
+            g = _pgcd(mode.m, g, c._num if isinstance(c, CycRat) else (c.den, c.num))
         # the least common multiple: no factor of L divides every numerator
-        assert len(g) == 1, mac.shape
+        assert g == (one.den, one.num), mac.shape
 
 
 def test_gram_zeros_are_cycs():

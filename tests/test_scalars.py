@@ -23,6 +23,7 @@ from modmac.scalars import (
     symbolic_mode,
     zeta,
 )
+from modmac.scalars import _monic, _pgcd, _qadd, _qdivmod, _qeval, _qmul, _qnorm, _qunpack
 from modmac.symfunc import PExpr
 
 F = Fraction
@@ -470,6 +471,87 @@ def test_cycrat_arithmetic_matches_sympy():
             if r:
                 check(r / a, pr * da, na)
                 check(a / r, na, da * pr)
+
+
+def test_packed_kernel_matches_sympy():
+    # the packed polynomials in q against sympy modulo Phi_m: operands with
+    # negative entries, interior zero rows, degree 0 and unequal integer
+    # denominators; every result must also be canonical
+    sympy = pytest.importorskip("sympy")
+    x, q = sympy.symbols("x q")
+    rng = random.Random(20261019)
+
+    for m in (2, 3, 4, 5, 6, 8, 12):
+        phi = euler_phi(m)
+        mod = sympy.Poly(sympy.cyclotomic_poly(m, x), x, q, domain="QQ")
+
+        def to_poly(a):
+            d, v = a
+            terms = {(i % phi, i // phi): sympy.Rational(c, d) for i, c in enumerate(v) if c}
+            return sympy.Poly.from_dict(terms or {(0, 0): 0}, x, q, domain="QQ")
+
+        def packed(rows):
+            v = [rng.randint(-9, 9) for _ in range(rows * phi)]
+            for r in range(rows - 1):
+                if rng.random() < 0.3:
+                    v[r * phi:(r + 1) * phi] = [0] * phi
+            while not any(v[-phi:]):
+                v[-phi:] = [rng.randint(-9, 9) for _ in range(phi)]
+            return _qnorm(rng.choice((1, 2, 3, 4, 6, 12)), v)
+
+        def check(got, expect):
+            d, v = got
+            assert d > 0 and math.gcd(d, *v) == 1 and len(v) % phi == 0
+            assert not v or any(v[-phi:])
+            assert to_poly(got) == expect.rem(mod)
+
+        def divides(g, a):
+            return not _qdivmod(m, a, g)[1][1]
+
+        for _ in range(12):
+            a, b = packed(rng.randint(1, 4)), packed(rng.randint(1, 3))
+            c = _random_cyc(rng, m)
+            while not c:
+                c = _random_cyc(rng, m)
+            pa, pb, pc = to_poly(a), to_poly(b), to_poly((c.den, c.num))
+            check(_qmul(m, a, b), pa * pb)
+            check(_qadd(m, a, b), pa + pb)
+            check(_qadd(m, a, (a[0], tuple(-y for y in a[1]))), 0 * pa)
+            check(_qmul(m, a, (c.den, c.num)), pa * pc)
+            # a monic g: the exact quotient of a g, and a = quo g + rem
+            g = _monic(m, b)[0]
+            assert g[1][-phi:] == (g[0],) + (0,) * (phi - 1)
+            quo, rem = _qdivmod(m, _qmul(m, a, g), g)
+            check(quo, pa)
+            check(rem, 0 * pa)
+            quo, rem = _qdivmod(m, a, g)
+            assert len(rem[1]) < len(g[1])
+            check(_qadd(m, _qmul(m, quo, g), rem), pa)
+            # the gcd of a h and b h for a monic h: monic, dividing both, with
+            # coprime cofactors (their resultant in q is nonzero mod Phi_m)
+            h = _monic(m, packed(rng.randint(1, 2)))[0]
+            ah, bh = _qmul(m, a, h), _qmul(m, b, h)
+            g = _pgcd(m, ah, bh)
+            assert g == _monic(m, g)[0] and divides(h, g)
+            assert divides(g, ah) and divides(g, bh)
+            ca, cb = _qdivmod(m, ah, g)[0], _qdivmod(m, bh, g)[0]
+            if len(ca[1]) > phi and len(cb[1]) > phi:
+                res = to_poly(ca).reorder(q, x).resultant(to_poly(cb).reorder(q, x))
+                assert not sympy.Poly(res.as_expr(), x, q, domain="QQ").rem(mod).is_zero
+            # Horner at a point with a denominator and an irrational part
+            x0 = c / rng.choice((1, 2, 3))
+            at = pa.as_expr().subs(q, to_poly((x0.den, x0.num)).as_expr())
+            got = _qeval(m, a, x0)
+            assert to_poly((got.den, got.num)) == sympy.Poly(at, x, q, domain="QQ").rem(mod)
+            # a CycRat built from the views reads back as the same value
+            v = CycRat(m, _qunpack(m, a), _qunpack(m, b))
+            if isinstance(v, Cyc):
+                pn, pd = to_poly((v.den, v.num)), to_poly((1, Cyc(m, (1,)).num))
+            else:
+                assert CycRat(m, v.num, v.den) == v
+                assert all(isinstance(y, Cyc) for y in v.num + v.den)
+                pn, pd = to_poly(v._num), to_poly(v._den)
+            assert (pn * pb - pa * pd).rem(mod).is_zero
 
 
 def _pmul_list(a, b):
