@@ -2,10 +2,12 @@
 
 Two independent implementations are kept side by side: a raising-series sum
 over lowering tuples, and a normal-ordered product of a creation
-multiplication with an annihilation derivation.  Their agreement, the
+multiplication with an annihilation translation.  Their agreement, the
 dominance triangularity, and the closed-form diagonal are the load-bearing
 checks for everything downstream.  Both act on the P basis of `symfunc`, where
-R_k is polynomial in q and the annihilation weights are constants.
+R_k is polynomial in q and the annihilation exponential exp(sum_n (1 - xi^n)
+d/dP_n), of commuting derivations with constant weights, is exactly the ring
+automorphism P_n -> P_n + 1 - xi^n.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from itertools import combinations
 from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from .partitions import (
     Partition,
+    _raw_partition,
     dominates,
     enumerate_partitions,
     lowering_tuple_counts,
-    mult_factorial,
 )
-from .scalars import Cyc, CycRat, ParamMode, _cyc_one, scalar_to_json, scalar_to_str, zeta
+from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, scalar_to_str, zeta
 from .symfunc import (
     PExpr,
-    d_dp,
     p_multiply,
     p_to_q_reduced,
     r_times_qprod,
@@ -73,34 +74,32 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
                          for (k, t, nu), c in lowering_tuple_counts(lam, 0)))
 
 
+@lru_cache(maxsize=None)
+def _translated(lam: Partition, m: int) -> tuple[PExpr, ...]:
+    """S(P_lam) = prod_j (P_{lam_j} + 1 - xi^{lam_j}); entry k has weight |lam| - k."""
+    if not lam:
+        return (PExpr.one(m),)
+    n, rest = lam[0], _translated(_raw_partition(lam[1:]), m)
+    zeros, shift = [PExpr.zero(m)] * n, 1 - zeta(m, n)
+    # n is the largest part, so P_n P_mu = P_{(n,) + mu}
+    kept = [PExpr._raw(m, {_raw_partition((n,) + mu): c for mu, c in g.terms.items()}) for g in rest]
+    return tuple(a + b for a, b in zip(kept + zeros, zeros + [g.scale(shift) for g in rest]))
+
+
 def s_apply(k: int, f: PExpr) -> PExpr:
     """Degree-k component of the annihilation exponential applied to f.
 
-    Closed form: sum over m-regular rho of weight k of the constant
-    prod_i (1 - xi^{rho_i}) / m(rho)! times the iterated derivative d^rho.
+    S = exp(sum_n (1 - xi^n) d/dP_n) exponentiates commuting derivations with
+    constant weights, so by Taylor's theorem it is exactly the translation
+    P_n -> P_n + 1 - xi^n; S_k keeps the terms of S(P_lam) of weight |lam| - k.
     Pinned against a direct operator exponential by the tests.
     """
     if k < 0:
         raise ValueError("lowering degree must be non-negative")
     if k == 0:
         return f
-    m = f.m
-
-    def terms():
-        for rho in enumerate_partitions(k, "m_regular", m):
-            g = f
-            for part in rho:
-                g = d_dp(part, g)
-                if g.is_zero:
-                    break
-            if g.is_zero:
-                continue
-            w = _cyc_one(m)
-            for part in rho:
-                w = w * (1 - zeta(m, part))
-            yield g.scale(w / mult_factorial(rho))
-
-    return PExpr.sum(m, terms())
+    return PExpr._collect(f.m, ((mu, c * v) for lam, c in f.terms.items() if k <= lam.weight
+                                for mu, v in _translated(lam, f.m)[k].terms.items()))
 
 
 def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:

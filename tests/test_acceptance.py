@@ -26,6 +26,8 @@ from modmac.selfcheck import (
     _check_triangularity,
     run_selfcheck,
 )
+from modmac.symfunc import PExpr, d_dp, p_multiply
+from modmac.vertex import x0_apply_diff
 
 
 def _ok(report):
@@ -75,6 +77,20 @@ def test_c08_raising_triangularity_and_diagonal():
 def test_c09_self_adjointness():
     for m in (2, 3):
         _ok(_check_self_adjoint(m, 6, 8))
+
+
+def test_self_adjointness_failure_is_reported(monkeypatch):
+    # at q0 = 2 only, add P_4 d^2/dP_2^2, whose adjoint lowers P_4 instead
+    def skewed(f, mode):
+        image = x0_apply_diff(f, mode)
+        if mode.is_symbolic:
+            return image
+        return image + p_multiply(PExpr.monomial(3, (4,)), d_dp(2, d_dp(2, f)))
+
+    monkeypatch.setattr(selfcheck, "x0_apply_diff", skewed)
+    report = _check_self_adjoint(3, 4, 4)
+    assert report["status"] == "fail"
+    assert report["detail"] == "fails at n=4, pair (0,2), eval(q0=2, c0=-1 - xi)"
 
 
 def test_c10_eigenvalue_separation():

@@ -143,9 +143,10 @@ def _annihilation_exponential_components(f, mode):
     return {k: PExpr(m, t) for k, t in by_drop.items()}
 
 
-@pytest.mark.parametrize("mode", [M2, M3])
+@pytest.mark.parametrize("mode", [M2, M3, symbolic_mode(4), symbolic_mode(5)])
 def test_s_apply_matches_operator_exponential(mode):
-    # s_apply acts on P coordinates, the oracle on p coordinates
+    # s_apply acts on P coordinates, the oracle on p coordinates; n <= 6
+    # reaches n = m + 1 at the composite m = 4 and the prime m = 5
     m = mode.m
     samples = []
     for n in range(0, 7):
@@ -160,6 +161,22 @@ def test_s_apply_matches_operator_exponential(mode):
             assert to_p(s_apply(k, f), mode) == parts.get(k, PExpr.zero(m)), (f, k)
     with pytest.raises(ValueError):
         s_apply(-1, samples[0])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_s_apply_is_multiplicative(m):
+    # S is the translation P_n -> P_n + 1 - xi^n, a ring automorphism
+    def element(n, shift):
+        rhos = enumerate_partitions(n, "m_regular", m)
+        return PExpr(m, {rho: zeta(m, i + shift) + i for i, rho in enumerate(rhos)})
+
+    def full_s(f):
+        return PExpr.sum(m, (s_apply(k, f) for k in range(f.homogeneous_degree() + 1)))
+
+    q = CycRat.q(m)
+    for a, b in ((1, 1), (1, 3), (2, 2), (3, 4), (5, 2)):
+        f, g = element(a, 0), element(b, 1).scale(q + 1)
+        assert full_s(f * g) == full_s(f) * full_s(g), (a, b)
 
 
 def test_x0_matrix_frozen_values():
