@@ -41,7 +41,6 @@ from .partitions import (
     enumerate_partitions,
     lowering_tuple_counts,
     mult_factorial,
-    subtract,
     union,
     z_of,
 )

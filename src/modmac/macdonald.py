@@ -106,7 +106,7 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     if x0_apply_diff(cleared, mode) != cleared.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam} are not an eigenvector of the "
-            "normal-ordered implementation"
+            f"normal-ordered implementation (m={m}, {mode.describe()})"
         )
     p_form = to_p(cleared, mode).scale(lcm.inv())
     return ModularMacdonald(m, lam, mode, tuple(coeffs.items()), p_form, ev)
@@ -145,7 +145,7 @@ def gram(n: int, mode: ParamMode) -> list[list[Cyc | CycRat]]:
             if not v.is_zero:
                 raise InternalCheckError(
                     f"Gram matrix is not diagonal: <Q_{qs[i].shape}, Q_{qs[j].shape}> = "
-                    f"{v / (la * lb)}"
+                    f"{v / (la * lb)} (m={mode.m}, {mode.describe()})"
                 )
     return out
 

@@ -5,11 +5,14 @@ The identity relates the raising series built from a creation sequence R to
 products of generalized complete functions.  Everything here is generic over
 the defining sequence d (with d_n specialized to q^n - 1 by the rest of the
 package) so the identity can be exercised on arbitrary sequences as well.
+The right-hand side is linear in d: each d_{lam,mu} is sum_k w_k d_k with
+weights counted once per (lam, mu), whatever the sequence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 from typing import Callable
@@ -22,7 +25,6 @@ from .partitions import (
     enumerate_partitions,
     lowering_tuple_counts,
     mult_factorial,
-    subtract,
 )
 from .scalars import Cyc, CycRat, ParamMode
 from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
@@ -52,7 +54,8 @@ def qpow_dseq(mode: ParamMode) -> DSeq:
 def nl_brute(lam: Partition, nu: Partition) -> int:
     """Count tuples (i_1..i_s), 1 <= i_j <= lam_j, whose positive leftovers
     lam_j - i_j form exactly nu (zeros discarded)."""
-    return sum(c for (_, _, left), c in lowering_tuple_counts(lam, 1) if left == nu)
+    return sum(c for (_, t, left), c in lowering_tuple_counts(lam)
+               if t == len(lam) and left == nu)
 
 
 def _clamped_quotient(prod: int, nu: Partition, formula: str) -> int:
@@ -94,41 +97,50 @@ def nl_falling(lam: Partition, nu: Partition) -> int:
     return _clamped_quotient(prod, nu, "falling form")
 
 
+def _sign_scale(mu: Partition) -> Fraction:
+    # (-1)^{l-1} (l-1)!/m(mu)!, shared by d_mu and the weights of d_lambda_mu
+    l = len(mu)
+    scale = Fraction(factorial(l - 1), mult_factorial(mu))
+    return -scale if (l - 1) % 2 else scale
+
+
 def d_mu(mu: Partition, d: DSeq) -> Cyc | CycRat:
     """Expansion coefficient of the creation series over q-products:
     (-1)^{l-1} (l-1)!/m(mu)! * sum_k m_k(mu) d_k."""
     if not mu:
         raise ValueError("the coefficient is undefined for the empty partition")
     terms = [d(k) * mk for k, mk in mu.multiplicities().items()]
-    acc = sum(terms[1:], terms[0])
-    l = len(mu)
-    scale = Fraction(factorial(l - 1), mult_factorial(mu))
-    if (l - 1) % 2:
-        scale = -scale
-    return acc * scale
+    return sum(terms[1:], terms[0]) * _sign_scale(mu)
 
 
-def _proper_submultisets(mu: Partition):
-    values = sorted(mu.multiplicities().items(), reverse=True)
-    ranges = [range(mk + 1) for _, mk in values]
-    for choice in iproduct(*ranges):
-        if all(c == mk for c, (_, mk) in zip(choice, values)):
-            continue  # nu = mu leaves an empty difference
-        parts = []
-        for c, (k, _) in zip(choice, values):
-            parts.extend([k] * c)
-        yield _raw_partition(parts)  # values run largest first
+@lru_cache(maxsize=None)
+def _rhs_weights(lam: Partition, mu: Partition) -> tuple[tuple[int, Fraction], ...]:
+    # the nonzero w_k with d_{lam,mu} = sum_k w_k d_k, in one walk over the
+    # splits of mu into nu (c_k parts k) and rho = mu \ nu: each adds
+    # N(lam, nu) * scale(rho) * m_k(rho).  N(lam, mu) = 0, as every i_j >= 1
+    # lowers the weight, so only the proper splits count.
+    values = tuple(mu.multiplicities().items())
+    w: dict[int, Fraction] = {}
+    for choice in iproduct(*(range(mk + 1) for _, mk in values)):
+        count = nl_closed(lam, _raw_partition([k for (k, _), c in zip(values, choice)
+                                               for _ in range(c)]))
+        if count:
+            rho = _raw_partition([k for (k, mk), c in zip(values, choice) for _ in range(mk - c)])
+            scale = count * _sign_scale(rho)
+            for k, mk in rho.multiplicities().items():
+                w[k] = w.get(k, 0) + scale * mk
+    return tuple((k, v) for k, v in w.items() if v)
 
 
 def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> Cyc | CycRat:
     """Coefficient of q_mu in the raising sum for lam: sum over proper
-    sub-multisets nu of mu of N_l(lam, nu) * d_{mu \\ nu}."""
+    sub-multisets nu of mu of N_l(lam, nu) * d_{mu \\ nu}, gathered by linearity
+    into sum_k w_k d_k."""
     if not lam:
         raise ValueError("lam must be nonempty")
     if lam.weight != mu.weight:
         raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-    counts = ((nu, nl_closed(lam, nu)) for nu in _proper_submultisets(mu))
-    terms = [d_mu(subtract(mu, nu), d) * c for nu, c in counts if c]
+    terms = [d(k) * w for k, w in _rhs_weights(lam, mu)]
     return sum(terms[1:], terms[0]) if terms else Cyc(d(1).m)
 
 
@@ -145,7 +157,7 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
         raise ValueError("the identity is stated for nonempty partitions")
     terms = ((r_times_qprod(k, nu, mode) if rs is None
               else p_multiply(rs[k], qprod_to_p(nu, mode.m))).scale(c)
-             for (k, _, nu), c in lowering_tuple_counts(lam, 1))
+             for (k, t, nu), c in lowering_tuple_counts(lam) if t == len(lam))
     return PExpr.sum(mode.m, terms)
 
 

@@ -5,7 +5,7 @@ generalized complete functions, operator matrices.  A `Partition` is a
 validated tuple: the public constructor checks that the parts are positive
 integers in weakly decreasing order, and everything else (hashing,
 equality, ordering, indexing, `repr`) is the tuple's own.  Partitions
-derived from valid ones (unions, differences, leftovers, prefixes) are built
+derived from valid ones (unions, leftovers, prefixes) are built
 by the trusted `_raw_partition`, which skips the check.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "enumerate_partitions",
     "dominates",
     "union",
-    "subtract",
     "z_of",
     "mult_factorial",
     "lowering_tuple_counts",
@@ -143,19 +142,6 @@ def union(a: Partition, b: Partition) -> Partition:
     return _raw_partition(sorted(a + b, reverse=True))
 
 
-def subtract(a: Partition, b: Partition) -> Partition:
-    """Multiset difference a \\ b; requires b's multiplicities to fit inside a's."""
-    remaining = list(a)
-    for p in b:
-        try:
-            remaining.remove(p)
-        except ValueError:
-            raise ValueError(
-                f"cannot subtract {b} from {a}: multiplicity of {p} would go negative"
-            ) from None
-    return _raw_partition(remaining)
-
-
 def z_of(a: Partition) -> int:
     """The centralizer-order constant: product of i^{m_i} * m_i! over part values."""
     out = 1
@@ -176,19 +162,18 @@ LoweringCounts = tuple[tuple[tuple[int, int, Partition], int], ...]
 
 
 @lru_cache(maxsize=None)
-def lowering_tuple_counts(lam: Partition, start: int) -> LoweringCounts:
-    """Count the tuples (i_1..i_s), start <= i_j <= lam_j, by their signature
+def lowering_tuple_counts(lam: Partition) -> LoweringCounts:
+    """Count the tuples (i_1..i_s), 0 <= i_j <= lam_j, by their signature
     (k, t, nu): k the sum of the i_j, t the number of nonzero i_j, nu the
     partition of the positive leftovers lam_j - i_j.  Returns ((k, t, nu),
     count) pairs in order of first occurrence.
 
-    The one exhaustive tuple walk: `nl_brute` and `newton_lhs` start at 1,
-    `x0_apply_series` at 0.
+    The one exhaustive tuple walk: `x0_apply_series` takes every entry,
+    `nl_brute` and `newton_lhs` the entries with t = len(lam), where every
+    i_j >= 1.
     """
-    if start not in (0, 1):
-        raise ValueError(f"lowering tuples start at 0 or 1, got {start}")
     counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for tup in iproduct(*(range(start, p + 1) for p in lam)):
+    for tup in iproduct(*(range(p + 1) for p in lam)):
         left = tuple(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))
         key = (sum(tup), len(tup) - tup.count(0), left)
         counts[key] = counts.get(key, 0) + 1

@@ -233,7 +233,7 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
         for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
             for n in range(1, bound + 1):
                 for mac in all_q(n, mode):
-                    where = mac.shape
+                    where = f"{mac.shape} (m={m}, {mode.describe()})"
                     if mac.coeff(mac.shape) != mode.one():
                         return _report("eigenbasis", m, False, f"not monic at {where}")
                     for nu, c in mac.q_coeffs:
@@ -253,7 +253,8 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
                 for i, row in enumerate(gram(n, mode)):
                     if row[i].is_zero:
                         return _report("eigenbasis", m, False,
-                                       f"zero Gram diagonal at n={n}, index {i}")
+                                       f"zero Gram diagonal at n={n}, index {i} "
+                                       f"(m={m}, {mode.describe()})")
     except InternalCheckError as exc:
         return _report("eigenbasis", m, False, str(exc))
     return _report("eigenbasis", m, True,

@@ -71,7 +71,7 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
     m = mode.m
     one_minus_xi = 1 - zeta(m)
     return PExpr.sum(m, (r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
-                         for (k, t, nu), c in lowering_tuple_counts(lam, 0)))
+                         for (k, t, nu), c in lowering_tuple_counts(lam)))
 
 
 @lru_cache(maxsize=None)
@@ -187,15 +187,15 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
             if not dominates(nu, lam):
                 raise InternalCheckError(
                     f"raising property violated: image of q_{lam} has support at "
-                    f"non-dominating {nu} (coefficient {col.coeff(nu)}); "
-                    f"dump: {json.dumps(col.to_json())}"
+                    f"non-dominating {nu} (coefficient {col.coeff(nu)}; m={mode.m}, "
+                    f"{mode.describe()}); dump: {json.dumps(col.to_json())}"
                 )
         diag = col.coeff(lam)
         expected = eigenvalue_c(lam, mode)
         if diag != expected:
             raise InternalCheckError(
                 f"diagonal mismatch at {lam}: got {diag}, eigenvalue "
-                f"formula gives {expected}"
+                f"formula gives {expected} (m={mode.m}, {mode.describe()})"
             )
     entries = tuple(
         tuple(columns[lam].coeff(nu) for lam in order) for nu in order

@@ -7,10 +7,11 @@ failing report is shown in full.  `pytest -v` prints one line per criterion.
 """
 
 import random
+from fractions import Fraction
 
 from modmac import selfcheck
-from modmac.macdonald import gram
-from modmac.scalars import symbolic_mode
+from modmac.macdonald import all_q, gram
+from modmac.scalars import eval_mode, evaluate, symbolic_mode
 from modmac.selfcheck import (
     _check_convolution,
     _check_eigenbasis,
@@ -125,6 +126,20 @@ def test_symbolic_eigenbasis_past_the_modular_weight():
         for n in weights:
             g = gram(n, symbolic_mode(m))
             assert all(not row[i].is_zero for i, row in enumerate(g)), (m, n)
+
+
+def test_eval_and_symbolic_solves_agree():
+    # two routes to one answer: the symbolic eigenvectors evaluated exactly
+    # at q0, and the eigen-solve run in Q(xi_m) at q = q0
+    for m in (3, 4, 5):
+        sym = all_q(m, symbolic_mode(m))
+        for q0 in (2, Fraction(1, 2)):
+            at = all_q(m, eval_mode(m, q0))
+            assert [a.shape for a in at] == [a.shape for a in sym], (m, q0)
+            for a, b in zip(sym, at):
+                assert evaluate(a.eigenvalue, q0) == b.eigenvalue, (m, q0, a.shape)
+                values = {rho: evaluate(c, q0) for rho, c in a.p_form.terms.items()}
+                assert PExpr(m, values) == b.p_form, (m, q0, a.shape)
 
 
 def test_selfcheck_ranges_are_capped(monkeypatch):

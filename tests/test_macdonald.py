@@ -178,8 +178,11 @@ def test_eigenvector_recheck_fires(monkeypatch, mode):
                         lambda n, md: bad if (n, md) == (4, mode) else x0_matrix(n, md))
     solve_q.cache_clear()
     try:
-        with pytest.raises(InternalCheckError, match="not an eigenvector"):
+        with pytest.raises(InternalCheckError, match="not an eigenvector") as err:
             solve_q(P((3, 1)), mode)
+        # the message names the input: the shape, m and the mode
+        assert str(err.value).startswith("solved coordinates for (3, 1) ")
+        assert str(err.value).endswith(f"(m=2, {mode.describe()})")
     finally:
         solve_q.cache_clear()
 
@@ -194,7 +197,8 @@ def test_gram_off_diagonal_check_fires(monkeypatch, mode):
     monkeypatch.setattr(macdonald, "all_q", lambda n, md: qs[:2] + [mixed] + qs[3:])
     direct = scalar_product(qs[0].p_form, p_form, mode)
     assert not direct.is_zero and direct == scalar_product(qs[0].p_form, qs[0].p_form, mode)
-    message = f"Gram matrix is not diagonal: <Q_{qs[0].shape}, Q_{qs[2].shape}> = {direct}"
+    message = (f"Gram matrix is not diagonal: <Q_{qs[0].shape}, Q_{qs[2].shape}> = {direct} "
+               f"(m=3, {mode.describe()})")
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
         gram(4, mode)
 

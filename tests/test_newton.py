@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +15,7 @@ from modmac.newton import (
     qpow_dseq,
     r_from_recursion,
 )
-from modmac.partitions import Partition, enumerate_partitions
+from modmac.partitions import Partition, dominates, enumerate_partitions
 from modmac.scalars import Cyc, CycRat, eval_mode, symbolic_mode
 from modmac.symfunc import q_to_p, r_to_p
 
@@ -57,6 +58,30 @@ def test_d_lambda_mu_examples():
         d_lambda_mu(P((2,)), P((1,)), D2)
     with pytest.raises(ValueError):
         d_lambda_mu(P(()), P(()), D2)
+
+
+def _paper_d_lambda_mu(lam, mu, d, zero):
+    # the paper's sum over proper sub-multisets nu of mu of N(lam, nu) d_{mu \ nu},
+    # nu chosen by its positions in mu and each multiset taken once
+    splits = {}
+    for r in range(len(mu)):
+        for idx in combinations(range(len(mu)), r):
+            nu = P(mu[i] for i in idx)
+            splits[nu] = P(mu[i] for i in range(len(mu)) if i not in idx)
+    return sum((d_mu(rho, d) * nl_brute(lam, nu) for nu, rho in splits.items()), zero)
+
+
+def test_d_lambda_mu_matches_the_paper_sum():
+    rng = random.Random(7)
+    vals = {n: Cyc(3, (F(rng.randint(-9, 9), rng.randint(1, 7)),)) for n in range(1, 8)}
+    cases = [(qpow_dseq(symbolic_mode(m)), Cyc(m)) for m in (2, 3)]
+    cases.append((vals.__getitem__, Cyc(3)))
+    for d, zero in cases:
+        for n in range(1, 8):
+            ps = enumerate_partitions(n)
+            for lam, mu in ((lam, mu) for lam in ps for mu in ps if dominates(mu, lam)):
+                want = _paper_d_lambda_mu(lam, mu, d, zero)
+                assert d_lambda_mu(lam, mu, d) == want, (lam, mu)
 
 
 def test_newton_lhs_examples():

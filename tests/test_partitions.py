@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from modmac.partitions import (
     enumerate_partitions,
     lowering_tuple_counts,
     mult_factorial,
-    subtract,
     union,
     z_of,
 )
@@ -140,28 +140,35 @@ def test_row_and_rectangle_are_extreme():
 
 
 def test_lowering_tuple_counts_examples():
-    assert lowering_tuple_counts(P((2, 1)), 1) == (((2, 2, P((1,))), 1), ((3, 2, P(())), 1))
-    assert dict(lowering_tuple_counts(P((2, 2)), 1))[(3, 2, P((1,)))] == 2
-    from_zero = dict(lowering_tuple_counts(P((2, 1)), 0))
-    assert from_zero[(0, 0, P((2, 1)))] == 1 and from_zero[(2, 1, P((1,)))] == 1
-    assert sum(from_zero.values()) == 3 * 2
-    assert lowering_tuple_counts(P(()), 1) == (((0, 0, P(())), 1),)
-    with pytest.raises(ValueError):
-        lowering_tuple_counts(P((2,)), 2)
+    table = dict(lowering_tuple_counts(P((2, 1))))
+    assert table[(0, 0, P((2, 1)))] == 1 and table[(2, 1, P((1,)))] == 1
+    assert sum(table.values()) == 3 * 2
+    # every i_j >= 1: the entries with t = len(lam)
+    assert [(key, c) for key, c in table.items() if key[1] == 2] == [
+        ((2, 2, P((1,))), 1), ((3, 2, P(())), 1)]
+    assert dict(lowering_tuple_counts(P((2, 2))))[(3, 2, P((1,)))] == 2
+    assert lowering_tuple_counts(P(())) == (((0, 0, P(())), 1),)
     # a bare tuple would hash and compare equal but have no weight
-    for start in (0, 1):
-        for (_, _, nu), _ in lowering_tuple_counts(P((3, 2, 2)), start):
-            assert type(nu) is Partition
+    for (_, _, nu), _ in lowering_tuple_counts(P((3, 2, 2))):
+        assert type(nu) is Partition
 
 
-def test_union_subtract_examples():
+def test_lowering_tuple_counts_full_slice():
+    # the t = len(lam) entries are exactly the tuples with every i_j >= 1
+    for n in range(0, 9):
+        for lam in enumerate_partitions(n):
+            want = Counter()
+            for tup in product(*(range(1, p + 1) for p in lam)):
+                left = sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True)
+                want[(sum(tup), len(lam), P(left))] += 1
+            got = {key: c for key, c in lowering_tuple_counts(lam) if key[1] == len(lam)}
+            assert got == want, lam
+
+
+def test_union_examples():
     assert union(P((2, 1)), P((1,))) == P((2, 1, 1))
-    assert subtract(P((2, 2, 1)), P((2, 1))) == P((2,))
-    for derived in (union(P((2, 1)), P((1,))), subtract(P((2, 2, 1)), P((2, 1))),
-                    subtract(P((2, 1)), P((2, 1)))):
-        assert type(derived) is Partition
-    with pytest.raises(ValueError):
-        subtract(P((2, 1)), P((1, 1)))
+    assert union(P(()), P((3, 1))) == P((3, 1))
+    assert type(union(P((2, 1)), P((1,)))) is Partition
 
 
 @settings(max_examples=80, deadline=None)
@@ -169,11 +176,12 @@ def test_union_subtract_examples():
     st.lists(st.integers(1, 5), max_size=5),
     st.lists(st.integers(1, 5), max_size=5),
 )
-def test_union_subtract_inverse(xs, ys):
+def test_union_adds_multiplicities(xs, ys):
     a = P(sorted(xs, reverse=True))
     b = P(sorted(ys, reverse=True))
-    assert subtract(union(a, b), b) == a
-    assert union(a, b) == union(b, a)
+    both = union(a, b)
+    assert Counter(both) == Counter(a) + Counter(b)
+    assert both == union(b, a) and both.weight == a.weight + b.weight
 
 
 def test_z_and_mult_factorial():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -212,6 +213,20 @@ def test_symbolic_collision_is_an_internal_error(monkeypatch, patch):
     monkeypatch.setattr(vertex, *patch)
     with pytest.raises(InternalCheckError, match="identical eigenvalues"):
         x0_matrix.__wrapped__(3, M2)
+
+
+@pytest.mark.parametrize("mode", [M3, eval_mode(3, 2)], ids=["symbolic", "eval"])
+@pytest.mark.parametrize("change, text", [
+    (lambda f, m: f + qprod_to_p(P((2, 1)), m), "raising property violated: image of q_(3,)"),
+    (lambda f, m: f.scale(2), "diagonal mismatch at (3,)"),
+], ids=["raising", "diagonal"])
+def test_x0_matrix_checks_name_the_input(monkeypatch, mode, change, text):
+    # the image of q_(3) gains support below (3), or twice its eigenvalue
+    monkeypatch.setattr(vertex, "x0_apply_series",
+                        lambda lam, md: change(x0_apply_series(lam, md), md.m))
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(text)}") as err:
+        x0_matrix.__wrapped__(3, mode)
+    assert f"m=3, {mode.describe()})" in str(err.value)
 
 
 @pytest.mark.parametrize("c, text, num", [
