@@ -25,7 +25,7 @@ from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
 from .scalars import Cyc, CycRat, ParamMode, clear_denominators, evaluate, scalar_to_json
 from .symfunc import PExpr, QExpr, p_multiply, scalar_product, to_p
-from .vertex import eigenvalue_c, x0_apply_diff, x0_matrix
+from .vertex import x0_apply_diff, x0_matrix
 
 __all__ = [
     "ModularMacdonald",
@@ -77,7 +77,9 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
 
     Walking the dominance-above support upward from lam, each coordinate is
     sum of already-known coordinates against the operator matrix, divided by
-    the eigenvalue gap, nonzero by `x0_matrix`'s check.  The result must be an
+    the eigenvalue gap, nonzero by `x0_matrix`'s check.  The eigenvalue and
+    every gap are read off that matrix's diagonal, which `x0_matrix` checked
+    against the closed form `eigenvalue_c`.  The result must be an
     exact eigenvector of the independent implementation of the operator.
 
     That check runs on the cleared form N = L * eigenvector in P: X0 is
@@ -86,37 +88,38 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     m = mode.m
     if not lam.is_reduced(m):
         raise ValueError(f"{lam} is not m-reduced for m = {m}")
-    ev = eigenvalue_c(lam, mode)
     if not lam:
         return ModularMacdonald(
-            m, lam, mode, ((lam, mode.one()),), PExpr.one(m), ev
+            m, lam, mode, ((lam, mode.one()),), PExpr.one(m), mode.one()
         )
     mat = x0_matrix(lam.weight, mode)
-    support = [nu for nu in mat.order if dominates(nu, lam)]
-    coeffs: dict[Partition, Cyc | CycRat] = {lam: mode.one()}
-    for nu in reversed(support):
-        if nu == lam:
-            continue
-        num = sum((c * mat.entry(nu, mu) for mu, c in coeffs.items()), mode.zero())
-        c = num / (ev - eigenvalue_c(nu, mode))
+    diag = mat.diagonal()
+    # the order extends dominance, so lam is the last position dominating it
+    *above, i = (k for k, nu in enumerate(mat.order) if dominates(nu, lam))
+    ev = diag[i]
+    coeffs: dict[int, Cyc | CycRat] = {i: mode.one()}  # by position in the order
+    for k in reversed(above):
+        row = mat.entries[k]
+        c = sum((a * row[j] for j, a in coeffs.items()), mode.zero()) / (ev - diag[k])
         if not c.is_zero:
-            coeffs[nu] = c
+            coeffs[k] = c
+    shapes = [mat.order[k] for k in coeffs]
     lcm, nums = clear_denominators(m, list(coeffs.values()))
-    cleared = QExpr._raw(m, dict(zip(coeffs, nums))).to_p()
+    cleared = QExpr._raw(m, dict(zip(shapes, nums))).to_p()
     if x0_apply_diff(cleared, mode) != cleared.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam} are not an eigenvector of the "
             f"normal-ordered implementation (m={m}, {mode.describe()})"
         )
     p_form = to_p(cleared, mode).scale(lcm.inv())
-    return ModularMacdonald(m, lam, mode, tuple(coeffs.items()), p_form, ev)
+    return ModularMacdonald(m, lam, mode, tuple(zip(shapes, coeffs.values())), p_form, ev)
 
 
 def _cleared(p_form: PExpr) -> tuple[Cyc | CycRat, PExpr]:
     # (L, L * p_form) for the monic lcm L of the coefficient denominators;
     # (1, p_form) when every coefficient is a polynomial, as in eval mode
     lcm, nums = clear_denominators(p_form.m, list(p_form.terms.values()))
-    return lcm, (p_form if lcm == 1 else PExpr(p_form.m, dict(zip(p_form.terms, nums))))
+    return lcm, (p_form if lcm == 1 else PExpr._raw(p_form.m, dict(zip(p_form.terms, nums))))
 
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:

@@ -205,31 +205,15 @@ class PExpr(_Expr):
 
 
 class QExpr(_Expr):
-    """Coordinates of a ring element in the generalized complete basis.
+    """Coordinates of a ring element in the generalized complete basis: any
+    partition is a key, and `p_to_q_reduced` gives the unique coordinates on
+    the m-reduced keys, which form a basis."""
 
-    In the reduced flavor every key is m-reduced (the keys then form a basis
-    and the coordinates are unique); the plain flavor allows any partition.
-    """
-
-    __slots__ = ("reduced",)
-
-    def __init__(self, m: int, terms=None, reduced: bool = False):
-        self.reduced = reduced
-        super().__init__(m, terms)
+    __slots__ = ()
+    basis = "q"
 
     def _check_key(self, lam: Partition) -> None:
-        if self.reduced and not lam.is_reduced(self.m):
-            raise ValueError(f"q-basis key {lam} has a multiplicity >= {self.m}")
-
-    @classmethod
-    def _raw(cls, m: int, terms: dict, reduced: bool = False) -> "QExpr":
-        out = super()._raw(m, terms)
-        out.reduced = reduced
-        return out
-
-    @property
-    def basis(self) -> str:
-        return "q_reduced" if self.reduced else "q"
+        pass
 
     def support(self) -> list[Partition]:
         return sorted(self.terms, key=_sort_key)
@@ -274,10 +258,15 @@ def q_to_p(n: int, m: int) -> PExpr:
 
 @lru_cache(maxsize=None)
 def qprod_to_p(lam: Partition, m: int) -> PExpr:
-    """Product of the generalized complete functions over the parts of lam, in P."""
-    if not lam:
-        return PExpr.one(m)
-    return q_to_p(lam[0], m) * qprod_to_p(_raw_partition(lam[1:]), m)
+    """Product of the generalized complete functions over the parts of lam, in P.
+
+    lam is split into halves, so the recursion is logarithmically deep in its
+    length and each cached sub-product is again a partition's.
+    """
+    if len(lam) <= 1:
+        return q_to_p(lam[0], m) if lam else PExpr.one(m)
+    k = len(lam) // 2
+    return qprod_to_p(_raw_partition(lam[:k]), m) * qprod_to_p(_raw_partition(lam[k:]), m)
 
 
 @lru_cache(maxsize=None)
@@ -376,12 +365,12 @@ def p_to_q_reduced(f: PExpr) -> QExpr:
     """Unique coordinates of a homogeneous element in the m-reduced q-basis."""
     m = f.m
     if f.is_zero:
-        return QExpr(m, {}, reduced=True)
+        return QExpr._raw(m, {})
     rows, cols, inv = _reduced_basis_solver(f.homogeneous_degree(), m)
     b = [(k, f.terms[r]) for k, r in enumerate(rows) if r in f.terms]
     coeffs = ((col, sum((inv[j][k] * bk for k, bk in b), _cyc_zero(m)))
               for j, col in enumerate(cols))
-    return QExpr._raw(m, {col: x for col, x in coeffs if x}, reduced=True)
+    return QExpr._raw(m, {col: x for col, x in coeffs if x})
 
 
 # ---------------------------------------------------------------------------

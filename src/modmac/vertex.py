@@ -126,7 +126,6 @@ class X0Matrix:
 
     m: int
     n: int
-    mode: ParamMode
     order: tuple[Partition, ...]
     entries: tuple[tuple[Cyc | CycRat, ...], ...]
 
@@ -157,8 +156,9 @@ class X0Matrix:
         return buf.getvalue()
 
 
-def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> None:
-    # the one check that the basis eigenvalues differ, as the eigen-solve needs
+def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> list[Cyc | CycRat]:
+    # the one check that the basis eigenvalues differ, as the eigen-solve
+    # needs; returns them, the closed form the diagonal is checked against
     values = [eigenvalue_c(lam, mode) for lam in order]
     for (i, lam), (j, mu) in combinations(enumerate(order), 2):
         if eigen_collision(lam, mu, mode.m) or (mode.is_symbolic and values[i] == values[j]):
@@ -171,17 +171,22 @@ def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> None:
                 f"eigenvalues of {lam} and {mu} coincide at "
                 f"{mode.describe()}; choose a different q0"
             )
+    return values
 
 
 @lru_cache(maxsize=None)
 def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
-    """Assemble and check the zero-mode matrix on the m-reduced basis of weight n."""
+    """Assemble and check the zero-mode matrix on the m-reduced basis of weight n.
+
+    The closed-form eigenvalues are computed once, here, and the diagonal is
+    checked against them; the eigen-solve reads its eigenvalues off it.
+    """
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
     order = tuple(enumerate_partitions(n, "m_reduced", mode.m))
-    _collision_precheck(order, mode)
+    values = _collision_precheck(order, mode)
     columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode)) for lam in order}
-    for lam in order:
+    for lam, expected in zip(order, values):
         col = columns[lam]
         for nu in col.support():
             if not dominates(nu, lam):
@@ -191,7 +196,6 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
                     f"{mode.describe()}); dump: {json.dumps(col.to_json())}"
                 )
         diag = col.coeff(lam)
-        expected = eigenvalue_c(lam, mode)
         if diag != expected:
             raise InternalCheckError(
                 f"diagonal mismatch at {lam}: got {diag}, eigenvalue "
@@ -200,4 +204,4 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
     entries = tuple(
         tuple(columns[lam].coeff(nu) for lam in order) for nu in order
     )
-    return X0Matrix(mode.m, n, mode, order, entries)
+    return X0Matrix(mode.m, n, order, entries)

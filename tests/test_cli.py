@@ -96,6 +96,14 @@ def test_qexpand_command():
     assert _run("qexpand", "--m", "2", "--n", "2", "--lambda", "1").exit_code == 2
 
 
+def test_qexpand_long_partition():
+    # the q-product halves its partition, so its recursion is logarithmically
+    # deep: 600 parts stay far from the interpreter's recursion limit
+    res = _run("qexpand", "--m", "2", "--lambda", ",".join(["1"] * 600))
+    assert res.exit_code == 0, res.output
+    assert [t["partition"] for t in json.loads(res.output)["terms"]] == [[1] * 600]
+
+
 def test_newton_verify_command():
     res = _run("newton-verify", "--m", "2", "--lambda", "2,1")
     assert res.exit_code == 0

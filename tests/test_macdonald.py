@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from modmac import macdonald
+from modmac import macdonald, vertex
 from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from modmac.macdonald import (
     all_q,
@@ -65,6 +65,26 @@ def test_solve_q_validation():
         solve_q(P((1, 1)), M2)
     mac = solve_q(P(()), M3)
     assert mac.p_form == PExpr.one(3) and mac.eigenvalue == 1
+
+
+def test_eigenvalues_are_read_off_the_checked_diagonal(monkeypatch):
+    # the closed form runs once per basis element, when x0_matrix builds and
+    # checks the diagonal; every solve reads its eigenvalue and gaps off it.
+    # No other test solves at this point, so nothing is cached yet.
+    mode = eval_mode(3, F(5, 2))
+    calls = []
+
+    def counted(lam, md):
+        calls.append(lam)
+        return eigenvalue_c(lam, md)
+
+    monkeypatch.setattr(vertex, "eigenvalue_c", counted)
+    monkeypatch.setattr(macdonald, "eigenvalue_c", counted, raising=False)
+    qs = all_q(6, mode)
+    mat = x0_matrix(6, mode)
+    assert calls == list(mat.order) and len(calls) > 4
+    assert [mac.eigenvalue for mac in qs] == mat.diagonal()
+    assert mat.diagonal() == [eigenvalue_c(lam, mode) for lam in mat.order]
 
 
 def test_all_q_examples():

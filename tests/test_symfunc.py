@@ -303,7 +303,6 @@ def test_derived_keys_are_partitions():
 
 def test_p_to_q_reduced_examples():
     qx = p_to_q_reduced(qprod_to_p(P((3, 1)), 2))
-    assert qx.reduced
     assert qx.terms == {P((3, 1)): Cyc(2, (1,))}
     # p_1 = eps_1 P_1
     p1 = PExpr.monomial(2, (1,), epsilon(1, M2))
@@ -312,6 +311,8 @@ def test_p_to_q_reduced_examples():
     assert qx.terms == {P((1,)): epsilon(1, M2)}
     qx = p_to_q_reduced(qprod_to_p(P((1, 1)), 2))
     assert qx.terms == {P((2,)): Cyc(2, (2,))}
+    qx = p_to_q_reduced(qprod_to_p(P((2, 2, 1, 1)), 2))
+    assert len(qx.terms) > 1 and all(lam.is_reduced(2) for lam in qx.terms)
     assert p_to_q_reduced(PExpr.zero(2)).is_zero
     assert p_to_q_reduced(PExpr.one(3)).terms == {P(()): Cyc(3, (1,))}
     with pytest.raises(ValueError):
@@ -374,8 +375,8 @@ def test_modular_relation_against_direct_series_product():
 
 def test_qexpr_validation_and_json():
     with pytest.raises(ValueError):
-        QExpr(2, {(1, 1): 1}, reduced=True)
-    qx = QExpr(2, {(2, 1): CycRat.q(2)}, reduced=False)
+        QExpr(2, {(1, 1): Cyc(3, (1,))})
+    qx = QExpr(2, {(2, 1): CycRat.q(2)})
     obj = qx.to_json()
     assert obj["basis"] == "q" and obj["terms"][0]["partition"] == [2, 1]
 

@@ -240,7 +240,7 @@ def test_cyc_renders_as_the_constant_cycrat(c, text, num):
     assert scalar_to_json(c) == {"num": num, "den": [["1", "0"]]}
     assert scalar_to_str(c) == text
     assert str(CycRat.q(3) + c) == ("q" if not c else f"{text} + q")
-    assert X0Matrix(3, 1, M3, (P((1,)),), ((c,),)).to_csv() == f",1\n1,{text}\n"
+    assert X0Matrix(3, 1, (P((1,)),), ((c,),)).to_csv() == f",1\n1,{text}\n"
 
 
 def test_matrix_serialization():
