@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PoleAtSpecialization",
+    "EigenvalueCollisionAtEvaluation",
+    "DegenerateEvaluationPoint",
+    "InternalCheckError",
+    "VerificationError",
+]
+
 
 class PoleAtSpecialization(ArithmeticError):
     """Substituting a parameter value hit a vanishing denominator.

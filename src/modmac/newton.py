@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from math import factorial
 from typing import Callable
 
 from .errors import InternalCheckError
 from .partitions import (
     Partition,
-    _raw_partition,
     dominates,
     enumerate_partitions,
-    lowering_tuple_counts,
+    lowering_counts,
     mult_factorial,
+    splits,
 )
 from .scalars import Cyc, CycRat, ParamMode
 from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
@@ -54,8 +53,7 @@ def qpow_dseq(mode: ParamMode) -> DSeq:
 def nl_brute(lam: Partition, nu: Partition) -> int:
     """Count tuples (i_1..i_s), 1 <= i_j <= lam_j, whose positive leftovers
     lam_j - i_j form exactly nu (zeros discarded)."""
-    return sum(c for (_, t, left), c in lowering_tuple_counts(lam)
-               if t == len(lam) and left == nu)
+    return dict(lowering_counts(lam)).get(nu, 0)
 
 
 def _clamped_quotient(prod: int, nu: Partition, formula: str) -> int:
@@ -116,16 +114,13 @@ def d_mu(mu: Partition, d: DSeq) -> Cyc | CycRat:
 @lru_cache(maxsize=None)
 def _rhs_weights(lam: Partition, mu: Partition) -> tuple[tuple[int, Fraction], ...]:
     # the nonzero w_k with d_{lam,mu} = sum_k w_k d_k, in one walk over the
-    # splits of mu into nu (c_k parts k) and rho = mu \ nu: each adds
+    # splits of mu into nu and rho = mu \ nu: each adds
     # N(lam, nu) * scale(rho) * m_k(rho).  N(lam, mu) = 0, as every i_j >= 1
     # lowers the weight, so only the proper splits count.
-    values = tuple(mu.multiplicities().items())
     w: dict[int, Fraction] = {}
-    for choice in iproduct(*(range(mk + 1) for _, mk in values)):
-        count = nl_closed(lam, _raw_partition([k for (k, _), c in zip(values, choice)
-                                               for _ in range(c)]))
+    for nu, rho, _ in splits(mu):
+        count = nl_closed(lam, nu)
         if count:
-            rho = _raw_partition([k for (k, mk), c in zip(values, choice) for _ in range(mk - c)])
             scale = count * _sign_scale(rho)
             for k, mk in rho.multiplicities().items():
                 w[k] = w.get(k, 0) + scale * mk
@@ -148,16 +143,18 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     """Brute-force left-hand side of the generalized Newton identity.
 
     Sums R_{i_1+...+i_s} q_{lam_1-i_1} ... q_{lam_s-i_s} over all tuples with
-    every i_j >= 1, in P.  Tuples are enumerated exhaustively and
-    grouped only by their (total, leftover-partition) signature before the
-    ring products are taken.  `rs` overrides the creation sequence (index by
-    total degree); by default the closed-form expansion is used.
+    every i_j >= 1, in P.  Tuples are enumerated exhaustively and grouped
+    only by their leftover partition nu, which fixes the total |lam| - |nu|,
+    before the ring products are taken.  `rs` overrides the creation
+    sequence (index by total degree); by default the closed-form expansion
+    is used.
     """
     if not lam:
         raise ValueError("the identity is stated for nonempty partitions")
-    terms = ((r_times_qprod(k, nu, mode) if rs is None
-              else p_multiply(rs[k], qprod_to_p(nu, mode.m))).scale(c)
-             for (k, t, nu), c in lowering_tuple_counts(lam) if t == len(lam))
+    n = lam.weight
+    terms = ((r_times_qprod(n - nu.weight, nu, mode) if rs is None
+              else p_multiply(rs[n - nu.weight], qprod_to_p(nu, mode.m))).scale(c)
+             for nu, c in lowering_counts(lam))
     return PExpr.sum(mode.m, terms)
 
 

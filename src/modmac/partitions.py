@@ -14,9 +14,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from itertools import product as iproduct
-from math import factorial
+from math import comb, factorial, prod
 from operator import index
-from typing import Iterable
+from typing import Iterable, Iterator
 
 __all__ = [
     "Partition",
@@ -25,7 +25,8 @@ __all__ = [
     "union",
     "z_of",
     "mult_factorial",
-    "lowering_tuple_counts",
+    "splits",
+    "lowering_counts",
 ]
 
 _KINDS = ("all", "m_regular", "m_reduced")
@@ -93,11 +94,8 @@ def _all_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def _check_m(m: int | None, required: bool) -> None:
-    if m is None:
-        if required:
-            raise ValueError("m is required for the m_regular / m_reduced classes")
-        return
+def _require_m(m: int) -> None:
+    # the one modulus rule, shared by the partition classes and the scalars
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
 
@@ -116,7 +114,10 @@ def enumerate_partitions(n: int, kind: str = "all", m: int | None = None) -> lis
         raise ValueError(f"weight must be non-negative, got {n}")
     if kind not in _KINDS:
         raise ValueError(f"unknown partition class {kind!r}; expected one of {_KINDS}")
-    _check_m(m, required=kind != "all")
+    if m is not None:
+        _require_m(m)
+    elif kind != "all":
+        raise ValueError("m is required for the m_regular / m_reduced classes")
     ps = _all_partitions(n)
     if kind == "m_regular":
         return [p for p in ps if p.is_regular(m)]
@@ -158,23 +159,29 @@ def mult_factorial(a: Partition) -> int:
     return out
 
 
-LoweringCounts = tuple[tuple[tuple[int, int, Partition], int], ...]
+def splits(lam: Partition) -> Iterator[tuple[Partition, Partition, int]]:
+    """Each sub-multiset of lam once, as (sub, complement, positions): the
+    number of index sets of lam that pick out sub.  The positions sum to
+    2^len(lam)."""
+    counts = lam.multiplicities()
+    parts, mults = tuple(counts), tuple(counts.values())
+    for choice in iproduct(*(range(a + 1) for a in mults)):
+        yield (_raw_partition([v for v, c in zip(parts, choice) for _ in range(c)]),
+               _raw_partition([v for v, a, c in zip(parts, mults, choice) for _ in range(a - c)]),
+               prod(map(comb, mults, choice)))
 
 
 @lru_cache(maxsize=None)
-def lowering_tuple_counts(lam: Partition) -> LoweringCounts:
-    """Count the tuples (i_1..i_s), 0 <= i_j <= lam_j, by their signature
-    (k, t, nu): k the sum of the i_j, t the number of nonzero i_j, nu the
-    partition of the positive leftovers lam_j - i_j.  Returns ((k, t, nu),
-    count) pairs in order of first occurrence.
+def lowering_counts(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Count the tuples (i_1..i_s), 1 <= i_j <= lam_j, by the partition nu of
+    their positive leftovers lam_j - i_j; the tuple sums to |lam| - |nu|.
+    Returns (nu, count) pairs in order of first occurrence.
 
-    The one exhaustive tuple walk: `x0_apply_series` takes every entry,
-    `nl_brute` and `newton_lhs` the entries with t = len(lam), where every
-    i_j >= 1.
+    The one exhaustive tuple walk: `nl_brute` and `newton_lhs` read it as it
+    is, and `x0_apply_series` on the lowered parts of each split of lam.
     """
-    counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for tup in iproduct(*(range(p + 1) for p in lam)):
+    counts: dict[tuple[int, ...], int] = {}
+    for tup in iproduct(*(range(1, p + 1) for p in lam)):
         left = tuple(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))
-        key = (sum(tup), len(tup) - tup.count(0), left)
-        counts[key] = counts.get(key, 0) + 1
-    return tuple(((k, t, _raw_partition(left)), c) for (k, t, left), c in counts.items())
+        counts[left] = counts.get(left, 0) + 1
+    return tuple((_raw_partition(left), c) for left, c in counts.items())

@@ -31,6 +31,7 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DegenerateEvaluationPoint, PoleAtSpecialization
+from .partitions import _require_m
 
 __all__ = [
     "Cyc",
@@ -184,8 +185,7 @@ class Cyc(_Scalar):
     __slots__ = ("m", "num", "den")
 
     def __init__(self, m: int, coeffs: Iterable[Rational] = ()):
-        if not isinstance(m, int) or m < 2:
-            raise ValueError(f"conductor m must be an integer >= 2, got {m!r}")
+        _require_m(m)
         vals = tuple(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in vals):
             raise TypeError(f"Cyc coefficients must be ints or Fractions, got {vals!r}")
@@ -815,11 +815,6 @@ def eval_mode(m: int, q0, c0=None) -> ParamMode:
     if not c0:
         raise ValueError("c0 must be nonzero")
     return ParamMode(m, q0, c0)
-
-
-def _require_m(m: int) -> None:
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
 
 
 @lru_cache(maxsize=None)

@@ -40,7 +40,14 @@ from .symfunc import (
     scalar_product,
     to_p,
 )
-from .vertex import eigen_collision, eigenvalue_c, x0_apply_diff, x0_apply_series, x0_matrix
+from .vertex import (
+    _collision_precheck,
+    eigen_collision,
+    eigenvalue_c,
+    x0_apply_diff,
+    x0_apply_series,
+    x0_matrix,
+)
 
 __all__ = ["run_selfcheck"]
 
@@ -191,30 +198,36 @@ def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.R
     """Distinct m-reduced eigenvalues differ by a nonzero polynomial for
     n <= bound; the collision predicate matches eigenvalue equality on
     `pairs` random pairs from the partitions of n <= pool_n and on a known
-    colliding family."""
+    colliding family.  Distinctness is `x0_matrix`'s own precheck, whose
+    InternalCheckError is reported; each shape's eigenvalue is computed once."""
     mode = symbolic_mode(m)
-    for n in range(1, bound + 1):
-        for lam, mu in combinations(enumerate_partitions(n, "m_reduced", m), 2):
-            diff = eigenvalue_c(lam, mode) - eigenvalue_c(mu, mode)
-            if diff.is_zero:
-                return _report("eigenvalue-separation", m, False,
-                               f"collision {lam} vs {mu}")
-            if isinstance(diff, CycRat) and not diff.is_polynomial:
-                return _report("eigenvalue-separation", m, False,
-                               f"non-polynomial gap {lam} vs {mu}")
+    values: dict[Partition, Cyc | CycRat] = {}
+    try:
+        for n in range(1, bound + 1):
+            order = tuple(enumerate_partitions(n, "m_reduced", m))
+            values.update(zip(order, _collision_precheck(order, mode)))
+            for lam, mu in combinations(order, 2):
+                diff = values[lam] - values[mu]
+                if isinstance(diff, CycRat) and not diff.is_polynomial:
+                    return _report("eigenvalue-separation", m, False,
+                                   f"non-polynomial gap {lam} vs {mu}")
+    except InternalCheckError as exc:
+        return _report("eigenvalue-separation", m, False, str(exc))
     pool = [lam for n in range(0, pool_n + 1) for lam in enumerate_partitions(n)]
+    family = {(k, l): (Partition([2] * (m + l) + [1] * k), Partition([2] * l + [1] * (k + 2 * m)))
+              for k in range(0, 3) for l in range(0, 3)}
+    for lam in pool + [lam for pair in family.values() for lam in pair]:
+        if lam not in values:
+            values[lam] = eigenvalue_c(lam, mode)
     for _ in range(pairs):
         lam, mu = rng.choice(pool), rng.choice(pool)
-        if eigen_collision(lam, mu, m) != (eigenvalue_c(lam, mode) == eigenvalue_c(mu, mode)):
+        if eigen_collision(lam, mu, m) != (values[lam] == values[mu]):
             return _report("eigenvalue-separation", m, False,
                            f"predicate mismatch {lam} vs {mu}")
-    for k in range(0, 3):
-        for l in range(0, 3):
-            lam = Partition([2] * (m + l) + [1] * k)
-            mu = Partition([2] * l + [1] * (k + 2 * m))
-            if not eigen_collision(lam, mu, m) or eigenvalue_c(lam, mode) != eigenvalue_c(mu, mode):
-                return _report("eigenvalue-separation", m, False,
-                               f"known collision family broke at k={k}, l={l}")
+    for (k, l), (lam, mu) in family.items():
+        if not eigen_collision(lam, mu, m) or values[lam] != values[mu]:
+            return _report("eigenvalue-separation", m, False,
+                           f"known collision family broke at k={k}, l={l}")
     return _report("eigenvalue-separation", m, True, f"n<={bound} + {pairs} random pairs")
 
 

@@ -25,7 +25,9 @@ from .partitions import (
     _raw_partition,
     dominates,
     enumerate_partitions,
-    lowering_tuple_counts,
+    lowering_counts,
+    splits,
+    union,
 )
 from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, scalar_to_str, zeta
 from .symfunc import (
@@ -67,11 +69,20 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
 
     Sums R_{i_1+...+i_s} a_{i_1} q_{lam_1-i_1} ... a_{i_s} q_{lam_s-i_s} over
     all tuples with i_j >= 0, where a_0 = 1 and a_k = 1 - xi for k >= 1.
+    Grouped by the parts lowered, it is a sum over the splits of lam into
+    lowered parts `low` and kept parts of (1 - xi)^len(low) times the Newton
+    left-hand-side table of `low`, so a run of equal parts costs one split
+    per multiplicity, not one tuple per subset of positions.
     """
     m = mode.m
     one_minus_xi = 1 - zeta(m)
+    table: dict[tuple[int, int, Partition], int] = {}
+    for low, kept, positions in splits(lam):
+        for left, c in lowering_counts(low):
+            key = (low.weight - left.weight, len(low), union(left, kept))
+            table[key] = table.get(key, 0) + positions * c
     return PExpr.sum(m, (r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
-                         for (k, t, nu), c in lowering_tuple_counts(lam)))
+                         for (k, t, nu), c in table.items()))
 
 
 @lru_cache(maxsize=None)
@@ -129,12 +140,6 @@ class X0Matrix:
     order: tuple[Partition, ...]
     entries: tuple[tuple[Cyc | CycRat, ...], ...]
 
-    def index(self, lam: Partition) -> int:
-        return self.order.index(lam)
-
-    def entry(self, nu: Partition, lam: Partition) -> Cyc | CycRat:
-        return self.entries[self.index(nu)][self.index(lam)]
-
     def diagonal(self) -> list[Cyc | CycRat]:
         return [self.entries[i][i] for i in range(len(self.order))]
 
@@ -158,19 +163,22 @@ class X0Matrix:
 
 def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> list[Cyc | CycRat]:
     # the one check that the basis eigenvalues differ, as the eigen-solve
-    # needs; returns them, the closed form the diagonal is checked against
+    # needs; returns them, the closed form the diagonal is checked against.
+    # Distinct m-reduced shapes have multiplicities below m, so they never
+    # agree mod m: `eigen_collision` is False on every pair here.
     values = [eigenvalue_c(lam, mode) for lam in order]
-    for (i, lam), (j, mu) in combinations(enumerate(order), 2):
-        if eigen_collision(lam, mu, mode.m) or (mode.is_symbolic and values[i] == values[j]):
+    for (lam, a), (mu, b) in combinations(zip(order, values), 2):
+        if a != b:
+            continue
+        if mode.is_symbolic:
             raise InternalCheckError(
                 f"identical eigenvalues for distinct m-reduced {lam} and {mu}: "
                 "separation on the reduced set failed"
             )
-        if values[i] == values[j]:
-            raise EigenvalueCollisionAtEvaluation(
-                f"eigenvalues of {lam} and {mu} coincide at "
-                f"{mode.describe()}; choose a different q0"
-            )
+        raise EigenvalueCollisionAtEvaluation(
+            f"eigenvalues of {lam} and {mu} coincide at "
+            f"{mode.describe()}; choose a different q0"
+        )
     return values
 
 

@@ -7,6 +7,7 @@ failing report is shown in full.  `pytest -v` prints one line per criterion.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from modmac import selfcheck
@@ -98,6 +99,24 @@ def test_c10_eigenvalue_separation():
     rng = random.Random(97)
     for m, pairs in ((2, 500), (3, 500), (4, 0)):
         _ok(_check_separation(m, 10, pairs, 10, rng))
+
+
+def test_separation_computes_each_eigenvalue_once(monkeypatch):
+    # the reduced shapes' values come from x0_matrix's precheck and are
+    # reused for the random pairs and the known family
+    from modmac import vertex
+
+    calls = Counter()
+
+    def counted(lam, mode, inner=vertex.eigenvalue_c):
+        calls[lam, mode.m] += 1
+        return inner(lam, mode)
+
+    monkeypatch.setattr(vertex, "eigenvalue_c", counted)
+    monkeypatch.setattr(selfcheck, "eigenvalue_c", counted)
+    for m in (2, 3):
+        _ok(_check_separation(m, 8, 100, 8, random.Random(0)))
+    assert calls and set(calls.values()) == {1}
 
 
 def test_c11_eigenbasis_and_orthogonality():

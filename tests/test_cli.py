@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import ModuleType
 
 import pytest
 
@@ -10,6 +11,22 @@ from modmac.cli import _PARTITION, main
 
 def _run(*args):
     return CliRunner().invoke(main, args)
+
+
+def test_package_republishes_the_module_names():
+    # each module's __all__ is the one list of its public names
+    import modmac
+    from modmac import (errors, macdonald, newton, partitions, scalars, selfcheck,
+                        symfunc, vertex)
+
+    modules = (errors, macdonald, newton, partitions, scalars, selfcheck, symfunc, vertex)
+    names = {n for mod in modules for n in mod.__all__}
+    assert all(getattr(modmac, n) is getattr(mod, n) for mod in modules for n in mod.__all__)
+    # besides them, only the submodules imported so far (cli among them)
+    submodules = {n for n, v in vars(modmac).items()
+                  if isinstance(v, ModuleType) and v.__name__ == f"modmac.{n}"}
+    assert {n for n in vars(modmac) if not n.startswith("_")} == names | submodules
+    assert modmac.__version__ == "0.1.0"
 
 
 def test_partitions_command():
@@ -347,6 +364,12 @@ GOLDEN = (
      "fc9c7a280bffeb40193d7ab645e529562f18fa9ab38a4b7c86c45365412f271d"),
     ("newton-verify --m 3 --lambda 2,1 --mode eval --q0 2*xi", 0,
      "3a1ecf6d1bf5649a1a225fcf2afd3e01053c4530bf61760991985ca4ce34eca9"),
+    # a run of sixteen ones, recorded before the lowering walk took
+    # multiplicities
+    ("x0-apply --m 2 --lambda " + ",".join(["1"] * 16), 0,
+     "70c12af4791d7c757ef70d68b8c2467228fd9478dfd704fe4cff3fa28c1759b9"),
+    ("newton-verify --m 2 --lambda " + ",".join(["1"] * 16), 0,
+     "aa8da35c96a5cc62fb5aaac360b6fa70dbd31c0136a8898e49f7adc896cb498a"),
 )
 
 

@@ -112,7 +112,7 @@ def test_eigenvector_via_matrix_coordinates():
             for nu in mat.order:
                 acc = mode.zero()
                 for mu, c in mac.q_coeffs:
-                    acc = acc + c * mat.entry(nu, mu)
+                    acc = acc + c * mat.entries[mat.order.index(nu)][mat.order.index(mu)]
                 assert acc == mac.eigenvalue * mac.coeff(nu), (mac.shape, nu)
 
 

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,9 @@ from modmac.partitions import (
     Partition,
     dominates,
     enumerate_partitions,
-    lowering_tuple_counts,
+    lowering_counts,
     mult_factorial,
+    splits,
     union,
     z_of,
 )
@@ -139,30 +140,43 @@ def test_row_and_rectangle_are_extreme():
                     assert dominates(lam, rect)
 
 
-def test_lowering_tuple_counts_examples():
-    table = dict(lowering_tuple_counts(P((2, 1))))
-    assert table[(0, 0, P((2, 1)))] == 1 and table[(2, 1, P((1,)))] == 1
-    assert sum(table.values()) == 3 * 2
-    # every i_j >= 1: the entries with t = len(lam)
-    assert [(key, c) for key, c in table.items() if key[1] == 2] == [
-        ((2, 2, P((1,))), 1), ((3, 2, P(())), 1)]
-    assert dict(lowering_tuple_counts(P((2, 2))))[(3, 2, P((1,)))] == 2
-    assert lowering_tuple_counts(P(())) == (((0, 0, P(())), 1),)
+def test_lowering_counts_examples():
+    # 1 <= i_j <= lam_j, keyed by the positive leftovers
+    assert lowering_counts(P((2, 1))) == ((P((1,)), 1), (P(()), 1))
+    assert dict(lowering_counts(P((2, 2))))[P((1,))] == 2
+    assert lowering_counts(P(())) == ((P(()), 1),)
+    # a run of ones has one tuple, however long
+    assert lowering_counts(P((1,) * 40)) == ((P(()), 1),)
     # a bare tuple would hash and compare equal but have no weight
-    for (_, _, nu), _ in lowering_tuple_counts(P((3, 2, 2))):
+    for nu, _ in lowering_counts(P((3, 2, 2))):
         assert type(nu) is Partition
 
 
-def test_lowering_tuple_counts_full_slice():
-    # the t = len(lam) entries are exactly the tuples with every i_j >= 1
+def test_lowering_counts_match_direct_count():
+    # exactly the tuples with every i_j >= 1, each counted once
     for n in range(0, 9):
         for lam in enumerate_partitions(n):
             want = Counter()
             for tup in product(*(range(1, p + 1) for p in lam)):
-                left = sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True)
-                want[(sum(tup), len(lam), P(left))] += 1
-            got = {key: c for key, c in lowering_tuple_counts(lam) if key[1] == len(lam)}
-            assert got == want, lam
+                want[P(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))] += 1
+            assert dict(lowering_counts(lam)) == want, lam
+
+
+def test_splits_pick_each_sub_multiset_once():
+    for n in range(0, 9):
+        for lam in enumerate_partitions(n):
+            got = list(splits(lam))
+            subs = [sub for sub, _, _ in got]
+            assert len(set(subs)) == len(subs), lam
+            # every sub-multiset of the positions appears
+            assert set(subs) == {P(sorted(c, reverse=True)) for k in range(len(lam) + 1)
+                                 for c in combinations(lam, k)}, lam
+            for sub, rest, _ in got:
+                assert union(sub, rest) == lam
+                assert type(sub) is Partition and type(rest) is Partition
+            assert sum(positions for _, _, positions in got) == 2 ** len(lam), lam
+    assert list(splits(P((1, 1)))) == [(P(()), P((1, 1)), 1), (P((1,)), P((1,)), 2),
+                                       (P((1, 1)), P(()), 1)]
 
 
 def test_union_examples():
