@@ -54,9 +54,7 @@ class ModularMacdonald:
     eigenvalue: Cyc | CycRat
 
     def coeff(self, mu) -> Cyc | CycRat:
-        if not isinstance(mu, Partition):
-            mu = Partition(mu)
-        return dict(self.q_coeffs).get(mu, self.mode.zero())
+        return dict(self.q_coeffs).get(Partition(mu), self.mode.zero())
 
     def to_json(self) -> dict:
         return {
@@ -124,8 +122,6 @@ def _cleared(p_form: PExpr) -> tuple[Cyc | CycRat, PExpr]:
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
     """One eigenvector per m-reduced partition of n, greatest index first."""
-    if n < 1:
-        raise ValueError(f"weight must be positive, got {n}")
     return [solve_q(lam, mode) for lam in x0_matrix(n, mode).order]
 
 
@@ -216,8 +212,7 @@ def schur_q_oracle(lam: Partition) -> PExpr:
     and the Pfaffian reduction to two-row blocks; used as an external check
     for the q -> 0 specialization at m = 2.
     """
-    if not isinstance(lam, Partition):
-        lam = Partition(lam)
+    lam = Partition(lam)
     if not lam.is_strict():
         raise ValueError(f"Schur Q-functions are indexed by strict partitions, got {lam}")
     return _pfaffian(lam + (0,) if len(lam) % 2 else lam)

@@ -76,13 +76,15 @@ def nl_closed(lam: Partition, nu: Partition) -> int:
     A positive product must divide exactly; a non-positive product means
     the count is zero.
     """
-    ml = lam.multiplicities()
-    mn = nu.multiplicities()
-    prod = 1
-    for i, mi in mn.items():
-        tail = sum(v for j, v in ml.items() if j > i) - sum(v for j, v in mn.items() if j > i)
+    # both tail sums are running counts: `above` parts of lam and `seen`
+    # parts of nu exceed i, as i walks the values of nu down
+    prod, above, seen = 1, 0, 0
+    for i, mi in nu.multiplicities().items():
+        while above < len(lam) and lam[above] > i:
+            above += 1
         for k in range(1, mi + 1):
-            prod *= 1 - k + tail
+            prod *= 1 - k + above - seen
+        seen += mi
     return _clamped_quotient(prod, nu, "multiplicity form")
 
 

@@ -3,7 +3,8 @@
 Partitions index everything else in this package: power-sum monomials,
 generalized complete functions, operator matrices.  A `Partition` is a
 validated tuple: the public constructor checks that the parts are positive
-integers in weakly decreasing order, and everything else (hashing,
+integers in weakly decreasing order and hands a `Partition` back unchanged,
+so `Partition(x)` is the one coercion; everything else (hashing,
 equality, ordering, indexing, `repr`) is the tuple's own.  Partitions
 derived from valid ones (unions, leftovers, prefixes) are built
 by the trusted `_raw_partition`, which skips the check.
@@ -38,6 +39,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        if isinstance(parts, Partition):
+            return parts
         ps = tuple(map(index, parts))
         for i, p in enumerate(ps):
             if p <= 0:
@@ -100,6 +103,12 @@ def _require_m(m: int) -> None:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
 
 
+def _require_same_m(a: int, b: int) -> None:
+    # the one modulus-agreement rule: operands of one operation share m
+    if a != b:
+        raise ValueError(f"mixed moduli: {a} vs {b}")
+
+
 def enumerate_partitions(n: int, kind: str = "all", m: int | None = None) -> list[Partition]:
     """All partitions of n of the requested class, reverse-lexicographically.
 
@@ -145,10 +154,7 @@ def union(a: Partition, b: Partition) -> Partition:
 
 def z_of(a: Partition) -> int:
     """The centralizer-order constant: product of i^{m_i} * m_i! over part values."""
-    out = 1
-    for i, mi in a.multiplicities().items():
-        out *= i**mi * factorial(mi)
-    return out
+    return prod(a) * mult_factorial(a)
 
 
 def mult_factorial(a: Partition) -> int:

@@ -14,7 +14,10 @@ deformation parameter q lives in a field of canonicalized rational functions
 One rule picks the type: a scalar is a `Cyc` unless it depends on a formal
 q, so every value constant in q, zero included, is a `Cyc` and a `CycRat`
 never equals one.  Eval mode never builds a `CycRat`; in symbolic mode a
-`Cyc` operand of a `CycRat` takes a gcd-free path.
+`Cyc` operand of a `CycRat` takes a gcd-free path.  `_as_cyc` is the one
+coercion of an int, Fraction or Cyc into Q(xi_m); a - b is a + (-b); and
+operands of different moduli raise "mixed moduli: a vs b" from
+`partitions._require_same_m`.
 
 Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
 q that the Euclidean algorithm keeps monic.  One long division, `_qdivmod`,
@@ -28,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import DegenerateEvaluationPoint, PoleAtSpecialization
-from .partitions import _require_m
+from .partitions import _require_m, _require_same_m
 
 __all__ = [
     "Cyc",
@@ -52,8 +55,6 @@ __all__ = [
 ]
 
 _F1 = Fraction(1)
-
-Rational = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,8 @@ def _galois_images(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 class _Scalar:
-    """The operators that Cyc and CycRat share, written through each class's
-    coercion `_co` and its inverse `inv`."""
+    """The operators that Cyc and CycRat share, written through the one
+    coercion `_co`, `+`, negation and `inv`: a - b is a + (-b)."""
 
     __slots__ = ()
 
@@ -136,11 +137,28 @@ class _Scalar:
     def is_zero(self) -> bool:
         return not self
 
-    def __rsub__(self, other):
+    def _co(self, other):
+        # a Cyc for a Cyc, int or Fraction, a CycRat for a CycRat self, or
+        # None to leave the operation to the other operand
+        if isinstance(other, (Cyc, int, Fraction)):
+            return _as_cyc(self.m, other)
+        if isinstance(other, type(self)):
+            _require_same_m(self.m, other.m)
+            return other
+        return None
+
+    def __sub__(self, other):
         o = self._co(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return self + (-o)
+
+    def __rsub__(self, other):
+        # not o - self: a Cyc o would hand the subtraction back to self
+        o = self._co(other)
+        if o is None:
+            return NotImplemented
+        return -self + o
 
     def __truediv__(self, other):
         o = self._co(other)
@@ -184,7 +202,7 @@ class Cyc(_Scalar):
 
     __slots__ = ("m", "num", "den")
 
-    def __init__(self, m: int, coeffs: Iterable[Rational] = ()):
+    def __init__(self, m: int, coeffs: Iterable[int | Fraction] = ()):
         _require_m(m)
         vals = tuple(coeffs)
         if not all(isinstance(c, (int, Fraction)) for c in vals):
@@ -204,17 +222,6 @@ class Cyc(_Scalar):
         """The coefficient vector as Fractions, for rendering and serialization."""
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    # -- coercion ----------------------------------------------------------
-
-    def _co(self, other):
-        if isinstance(other, Cyc):
-            if other.m != self.m:
-                raise ValueError(f"mixed conductors: {self.m} vs {other.m}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _rational_cyc(self.m, len(self.num), other)
-        return None
-
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -231,25 +238,12 @@ class Cyc(_Scalar):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        a, b, da, db = self.num, o.num, self.den, o.den
-        if len(a) == 1:
-            n, d = (a[0] - b[0], da) if da == db else (a[0] * db - b[0] * da, da * db)
-            return _mk_rational(self.m, n, d)
-        if da == db:
-            return _mk_cyc(self.m, [x - y for x, y in zip(a, b)], da)
-        return _mk_cyc(self.m, [x * db - y * da for x, y in zip(a, b)], da * db)
-
     def __neg__(self):
         return _raw_cyc(self.m, tuple([-x for x in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Cyc):
-            if other.m != self.m:
-                raise ValueError(f"mixed conductors: {self.m} vs {other.m}")
+            _require_same_m(self.m, other.m)
             b, den = other.num, self.den * other.den
         elif isinstance(other, (int, Fraction)):
             k = other.numerator
@@ -378,11 +372,6 @@ def _mk_rational(m: int, n: int, d: int) -> Cyc:
             n //= g
             d //= g
     return _raw_cyc(m, (n,), d)
-
-
-def _rational_cyc(m: int, phi: int, r: Rational) -> Cyc:
-    # ints and Fractions are already in lowest terms
-    return _raw_cyc(m, (r.numerator,) + (0,) * (phi - 1), r.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -616,17 +605,6 @@ class CycRat(_Scalar):
         one = _cyc_one(m).num
         return _mk_rat(m, (1, (0,) * (len(one) * k) + one), (1, one))
 
-    # -- coercion -------------------------------------------------------------
-
-    def _co(self, other):
-        if isinstance(other, CycRat):
-            if other.m != self.m:
-                raise ValueError(f"mixed conductors: {self.m} vs {other.m}")
-            return other
-        if isinstance(other, (int, Fraction, Cyc)):
-            return _as_cyc(self.m, other)
-        return None
-
     # -- field operations -------------------------------------------------------
     #
     # Inputs are canonical, so classical cross-cancellation (Henrici) keeps
@@ -655,16 +633,6 @@ class CycRat(_Scalar):
         return _mk_rat(m, t, den)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        # not o - self: a Cyc o would hand the subtraction straight back here
-        return -self + other
 
     def __neg__(self):
         d, v = self._num
@@ -739,12 +707,12 @@ def clear_denominators(m: int, values: list) -> tuple[Cyc | CycRat, list]:
 
 
 def _as_cyc(m: int, c) -> Cyc:
+    # the one coercion into Q(xi_m); ints and Fractions are in lowest terms
     if isinstance(c, Cyc):
-        if c.m != m:
-            raise ValueError(f"mixed conductors: {m} vs {c.m}")
+        _require_same_m(m, c.m)
         return c
     if isinstance(c, (int, Fraction)):
-        return _rational_cyc(m, euler_phi(m), c)
+        return _raw_cyc(m, (c.numerator,) + (0,) * (euler_phi(m) - 1), c.denominator)
     raise TypeError(f"a scalar must be an int, a Fraction or a Cyc, got {c!r}")
 
 

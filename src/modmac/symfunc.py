@@ -10,7 +10,8 @@ Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
 validate every key and modulus and coerce int and Fraction coefficients.
 Ring operations on valid operands build their results through the trusted
 `_Expr._raw` or the keyed summation `_Expr._collect`, so nothing is checked
-twice.  Every sum of ring elements goes through `PExpr.sum`.
+twice.  Every sum of ring elements goes through `PExpr.sum`.  A key is
+coerced by `Partition(...)`, and mixed moduli raise as for the scalars.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import InternalCheckError, VerificationError
 from .partitions import (
     Partition,
     _raw_partition,
+    _require_same_m,
     enumerate_partitions,
     union,
     z_of,
@@ -61,13 +63,12 @@ class _Expr:
         self.m = m
         clean: dict[Partition, Cyc | CycRat] = {}
         for lam, c in (terms or {}).items():
-            if not isinstance(lam, Partition):
-                lam = Partition(lam)
+            lam = Partition(lam)
             self._check_key(lam)
             if not isinstance(c, (Cyc, CycRat)):
                 c = Cyc(m, (c,))
-            elif c.m != m:
-                raise ValueError(f"mixed moduli: {m} vs {c.m}")
+            else:
+                _require_same_m(m, c.m)
             if c:
                 clean[lam] = c
         self.terms = clean
@@ -90,9 +91,7 @@ class _Expr:
         return cls._raw(m, {key: c for key, c in out.items() if c})
 
     def coeff(self, lam) -> Cyc | CycRat:
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return self.terms.get(lam, _cyc_zero(self.m))
+        return self.terms.get(Partition(lam), _cyc_zero(self.m))
 
     @property
     def is_zero(self) -> bool:
@@ -157,8 +156,7 @@ class PExpr(_Expr):
 
         def pairs():
             for f in exprs:
-                if f.m != m:
-                    raise ValueError(f"mixed moduli: {m} vs {f.m}")
+                _require_same_m(m, f.m)
                 yield from f.terms.items()
 
         return cls._collect(m, pairs())
@@ -176,8 +174,7 @@ class PExpr(_Expr):
 
     def __mul__(self, other):
         if isinstance(other, PExpr):
-            if self.m != other.m:
-                raise ValueError(f"mixed moduli: {self.m} vs {other.m}")
+            _require_same_m(self.m, other.m)
             return PExpr._collect(self.m, (
                 (union(la, lb), ca * cb)
                 for la, ca in self.terms.items() for lb, cb in other.terms.items()
@@ -239,8 +236,7 @@ def epsilon_product(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
 
 def to_p(f: PExpr, mode: ParamMode) -> PExpr:
     """f on the p basis: a_rho P_rho = (a_rho / eps_rho) p_rho."""
-    if f.m != mode.m:
-        raise ValueError("mixed moduli")
+    _require_same_m(f.m, mode.m)
     return PExpr._raw(f.m, {rho: c / epsilon_product(rho, mode) for rho, c in f.terms.items()})
 
 
@@ -299,8 +295,8 @@ def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
 
 def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
     """Deformed Hall pairing on the p basis: <p_lam, p_mu> = delta * z_lam * eps_lam."""
-    if f.m != g.m or f.m != mode.m:
-        raise ValueError("mixed moduli in scalar product")
+    _require_same_m(f.m, g.m)
+    _require_same_m(f.m, mode.m)
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
     return sum((c * large.terms[lam] * epsilon_product(lam, mode) * z_of(lam)
                 for lam, c in small.terms.items() if lam in large.terms), mode.zero())
@@ -344,8 +340,8 @@ def _exact_inverse(a: list[list[Cyc]], m: int) -> list[list[Cyc]]:
         aug[col] = [x / pv for x in aug[col]]
         for r in range(n):
             if r != col and not aug[r][col].is_zero:
-                fac = aug[r][col]
-                aug[r] = [x - fac * y for x, y in zip(aug[r], aug[col])]
+                fac = -aug[r][col]
+                aug[r] = [x + fac * y for x, y in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
 
 

@@ -23,6 +23,7 @@ from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from .partitions import (
     Partition,
     _raw_partition,
+    _require_same_m,
     dominates,
     enumerate_partitions,
     lowering_counts,
@@ -116,8 +117,7 @@ def s_apply(k: int, f: PExpr) -> PExpr:
 def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
     """Normal-ordered implementation of the zero mode on a homogeneous element:
     sum_k (multiplication by R_k) after the degree-k annihilation component."""
-    if f.m != mode.m:
-        raise ValueError("mixed moduli")
+    _require_same_m(f.m, mode.m)
     if f.is_zero:
         return f
     lows = (s_apply(k, f) for k in range(f.homogeneous_degree() + 1))

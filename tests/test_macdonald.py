@@ -91,7 +91,7 @@ def test_all_q_examples():
     assert [mac.shape for mac in all_q(3, M2)] == [(3,), (2, 1)]
     assert [mac.shape for mac in all_q(2, M3)] == [(2,), (1, 1)]
     assert [mac.shape for mac in all_q(1, M2)] == [(1,)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight must be positive, got 0$"):
         all_q(0, M2)
 
 

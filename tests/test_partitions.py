@@ -236,6 +236,12 @@ def test_json_round_trip():
     assert P(()).to_json() == []
 
 
+def test_partition_of_a_partition_is_itself():
+    lam = P((3, 1, 1))
+    assert P(lam) is lam
+    assert type(P([3, 1, 1])) is P and P([3, 1, 1]) == lam
+
+
 def test_hash_and_equality():
     assert P((2, 1)) == P([2, 1]) == (2, 1)
     assert len({P((2, 1)), P((2, 1)), P((3,))}) == 2

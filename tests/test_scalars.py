@@ -65,6 +65,30 @@ def test_cyc_examples():
         zeta(3) + zeta(4)
 
 
+def _operands(m: int) -> dict:
+    # one value of each operand type; the Cyc is irrational once phi(m) > 1
+    q = CycRat.q(m)
+    return {
+        "int": 3,
+        "Fraction": F(-5, 7),
+        "Cyc": Cyc(m, (F(2, 3),)) + zeta(m) * F(1, 4),
+        "CycRat": (q + zeta(m)) / (q - 2),
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+def test_subtraction_is_adding_the_negative(m):
+    # every ordered pair of operand types, Cyc - CycRat, int - CycRat and
+    # Fraction - Cyc among them
+    ops = _operands(m)
+    for ka, a in ops.items():
+        for kb, b in ops.items():
+            diff = a - b
+            assert diff == a + (-b) == -(b - a), (ka, kb)
+            if isinstance(a, (Cyc, CycRat)) or isinstance(b, (Cyc, CycRat)):
+                _assert_one_representation(diff, m)
+
+
 def test_root_of_unity_power_sums():
     for m in range(2, 7):
         for n in range(1, 2 * m + 1):

@@ -20,7 +20,7 @@ from modmac.symfunc import (
     scalar_product,
     to_p,
 )
-from modmac.vertex import s_apply, x0_apply_series, x0_matrix
+from modmac.vertex import s_apply, x0_apply_diff, x0_apply_series, x0_matrix
 
 P = Partition
 F = Fraction
@@ -127,6 +127,28 @@ def test_r_to_p_examples():
     assert to_p(r_to_p(1, M2), M2) == PExpr(2, {(1,): -2})
     assert to_p(r_to_p(2, M2), M2) == PExpr(2, {(1, 1): 2})
     assert r_to_p(-3, M2).is_zero
+
+
+_MIXED = {
+    "Cyc + Cyc": lambda: zeta(2) + zeta(3),
+    "Cyc * Cyc": lambda: zeta(2) * zeta(3),
+    "CycRat + CycRat": lambda: Q2 + CycRat.q(3),
+    "CycRat + Cyc": lambda: Q2 + zeta(3),
+    "PExpr(...)": lambda: PExpr(2, {(1,): zeta(3)}),
+    "PExpr.sum": lambda: PExpr.sum(2, [PExpr.one(3)]),
+    "PExpr * PExpr": lambda: PExpr.one(2) * PExpr.one(3),
+    "to_p": lambda: to_p(PExpr.one(2), M3),
+    "scalar_product": lambda: scalar_product(PExpr.one(2), PExpr.one(3), M2),
+    "scalar_product mode": lambda: scalar_product(PExpr.one(2), PExpr.one(2), M3),
+    "x0_apply_diff": lambda: x0_apply_diff(PExpr.one(2), M3),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MIXED))
+def test_mixed_moduli_raise_one_message(entry):
+    # every operation on operands of moduli 2 and 3 names both, first operand first
+    with pytest.raises(ValueError, match="^mixed moduli: 2 vs 3$"):
+        _MIXED[entry]()
 
 
 def test_to_p_divides_by_epsilon():
