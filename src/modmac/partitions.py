@@ -12,6 +12,7 @@ by the trusted `_raw_partition`, which skips the check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
 from itertools import product as iproduct
@@ -81,17 +82,37 @@ def _raw_partition(parts: Iterable[int]) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-@lru_cache(maxsize=None)
-def _all_partitions(n: int) -> tuple[Partition, ...]:
-    # Recursive descent emits reverse-lexicographic order: (n), (n-1,1), ...
-    out: list[Partition] = []
+def _neg_head(p: Partition) -> int:
+    return -p[0]
 
-    def rec(remaining: int, maxpart: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(_raw_partition(prefix))
+
+@lru_cache(maxsize=None)
+def _partitions(n: int, kind: str, m: int | None) -> tuple[Partition, ...]:
+    # Descent by part value, largest first, each value c taken k times with
+    # the larger k first: reverse-lexicographic order, (n), (n-1,1), ....  A
+    # class only walks the values and multiplicities it allows (m_regular
+    # skips multiples of m, m_reduced takes k <= m-1), so nothing is filtered.
+    # Once at most half the weight remains, the rest is the tail of the cached
+    # class of the remainder with parts below c: first parts descend,
+    # so that tail is contiguous and a bisection finds its start.  Caching only
+    # weights <= n/2 keeps the memory near the class of n itself.
+    out: list[Partition] = []
+    most = m - 1 if kind == "m_reduced" else n
+
+    def rec(remaining: int, bound: int, prefix: tuple[int, ...]) -> None:
+        if 2 * remaining <= n:
+            if remaining == 0:
+                out.append(_raw_partition(prefix))
+                return
+            tail = _partitions(remaining, kind, m)
+            start = bisect_left(tail, -bound, key=_neg_head)
+            out.extend([_raw_partition(prefix + t) for t in tail[start:]])
             return
-        for p in range(min(maxpart, remaining), 0, -1):
-            rec(remaining - p, p, prefix + (p,))
+        for c in range(min(bound, remaining), 0, -1):
+            if kind == "m_regular" and c % m == 0:
+                continue
+            for k in range(min(most, remaining // c), 0, -1):
+                rec(remaining - k * c, c - 1, prefix + (c,) * k)
 
     rec(n, n, ())
     return tuple(out)
@@ -127,12 +148,7 @@ def enumerate_partitions(n: int, kind: str = "all", m: int | None = None) -> lis
         _require_m(m)
     elif kind != "all":
         raise ValueError("m is required for the m_regular / m_reduced classes")
-    ps = _all_partitions(n)
-    if kind == "m_regular":
-        return [p for p in ps if p.is_regular(m)]
-    if kind == "m_reduced":
-        return [p for p in ps if p.is_reduced(m)]
-    return list(ps)
+    return list(_partitions(n, kind, None if kind == "all" else m))
 
 
 def dominates(a: Partition, b: Partition) -> bool:

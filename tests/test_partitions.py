@@ -66,6 +66,78 @@ def test_enumerate_is_reverse_lexicographic():
         assert len(set(ps)) == len(ps)
 
 
+def _oracle_partitions(n):
+    # every composition of n (a subset of the n-1 cut points), sorted into a
+    # partition: independent of the descent in enumerate_partitions
+    out = set()
+    for cuts in range(1 << max(n - 1, 0)):
+        parts, run = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        if n:
+            parts.append(run)
+        out.add(tuple(sorted(parts, reverse=True)))
+    return sorted(out, reverse=True)
+
+
+def _in_class(p, kind, m):
+    if kind == "m_regular":
+        return all(x % m for x in p)
+    if kind == "m_reduced":
+        return max(Counter(p).values(), default=0) < m
+    return True
+
+
+def test_enumerate_matches_an_independent_generator():
+    # n up to 16 puts the weight on both sides of the half-weight splice and
+    # m above n for the small weights
+    for n in range(0, 17):
+        every = _oracle_partitions(n)
+        assert enumerate_partitions(n) == every
+        for m in range(2, 14):
+            for kind in ("m_regular", "m_reduced"):
+                want = [p for p in every if _in_class(p, kind, m)]
+                assert enumerate_partitions(n, kind, m) == want, (n, kind, m)
+
+
+def _counts(top, distinct):
+    # coefficients of prod_k 1/(1 - x^k), or of prod_k (1 + x^k) for distinct parts
+    c = [1] + [0] * top
+    for k in range(1, top + 1):
+        for n in (range(top, k - 1, -1) if distinct else range(k, top + 1)):
+            c[n] += c[n - k]
+    return c
+
+
+def test_enumerate_counts_match_known_values():
+    p = _counts(40, distinct=False)
+    assert p[40] == 37338
+    assert [len(enumerate_partitions(n)) for n in range(41)] == p
+    q = _counts(60, distinct=True)
+    assert q[60] == 10880
+    for kind in ("m_reduced", "m_regular"):
+        assert [len(enumerate_partitions(n, kind, 2)) for n in range(61)] == q
+
+
+@pytest.mark.parametrize("kind,m", [("all", None), ("m_regular", 3), ("m_reduced", 3)])
+def test_enumerate_returns_a_fresh_list(kind, m):
+    # the classes are cached: a caller's edits must not reach the next caller,
+    # neither at this weight nor through the tails spliced into larger ones
+    for n in range(9):
+        got = enumerate_partitions(n, kind, m)
+        got.append(P((n + 1,)))
+        got.reverse()
+        del got[1:]
+        enumerate_partitions(n, kind, m).clear()
+    for n in range(17):
+        want = [p for p in _oracle_partitions(n) if _in_class(p, kind, m)]
+        assert enumerate_partitions(n, kind, m) == want
+
+
 def test_enumerate_errors():
     with pytest.raises(ValueError):
         enumerate_partitions(3, "m_regular", 1)
