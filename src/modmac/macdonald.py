@@ -17,9 +17,9 @@ length mod m and collide, so the recursion's denominators vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModularMacdonald:
+class ModularMacdonald(NamedTuple):
     """A monic eigenvector of the zero mode, indexed by an m-reduced partition.
 
     q_coeffs lists the coordinates on the m-reduced q-basis, the indexing

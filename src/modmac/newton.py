@@ -19,11 +19,11 @@ from typing import Callable
 from .errors import InternalCheckError
 from .partitions import (
     Partition,
+    _count_factorial,
+    _split_counts,
     dominates,
     enumerate_partitions,
     lowering_counts,
-    mult_factorial,
-    splits,
 )
 from .scalars import Cyc, CycRat, ParamMode
 from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
@@ -56,11 +56,12 @@ def nl_brute(lam: Partition, nu: Partition) -> int:
     return dict(lowering_counts(lam)).get(nu, 0)
 
 
-def _clamped_quotient(prod: int, nu: Partition, formula: str) -> int:
+def _clamped_quotient(prod: int, nu_counts: dict[int, int], formula: str) -> int:
     if prod <= 0:
         return 0
-    mf = mult_factorial(nu)
+    mf = _count_factorial(nu_counts)
     if prod % mf:
+        nu = Partition(v for v, c in nu_counts.items() for _ in range(c))
         raise InternalCheckError(
             f"{formula} gave {prod}, not divisible by m(nu)! = {mf} "
             f"(nu={nu}); the closed form is broken"
@@ -76,16 +77,21 @@ def nl_closed(lam: Partition, nu: Partition) -> int:
     A positive product must divide exactly; a non-positive product means
     the count is zero.
     """
-    # both tail sums are running counts: `above` parts of lam and `seen`
-    # parts of nu exceed i, as i walks the values of nu down
+    return _nl_closed_counts(lam, nu.multiplicities())
+
+
+def _nl_closed_counts(lam: Partition, nu_counts: dict[int, int]) -> int:
+    # `nl_closed` on the multiplicities of nu.  Both tail sums are running
+    # counts: `above` parts of lam and `seen` parts of nu exceed i, as i walks
+    # the values of nu down
     prod, above, seen = 1, 0, 0
-    for i, mi in nu.multiplicities().items():
+    for i, mi in nu_counts.items():
         while above < len(lam) and lam[above] > i:
             above += 1
         for k in range(1, mi + 1):
             prod *= 1 - k + above - seen
         seen += mi
-    return _clamped_quotient(prod, nu, "multiplicity form")
+    return _clamped_quotient(prod, nu_counts, "multiplicity form")
 
 
 def nl_falling(lam: Partition, nu: Partition) -> int:
@@ -94,13 +100,14 @@ def nl_falling(lam: Partition, nu: Partition) -> int:
     prod = 1
     for idx, v in enumerate(nu):
         prod *= sum(1 for p in lam if p > v) - idx
-    return _clamped_quotient(prod, nu, "falling form")
+    return _clamped_quotient(prod, nu.multiplicities(), "falling form")
 
 
-def _sign_scale(mu: Partition) -> Fraction:
-    # (-1)^{l-1} (l-1)!/m(mu)!, shared by d_mu and the weights of d_lambda_mu
-    l = len(mu)
-    scale = Fraction(factorial(l - 1), mult_factorial(mu))
+def _sign_scale(mu_counts: dict[int, int]) -> Fraction:
+    # (-1)^{l-1} (l-1)!/m(mu)! from the multiplicities of mu, shared by d_mu
+    # and the weights of d_lambda_mu
+    l = sum(mu_counts.values())
+    scale = Fraction(factorial(l - 1), _count_factorial(mu_counts))
     return -scale if (l - 1) % 2 else scale
 
 
@@ -109,8 +116,9 @@ def d_mu(mu: Partition, d: DSeq) -> Cyc | CycRat:
     (-1)^{l-1} (l-1)!/m(mu)! * sum_k m_k(mu) d_k."""
     if not mu:
         raise ValueError("the coefficient is undefined for the empty partition")
-    terms = [d(k) * mk for k, mk in mu.multiplicities().items()]
-    return sum(terms[1:], terms[0]) * _sign_scale(mu)
+    counts = mu.multiplicities()
+    terms = [d(k) * mk for k, mk in counts.items()]
+    return sum(terms[1:], terms[0]) * _sign_scale(counts)
 
 
 @lru_cache(maxsize=None)
@@ -118,13 +126,14 @@ def _rhs_weights(lam: Partition, mu: Partition) -> tuple[tuple[int, Fraction], .
     # the nonzero w_k with d_{lam,mu} = sum_k w_k d_k, in one walk over the
     # splits of mu into nu and rho = mu \ nu: each adds
     # N(lam, nu) * scale(rho) * m_k(rho).  N(lam, mu) = 0, as every i_j >= 1
-    # lowers the weight, so only the proper splits count.
+    # lowers the weight, so only the proper splits count.  The walk hands
+    # over the multiplicities of nu and rho, which is all these need.
     w: dict[int, Fraction] = {}
-    for nu, rho, _ in splits(mu):
-        count = nl_closed(lam, nu)
+    for nu, rho, _ in _split_counts(mu):
+        count = _nl_closed_counts(lam, nu)
         if count:
             scale = count * _sign_scale(rho)
-            for k, mk in rho.multiplicities().items():
+            for k, mk in rho.items():
                 w[k] = w.get(k, 0) + scale * mk
     return tuple((k, v) for k, v in w.items() if v)
 

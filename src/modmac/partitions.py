@@ -175,21 +175,31 @@ def z_of(a: Partition) -> int:
 
 def mult_factorial(a: Partition) -> int:
     """Product of the factorials of the multiplicities."""
-    out = 1
-    for mi in a.multiplicities().values():
-        out *= factorial(mi)
-    return out
+    return _count_factorial(a.multiplicities())
+
+
+def _count_factorial(counts: dict[int, int]) -> int:
+    # mult_factorial from the multiplicities, as `_split_counts` yields them
+    return prod(map(factorial, counts.values()))
 
 
 def splits(lam: Partition) -> Iterator[tuple[Partition, Partition, int]]:
     """Each sub-multiset of lam once, as (sub, complement, positions): the
     number of index sets of lam that pick out sub.  The positions sum to
     2^len(lam)."""
+    for sub, rest, positions in _split_counts(lam):
+        yield (_raw_partition([v for v, c in sub.items() for _ in range(c)]),
+               _raw_partition([v for v, c in rest.items() for _ in range(c)]), positions)
+
+
+def _split_counts(lam: Partition) -> Iterator[tuple[dict[int, int], dict[int, int], int]]:
+    # the one walk behind `splits`, each side as its multiplicities (part
+    # value -> count, largest first, no zeros), for callers that count
     counts = lam.multiplicities()
     parts, mults = tuple(counts), tuple(counts.values())
     for choice in iproduct(*(range(a + 1) for a in mults)):
-        yield (_raw_partition([v for v, c in zip(parts, choice) for _ in range(c)]),
-               _raw_partition([v for v, a, c in zip(parts, mults, choice) for _ in range(a - c)]),
+        yield ({v: c for v, c in zip(parts, choice) if c},
+               {v: a - c for v, a, c in zip(parts, mults, choice) if a > c},
                prod(map(comb, mults, choice)))
 
 

@@ -27,11 +27,10 @@ serves both the reduction modulo Phi_m and the gcds in q.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DegenerateEvaluationPoint, PoleAtSpecialization
 from .partitions import _require_m, _require_same_m
@@ -726,8 +725,7 @@ def scalar_to_str(a: Cyc | CycRat) -> str:
 # parameter modes
 
 
-@dataclass(frozen=True)
-class ParamMode:
+class ParamMode(NamedTuple):
     """Where the parameters live: q formal (symbolic) or substituted (eval).
 
     c is always concrete; the symbolic mode fixes c = xi_m^{-1}, which is the

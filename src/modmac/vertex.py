@@ -15,9 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from .partitions import (
@@ -125,8 +125,7 @@ def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
                               for k, low in enumerate(lows) if low))
 
 
-@dataclass(frozen=True)
-class X0Matrix:
+class X0Matrix(NamedTuple):
     """Matrix of the zero mode on the m-reduced q-basis of one weight.
 
     `order` is the `enumerate_partitions` order, a linear extension of

@@ -1,16 +1,48 @@
 import hashlib
+import io
 import json
-from types import ModuleType
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from types import ModuleType, SimpleNamespace
 
 import pytest
 
-from click.testing import CliRunner
+import modmac
+from modmac.cli import _partition, main
 
-from modmac.cli import _PARTITION, main
+
+class _Captured(io.StringIO):
+    """One captured stream; each write is also copied to the shared `output`."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.output = output
+
+    def write(self, s: str) -> int:
+        self.output.write(s)
+        return super().write(s)
 
 
 def _run(*args):
-    return CliRunner().invoke(main, args)
+    """Run one command line in process, as the console script does: the exit
+    code, the exception that ended it (a SystemExit unless it exited 0),
+    stdout, stderr and both interleaved as `output`."""
+    output = io.StringIO()
+    out, err = _Captured(output), _Captured(output)
+    code, exception = 0, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args), prog_name="modmac")
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:  # uncaught: exit 1, as under the console script
+            code, exception = 1, exc
+    return SimpleNamespace(exit_code=code, exception=exception, stdout=out.getvalue(),
+                           stdout_bytes=out.getvalue().encode(), stderr=err.getvalue(),
+                           output=output.getvalue())
 
 
 def test_package_republishes_the_module_names():
@@ -99,7 +131,7 @@ def test_lambda_allows_spaces_around_parts():
     spaced = _run("x0-apply", "--m", "2", "--lambda", " 2, 1 ")
     assert spaced.exit_code == 0
     assert spaced.output == _run("x0-apply", "--m", "2", "--lambda", "2,1").output
-    assert _PARTITION.convert("2, 1", None, None) == (2, 1)
+    assert _partition("2, 1") == (2, 1)
 
 
 def test_qexpand_command():
@@ -370,6 +402,11 @@ GOLDEN = (
      "70c12af4791d7c757ef70d68b8c2467228fd9478dfd704fe4cff3fa28c1759b9"),
     ("newton-verify --m 2 --lambda " + ",".join(["1"] * 16), 0,
      "aa8da35c96a5cc62fb5aaac360b6fa70dbd31c0136a8898e49f7adc896cb498a"),
+    # values that start with "-", recorded on the click front end
+    ("gram --m 2 --n 3 --mode eval --q0 -1/2", 0,
+     "c56f5df87027578768d8838ee7d4d29567fd48d7bebdd36842b82081670b92d4"),
+    ("qexpand --m 3 --n 2 --mode eval --q0 2 --c0 -xi", 0,
+     "a27b125099713c02f945edbf548a11d8aba094ce97ba906ec211b2e9fbcbffdf"),
 )
 
 
@@ -426,3 +463,73 @@ def test_zero_denominator_literal_is_usage_error(flags):
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "zero denominator" in res.output
+
+
+def test_option_spellings():
+    # --opt=VALUE is accepted and a repeated option takes its last value, as
+    # under click; no abbreviation and no -h
+    assert _run("partitions", "--m=2", "--n=4", "--class=m-reduced").output == "[[4], [3, 1]]\n"
+    res = _run("partitions", "--m", "2", "--n", "4", "--class", "m-reduced", "--class", "all")
+    assert json.loads(res.output) == [[4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]]
+    assert _run("qexpand", "--m", "3", "--n", "2", "--mode", "eval", "--q0", "-xi").exit_code == 0
+    # a dash-led value that is no literal is refused by its own check
+    res = _run("qexpand", "--m", "2", "--n", "1", "--mode", "eval", "--q0", "-q")
+    assert res.exit_code == 2 and "cannot parse scalar literal '-q'" in res.stderr
+
+
+_RANGES = {"partitions": ("x>=0",), "x0-matrix": ("x>=1",), "gram": ("x>=1",),
+           "selfcheck": ("x>=1", "default: 6")}
+
+
+@pytest.mark.parametrize("cmd", ["", *_VALID])
+def test_help(cmd):
+    res = _run(*cmd.split(), "--help")
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout.startswith("usage: modmac")
+    if cmd:
+        assert all(r in res.stdout for r in ("x>=2", *_RANGES.get(cmd, ()))), res.stdout
+    else:
+        assert all(name in res.stdout for name in _VALID)
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("bogus",),
+    ("--m", "2", "gram", "--n", "3"),
+    ("gram", "--m", "2", "--n", "3", "--bogus", "1"),
+    ("gram", "--m", "2", "--n"),
+    ("gram", "--n", "3"),
+    ("partitions", "--m", "2", "--n", "4", "--cl", "all"),
+    ("partitions", "--m", "2", "--n", "4", "-h"),
+    ("partitions", "--m", "2", "--n", "4", "extra"),
+], ids=lambda args: " ".join(args) or "no arguments")
+def test_command_line_usage_error(args):
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert "Error: " in res.stderr
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(modmac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+
+
+def test_import_loads_no_heavy_module():
+    # start-up cost: the command line needs none of these
+    res = _fresh_interpreter(
+        "import sys; before = set(sys.modules); import modmac.cli; "
+        "print(sorted({'click', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.decode().strip() == "[]"
+
+
+def test_runs_without_click():
+    res = _fresh_interpreter(
+        "import sys; sys.modules['click'] = None; "
+        "from modmac.cli import main; main(['gram', '--m', '2', '--n', '2'])")
+    assert res.returncode == 0, res.stderr
+    digest = dict((c, d) for c, _, d in GOLDEN)["gram --m 2 --n 2"]
+    assert hashlib.sha256(res.stdout).hexdigest() == digest

@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -193,7 +192,7 @@ def test_eigenvector_recheck_fires(monkeypatch, mode):
     assert mat.order == (P((4,)), P((3, 1)))
     rows = [list(row) for row in mat.entries]
     rows[0][1] = rows[0][1] + 1
-    bad = replace(mat, entries=tuple(map(tuple, rows)))
+    bad = mat._replace(entries=tuple(map(tuple, rows)))
     monkeypatch.setattr(macdonald, "x0_matrix",
                         lambda n, md: bad if (n, md) == (4, mode) else x0_matrix(n, md))
     solve_q.cache_clear()
@@ -213,7 +212,7 @@ def test_gram_off_diagonal_check_fires(monkeypatch, mode):
     # the message must carry the true pairing, not the cleared one
     qs = all_q(4, mode)
     p_form = qs[2].p_form + qs[0].p_form
-    mixed = replace(qs[2], p_form=p_form)
+    mixed = qs[2]._replace(p_form=p_form)
     monkeypatch.setattr(macdonald, "all_q", lambda n, md: qs[:2] + [mixed] + qs[3:])
     direct = scalar_product(qs[0].p_form, p_form, mode)
     assert not direct.is_zero and direct == scalar_product(qs[0].p_form, qs[0].p_form, mode)
