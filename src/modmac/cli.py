@@ -8,6 +8,8 @@ deterministic for a fixed command line and seed.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 
@@ -20,6 +22,10 @@ from .scalars import ParamMode, eval_mode, parse_scalar_literal, symbolic_mode
 from .selfcheck import run_selfcheck
 from .symfunc import q_to_p, qprod_to_p, to_p
 from .vertex import X0Matrix, x0_apply_series, x0_matrix
+
+# a process runs one command: objects frozen at exit spare finalization's full
+# collections a walk over every object, whose memory the OS reclaims anyway
+atexit.register(gc.freeze)
 
 _FAILURES = (VerificationError, InternalCheckError, EigenvalueCollisionAtEvaluation,
              PoleAtSpecialization)

@@ -5,10 +5,12 @@ dominance-above part of the m-reduced q-basis.  The coefficients come from a
 triangular recursion; the eigenvector property is re-verified through the
 independent normal-ordered implementation before anything is returned.
 
-Both checks on the eigenvectors are linear, so they run exactly on cleared
-forms whose sums take no gcd: the re-verification on N = sum (L c_mu) q_mu
-in P, L the monic lcm of the q-coordinates' denominators, whence the p-form
-N_rho / (L eps_rho); `gram`'s orthogonality on p_form times its own lcm.
+The solve keeps the eigenvector cleared: N = sum (L c_mu) q_mu in P, with L
+the monic lcm of the q-coordinates' denominators, so N has polynomial
+coefficients.  Both checks on the eigenvectors are linear, so they run
+exactly on N, and their sums take no gcd: the re-verification, and `gram`'s
+orthogonality, with the pairing weights cleared into N by `symfunc.weigh`.
+The p-form N_rho / (L eps_rho) is formed only where it is read.
 
 The q -> 0 limit is taken on symbolically computed coefficients, never by
 re-running the solve at q = 0: there the eigenvalues depend only on the
@@ -23,8 +25,8 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
-from .scalars import Cyc, CycRat, ParamMode, clear_denominators, evaluate, scalar_to_json
-from .symfunc import PExpr, QExpr, p_multiply, scalar_product, to_p
+from .scalars import Cyc, CycRat, ParamMode, evaluate, extend_denominator, scalar_to_json
+from .symfunc import PExpr, QExpr, coefficient_dot, p_multiply, to_p, weigh
 from .vertex import x0_apply_diff, x0_matrix
 
 __all__ = [
@@ -42,15 +44,23 @@ class ModularMacdonald(NamedTuple):
 
     q_coeffs lists the coordinates on the m-reduced q-basis, the indexing
     partition first and then ascending in dominance; the leading coefficient
-    is one and the support dominates the index.
+    is one and the support dominates the index.  lcm is the monic lcm L of
+    their denominators and cleared the eigenvector times L in P, whose
+    coefficients are polynomials.
     """
 
     m: int
     shape: Partition
     mode: ParamMode
     q_coeffs: tuple[tuple[Partition, Cyc | CycRat], ...]
-    p_form: PExpr
+    lcm: Cyc | CycRat
+    cleared: PExpr
     eigenvalue: Cyc | CycRat
+
+    @property
+    def p_form(self) -> PExpr:
+        """The eigenvector on the p basis, N_rho / (L eps_rho); formed on each read."""
+        return to_p(self.cleared, self.mode).scale(self.lcm.inv())
 
     def coeff(self, mu) -> Cyc | CycRat:
         return dict(self.q_coeffs).get(Partition(mu), self.mode.zero())
@@ -79,7 +89,14 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     against the closed form `eigenvalue_c`.  The result must be an
     exact eigenvector of the independent implementation of the operator.
 
-    That check runs on the cleared form N = L * eigenvector in P: X0 is
+    The recursion runs over one monic running denominator D, holding
+    u_j = c_j D as polynomials: each sum of u_j against the matrix takes no
+    gcd, and c_k = sum / (D gap) one cancelling gcd.  When den c_k does not
+    divide D, D and every u_j grow by the missing factor.  At the end D is
+    the lcm L of the denominators and the u_j are the cleared coordinates.
+    In eval mode D stays 1.
+
+    The check runs on the cleared form N = L * eigenvector in P: X0 is
     linear and L is nonzero, so X0 N = ev N exactly when X0 Q = ev Q.
     """
     m = mode.m
@@ -87,36 +104,34 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
         raise ValueError(f"{lam} is not m-reduced for m = {m}")
     if not lam:
         return ModularMacdonald(
-            m, lam, mode, ((lam, mode.one()),), PExpr.one(m), mode.one()
+            m, lam, mode, ((lam, mode.one()),), mode.one(), PExpr.one(m), mode.one()
         )
     mat = x0_matrix(lam.weight, mode)
     diag = mat.diagonal()
     # the order extends dominance, so lam is the last position dominating it
     *above, i = (k for k, nu in enumerate(mat.order) if dominates(nu, lam))
     ev = diag[i]
-    coeffs: dict[int, Cyc | CycRat] = {i: mode.one()}  # by position in the order
+    # c_j and u_j = c_j * den, by position in the order
+    den, coeffs, nums = mode.one(), {i: mode.one()}, {i: mode.one()}
     for k in reversed(above):
         row = mat.entries[k]
-        c = sum((a * row[j] for j, a in coeffs.items()), mode.zero()) / (ev - diag[k])
-        if not c.is_zero:
-            coeffs[k] = c
+        s = sum((u * row[j] for j, u in nums.items()), mode.zero())
+        if s.is_zero:
+            continue
+        c = s / ((ev - diag[k]) * den)
+        grow, u = extend_denominator(den, c)
+        if grow != 1:
+            den = grow * den
+            nums = {j: grow * v for j, v in nums.items()}
+        coeffs[k], nums[k] = c, u
     shapes = [mat.order[k] for k in coeffs]
-    lcm, nums = clear_denominators(m, list(coeffs.values()))
-    cleared = QExpr._raw(m, dict(zip(shapes, nums))).to_p()
+    cleared = QExpr._raw(m, dict(zip(shapes, nums.values()))).to_p()
     if x0_apply_diff(cleared, mode) != cleared.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam} are not an eigenvector of the "
             f"normal-ordered implementation (m={m}, {mode.describe()})"
         )
-    p_form = to_p(cleared, mode).scale(lcm.inv())
-    return ModularMacdonald(m, lam, mode, tuple(zip(shapes, coeffs.values())), p_form, ev)
-
-
-def _cleared(p_form: PExpr) -> tuple[Cyc | CycRat, PExpr]:
-    # (L, L * p_form) for the monic lcm L of the coefficient denominators;
-    # (1, p_form) when every coefficient is a polynomial, as in eval mode
-    lcm, nums = clear_denominators(p_form.m, list(p_form.terms.values()))
-    return lcm, (p_form if lcm == 1 else PExpr._raw(p_form.m, dict(zip(p_form.terms, nums))))
+    return ModularMacdonald(m, lam, mode, tuple(zip(shapes, coeffs.values())), den, cleared, ev)
 
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
@@ -127,23 +142,25 @@ def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
 def gram(n: int, mode: ParamMode) -> list[list[Cyc | CycRat]]:
     """Pairings of the weight-n eigenvectors; must come out diagonal.
 
-    <N_a, N_b> = L_a L_b <Q_a, Q_b> is a gcd-free sum of polynomials, zero
-    exactly when <Q_a, Q_b> is; a diagonal entry is then divided by L_a^2.
-    The pairing is symmetric, so only i <= j is formed: the first nonzero
-    off-diagonal entry in row-major order has i < j.
+    On the cleared forms: with (K_a, G_a) = weigh(N_a), once per vector,
+    K_a L_a L_b <Q_a, Q_b> = coefficient_dot(N_b, G_a), a sum of polynomial
+    products that takes no gcd and is zero exactly when <Q_a, Q_b> is; a
+    diagonal entry is then divided by L_a^2 K_a.  The pairing is symmetric,
+    so only i <= j is formed: the first nonzero off-diagonal entry in
+    row-major order has i < j.
     """
     qs = all_q(n, mode)
-    cleared = [_cleared(a.p_form) for a in qs]
     out = [[mode.zero()] * len(qs) for _ in qs]
-    for i, (la, na) in enumerate(cleared):
-        out[i][i] = scalar_product(na, na, mode) / (la * la)
+    for i, a in enumerate(qs):
+        scale, weighted = weigh(a.cleared, mode)
+        out[i][i] = coefficient_dot(a.cleared, weighted) / (a.lcm * a.lcm * scale)
         for j in range(i + 1, len(qs)):
-            lb, nb = cleared[j]
-            v = scalar_product(na, nb, mode)
+            b = qs[j]
+            v = coefficient_dot(b.cleared, weighted)
             if not v.is_zero:
                 raise InternalCheckError(
-                    f"Gram matrix is not diagonal: <Q_{qs[i].shape}, Q_{qs[j].shape}> = "
-                    f"{v / (la * lb)} (m={mode.m}, {mode.describe()})"
+                    f"Gram matrix is not diagonal: <Q_{a.shape}, Q_{b.shape}> = "
+                    f"{v / (a.lcm * b.lcm * scale)} (m={mode.m}, {mode.describe()})"
                 )
     return out
 

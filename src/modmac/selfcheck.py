@@ -32,13 +32,14 @@ from .scalars import Cyc, CycRat, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
     QExpr,
+    coefficient_dot,
     modular_relation_check,
     p_multiply,
     q_to_p,
     qprod_to_p,
     r_to_p,
-    scalar_product,
     to_p,
+    weigh,
 )
 from .vertex import (
     _collision_precheck,
@@ -178,16 +179,17 @@ def _check_triangularity(m: int, bound: int) -> dict:
 
 
 def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> dict:
+    """The pairing is symmetric, so X is self-adjoint iff <X f_i, f_j> =
+    <X f_j, f_i> for every i < j.  Both sides are compared in P, times
+    K_i K_j for the (K, g) of `weigh`: polynomial products, no gcd."""
     for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
         for n in range(1, bound + 1):
             basis = [qprod_to_p(lam, m) for lam in enumerate_partitions(n, "m_reduced", m)]
-            images = [to_p(x0_apply_diff(f, mode), mode) for f in basis]
-            basis = [to_p(f, mode) for f in basis]
-            # the pairing is symmetric, so X is self-adjoint iff
-            # <X f_i, f_j> = <X f_j, f_i> for every i < j
+            images = [x0_apply_diff(f, mode) for f in basis]
+            weighted = [weigh(f, mode) for f in basis]
             for i, j in combinations(range(len(basis)), 2):
-                left = scalar_product(images[i], basis[j], mode)
-                if left != scalar_product(images[j], basis[i], mode):
+                (ki, gi), (kj, gj) = weighted[i], weighted[j]
+                if coefficient_dot(images[i], gj) * ki != coefficient_dot(images[j], gi) * kj:
                     return _report("self-adjoint", m, False,
                                    f"fails at n={n}, pair ({i},{j}), {mode.describe()}")
     return _report("self-adjoint", m, True,

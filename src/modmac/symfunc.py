@@ -4,7 +4,10 @@ Elements are kept on the normalized power sums P_rho = p_rho / eps_rho: eps
 is multiplicative, so multiplication is union of partitions and derivations
 act term by term.  There q_n = sum P_rho / z_rho, so the q-products and the
 change to the m-reduced q-basis are rational and depend on m alone.  p is
-an output format: `to_p` converts once, at the edge; the pairing takes p.
+an output format: `to_p` converts once, at the edge.  The pairing is
+diagonal on P, and `weigh` clears its weights into a vector's coefficients,
+so the library pairs in P; `scalar_product` is the same pairing on the p
+basis.
 
 Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
 validate every key and modulus and coerce int and Fraction coefficients.
@@ -28,7 +31,17 @@ from .partitions import (
     union,
     z_of,
 )
-from .scalars import Cyc, CycRat, ParamMode, _cyc_zero, epsilon, scalar_to_json, scalar_to_str, zeta
+from .scalars import (
+    Cyc,
+    CycRat,
+    ParamMode,
+    _cyc_zero,
+    clear_denominators,
+    epsilon,
+    scalar_to_json,
+    scalar_to_str,
+    zeta,
+)
 
 __all__ = [
     "PExpr",
@@ -41,6 +54,9 @@ __all__ = [
     "r_times_qprod",
     "epsilon_product",
     "scalar_product",
+    "pairing_weights",
+    "weigh",
+    "coefficient_dot",
     "d_dp",
     "p_to_q_reduced",
     "modular_relation_check",
@@ -294,12 +310,50 @@ def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
 
 
 def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
-    """Deformed Hall pairing on the p basis: <p_lam, p_mu> = delta * z_lam * eps_lam."""
+    """Deformed Hall pairing on the p basis: <p_lam, p_mu> = delta * z_lam * eps_lam.
+
+    The library pairs in P through `weigh`; this is the tests' oracle for it."""
     _require_same_m(f.m, g.m)
     _require_same_m(f.m, mode.m)
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
     return sum((c * large.terms[lam] * epsilon_product(lam, mode) * z_of(lam)
                 for lam, c in small.terms.items() if lam in large.terms), mode.zero())
+
+
+@lru_cache(maxsize=None)
+def pairing_weights(n: int, mode: ParamMode) -> dict[Partition, Cyc | CycRat]:
+    """The pairing on P at weight n: w_rho = <P_rho, P_rho> = z_rho / eps_rho
+    over the m-regular rho of weight n.  P is orthogonal, so
+    <f, g> = sum_rho f_rho g_rho w_rho."""
+    return {rho: z_of(rho) / epsilon_product(rho, mode)
+            for rho in enumerate_partitions(n, "m_regular", mode.m)}
+
+
+def weigh(f: PExpr, mode: ParamMode) -> tuple[Cyc | CycRat, PExpr]:
+    """(K, g) for a homogeneous f in P: K is the monic lcm of the denominators
+    of the f_rho w_rho of `pairing_weights`, and g_rho = K f_rho w_rho is a
+    polynomial, so K <h, f> = coefficient_dot(h, g) for h of f's weight.
+
+    K is the vector's own: a factor of eps_rho that f_rho cancels stays out
+    of it, which keeps g as short as the p-form cleared.  One gcd per
+    coefficient that depends on q, and `clear_denominators`'s; none in eval
+    mode, where K = 1.
+    """
+    _require_same_m(f.m, mode.m)
+    if f.is_zero:
+        return mode.one(), f
+    w = pairing_weights(f.homogeneous_degree(), mode)
+    lcm, vals = clear_denominators(f.m, [w[rho] * c for rho, c in f.terms.items()])
+    return lcm, PExpr._raw(f.m, dict(zip(f.terms, vals)))
+
+
+def coefficient_dot(f: PExpr, g: PExpr) -> Cyc | CycRat:
+    """sum_rho f_rho g_rho over the common support: a sum of products, with
+    no gcd when the coefficients are polynomials."""
+    _require_same_m(f.m, g.m)
+    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+    return sum((c * large.terms[rho] for rho, c in small.terms.items() if rho in large.terms),
+               _cyc_zero(f.m))
 
 
 def d_dp(n: int, f: PExpr) -> PExpr:

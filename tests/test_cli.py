@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -515,6 +516,14 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     src = os.path.dirname(os.path.dirname(modmac.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+
+
+def test_commands_leave_the_collector_alone():
+    # objects are frozen only at exit: an in-process command keeps the
+    # collector running and freezes nothing
+    assert _run("gram", "--m", "2", "--n", "3").exit_code == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
 
 
 def test_import_loads_no_heavy_module():

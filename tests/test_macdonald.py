@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from modmac import macdonald, vertex
+from modmac import macdonald, selfcheck, vertex
 from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError
 from modmac.macdonald import (
     all_q,
@@ -13,10 +13,19 @@ from modmac.macdonald import (
     solve_q,
     specialize_q0,
 )
-from modmac.partitions import Partition, enumerate_partitions, z_of
-from modmac.scalars import Cyc, CycRat, _pgcd, eval_mode, symbolic_mode, zeta
-from modmac.selfcheck import _check_eigenbasis
-from modmac.symfunc import PExpr, QExpr, p_multiply, q_to_p, qprod_to_p, scalar_product, to_p
+from modmac.partitions import Partition, dominates, enumerate_partitions, z_of
+from modmac.scalars import Cyc, CycRat, _pgcd, clear_denominators, eval_mode, symbolic_mode, zeta
+from modmac.selfcheck import _check_eigenbasis, _check_self_adjoint
+from modmac.symfunc import (
+    PExpr,
+    QExpr,
+    epsilon_product,
+    p_multiply,
+    q_to_p,
+    qprod_to_p,
+    scalar_product,
+    to_p,
+)
 from modmac.vertex import eigenvalue_c, x0_apply_diff, x0_matrix
 
 P = Partition
@@ -141,21 +150,97 @@ def test_cleared_route_equals_direct_route(mode, n):
     # the direct pairings of the p-forms are the oracle for gram's cleared ones
     assert gram(n, mode) == [[scalar_product(a.p_form, b.p_form, mode) for b in qs] for a in qs]
     for mac in qs:
-        lcm, cleared = macdonald._cleared(mac.p_form)
+        lcm, cleared = mac.lcm, mac.cleared
         one = Cyc(mode.m, (1,))
         if isinstance(lcm, Cyc):
-            assert lcm == 1 and cleared is mac.p_form
+            assert lcm == 1
             g = (lcm.den, lcm.num)
         else:
             assert mode.is_symbolic and lcm.is_polynomial and lcm.num[-1] == 1
             g = lcm._num
+        # N = sum (L c_mu) q_mu in P, and N_rho / (L eps_rho) is the p-form
+        assert cleared == _in_P(mac).scale(lcm)
         assert cleared.terms.keys() == mac.p_form.terms.keys()
         for lam, c in cleared.terms.items():
             assert isinstance(c, Cyc) or c.is_polynomial
-            assert c / lcm == mac.p_form.terms[lam]
-            g = _pgcd(mode.m, g, c._num if isinstance(c, CycRat) else (c.den, c.num))
+            assert c / (lcm * epsilon_product(lam, mode)) == mac.p_form.terms[lam]
+        for _, c in mac.q_coeffs:
+            u = c * lcm
+            assert isinstance(u, Cyc) or u.is_polynomial
+            g = _pgcd(mode.m, g, u._num if isinstance(u, CycRat) else (u.den, u.num))
         # the least common multiple: no factor of L divides every numerator
         assert g == (one.den, one.num), mac.shape
+
+
+def _recursion_then_clearing(lam, mode):
+    # the solve's loop over CycRat coordinates, then one clearing at the end
+    mat = x0_matrix(lam.weight, mode)
+    diag = mat.diagonal()
+    *above, i = (k for k, nu in enumerate(mat.order) if dominates(nu, lam))
+    coeffs = {i: mode.one()}
+    for k in reversed(above):
+        row = mat.entries[k]
+        c = sum((a * row[j] for j, a in coeffs.items()), mode.zero()) / (diag[i] - diag[k])
+        if not c.is_zero:
+            coeffs[k] = c
+    lcm, nums = clear_denominators(mode.m, list(coeffs.values()))
+    return tuple((mat.order[k], c) for k, c in coeffs.items()), lcm, nums
+
+
+RUNNING_DEN_CASES = [(mode, n) for m, n in ((2, 6), (3, 6), (5, 5), (8, 8))
+                     for mode in (symbolic_mode(m), eval_mode(m, 2))]
+
+
+@pytest.mark.parametrize("mode,n", RUNNING_DEN_CASES,
+                         ids=[f"m{mode.m}-{'symbolic' if mode.is_symbolic else 'eval'}-n{n}"
+                              for mode, n in RUNNING_DEN_CASES])
+def test_running_denominator_equals_clearing_at_the_end(mode, n):
+    # the same coordinates, the same L and the same cleared numerators
+    for lam in x0_matrix(n, mode).order:
+        mac = solve_q(lam, mode)
+        q_coeffs, lcm, nums = _recursion_then_clearing(lam, mode)
+        assert mac.q_coeffs == q_coeffs
+        assert mac.lcm == lcm and type(mac.lcm) is type(lcm)
+        assert [c * mac.lcm for _, c in mac.q_coeffs] == nums
+        assert mac.cleared == QExpr(mode.m, dict(zip((mu for mu, _ in q_coeffs), nums))).to_p()
+        if not mode.is_symbolic:
+            assert lcm == 1
+
+
+def _mutated_weigh(monkeypatch, mutate):
+    # every pairing of `gram` and the self-adjointness check goes through weigh
+    real = macdonald.weigh
+
+    def weigh(f, mode):
+        return mutate(*real(f, mode))
+
+    monkeypatch.setattr(macdonald, "weigh", weigh)
+    monkeypatch.setattr(selfcheck, "weigh", weigh)
+
+
+def test_dropped_lcm_changes_the_gram_diagonal(monkeypatch):
+    # K = 1 in place of the vector's lcm: the diagonal is off by K, and the
+    # direct pairings of the p-forms see it
+    qs = all_q(4, M3)
+    want = [[scalar_product(a.p_form, b.p_form, M3) for b in qs] for a in qs]
+    assert gram(4, M3) == want
+    _mutated_weigh(monkeypatch, lambda lcm, g: (Cyc(3, (1,)), g))
+    assert gram(4, M3) != want
+
+
+@pytest.mark.parametrize("mode", [M3, eval_mode(3, 2)], ids=["symbolic", "eval"])
+def test_dropped_weight_fires(monkeypatch, mode):
+    # one weighted term dropped: gram's orthogonality and the self-adjointness
+    # check both fail
+    assert _check_self_adjoint(3, 4, 4)["status"] == "ok"
+    gram(4, mode)
+    rho = P((1, 1, 1, 1))
+    _mutated_weigh(monkeypatch, lambda lcm, g: (
+        lcm, PExpr._raw(g.m, {key: c for key, c in g.terms.items() if key != rho})))
+    with pytest.raises(InternalCheckError, match="^Gram matrix is not diagonal"):
+        gram(4, mode)
+    report = _check_self_adjoint(3, 4, 4)
+    assert report["status"] == "fail", report
 
 
 def test_gram_zeros_are_cycs():
@@ -212,7 +297,10 @@ def test_gram_off_diagonal_check_fires(monkeypatch, mode):
     # the message must carry the true pairing, not the cleared one
     qs = all_q(4, mode)
     p_form = qs[2].p_form + qs[0].p_form
-    mixed = qs[2]._replace(p_form=p_form)
+    # (L_2 L_0, N_2 L_0 + N_0 L_2) is the cleared form of Q_2 + Q_0
+    mixed = qs[2]._replace(lcm=qs[2].lcm * qs[0].lcm,
+                           cleared=qs[2].cleared.scale(qs[0].lcm) + qs[0].cleared.scale(qs[2].lcm))
+    assert mixed.p_form == p_form
     monkeypatch.setattr(macdonald, "all_q", lambda n, md: qs[:2] + [mixed] + qs[3:])
     direct = scalar_product(qs[0].p_form, p_form, mode)
     assert not direct.is_zero and direct == scalar_product(qs[0].p_form, qs[0].p_form, mode)

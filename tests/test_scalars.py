@@ -12,6 +12,7 @@ from modmac.scalars import (
     Cyc,
     CycRat,
     clear_denominators,
+    extend_denominator,
     cyclotomic_polynomial,
     epsilon,
     euler_phi,
@@ -289,6 +290,27 @@ def test_clear_denominators():
     polys = [Cyc(3, (2,)), q * q + zeta(3)]
     lcm, nums = clear_denominators(3, polys)
     assert lcm == 1 and type(lcm) is Cyc and nums is polys
+
+
+def test_extend_denominator():
+    # (f, c d f): d f = lcm(d, den c) and c d f is a polynomial
+    q = CycRat.q(3)
+    one = Cyc(3, (1,))
+    cases = [
+        (one, Cyc(3, (2,)), one),                      # a constant, nothing to clear
+        (q - 1, q * q + zeta(3), one),                 # a polynomial
+        (q - 1, zeta(3) / (q + 2), q + 2),             # coprime: d grows by den c
+        ((q - 1) * (q + 2), 3 / (q - 1), one),         # den c divides d
+        ((q - 1) * (q + 2), q / ((q - 1) * (q * q + 1)), q * q + 1),  # a common factor
+        (one, (q + 1) / (q * q + 2 * q + 3), q * q + 2 * q + 3),      # d = 1 takes no gcd
+    ]
+    for d, c, grow in cases:
+        f, u = extend_denominator(d, c)
+        assert f == grow and type(f) is type(grow)
+        assert u == c * d * f and (isinstance(u, Cyc) or u.is_polynomial)
+    # eval mode: every value is a Cyc and d stays one
+    f, u = extend_denominator(one, zeta(3))
+    assert f == 1 and u is zeta(3)
 
 
 def test_json_round_trip():

@@ -5,10 +5,11 @@ import pytest
 
 from modmac.macdonald import solve_q
 from modmac.partitions import Partition, dominates, enumerate_partitions, mult_factorial, z_of
-from modmac.scalars import Cyc, CycRat, epsilon, eval_mode, symbolic_mode, zeta
+from modmac.scalars import Cyc, CycRat, _pgcd, epsilon, eval_mode, symbolic_mode, zeta
 from modmac.symfunc import (
     PExpr,
     QExpr,
+    coefficient_dot,
     d_dp,
     epsilon_product,
     modular_relation_check,
@@ -16,9 +17,11 @@ from modmac.symfunc import (
     p_to_q_reduced,
     q_to_p,
     qprod_to_p,
+    pairing_weights,
     r_to_p,
     scalar_product,
     to_p,
+    weigh,
 )
 from modmac.vertex import s_apply, x0_apply_diff, x0_apply_series, x0_matrix
 
@@ -276,6 +279,55 @@ def test_scalar_product_examples():
     assert scalar_product(q1, q1, M2) == 1 / epsilon(1, M2)
     with pytest.raises(ValueError):
         scalar_product(p1, PExpr.monomial(3, (1,)), M2)
+
+
+# each modulus to a weight past it, where the modular structure appears
+WEIGHT_CASES = [(mode, n) for m, weights in ((2, range(1, 7)), (3, range(1, 6)), (4, range(1, 6)),
+                                             (5, range(1, 7)), (8, (1, 2, 3, 8)))
+                for mode in (symbolic_mode(m), eval_mode(m, 2)) for n in weights]
+
+
+@pytest.mark.parametrize("mode,n", WEIGHT_CASES,
+                         ids=[f"m{mode.m}-{'symbolic' if mode.is_symbolic else 'eval'}-n{n}"
+                              for mode, n in WEIGHT_CASES])
+def test_cleared_pairing_equals_scalar_product(mode, n):
+    # the pairing in P through `weigh` against the p-basis pairing, on three
+    # q-products, their images under X0 (coefficients that depend on q) and
+    # one sum of both
+    m = mode.m
+    one = Cyc(m, (1,))
+    for rho, w in pairing_weights(n, mode).items():
+        p_rho = to_p(PExpr.monomial(m, rho), mode)
+        assert w == scalar_product(p_rho, p_rho, mode)
+    basis = [qprod_to_p(lam, m) for lam in enumerate_partitions(n, "m_reduced", m)[:3]]
+    vectors = basis + [x0_apply_diff(f, mode) for f in basis]
+    vectors.append(vectors[-1] + vectors[0].scale(mode.qpow(1) + 1))
+    for g in vectors:
+        lcm, weighted = weigh(g, mode)
+        # K is monic and the least multiple that makes every K g_rho w_rho a polynomial
+        if isinstance(lcm, Cyc):
+            assert lcm == 1
+            acc = (one.den, one.num)
+        else:
+            assert mode.is_symbolic and lcm.is_polynomial and lcm.num[-1] == 1
+            acc = lcm._num
+        assert weighted.terms.keys() == g.terms.keys()
+        for c in weighted.terms.values():
+            assert isinstance(c, Cyc) or c.is_polynomial
+            acc = _pgcd(m, acc, c._num if isinstance(c, CycRat) else (c.den, c.num))
+        assert acc == (one.den, one.num)
+        for f in vectors:
+            want = scalar_product(to_p(f, mode), to_p(g, mode), mode)
+            assert coefficient_dot(f, weighted) / lcm == want
+
+
+def test_weigh_zero_and_moduli():
+    assert weigh(PExpr.zero(3), M3) == (1, PExpr.zero(3))
+    assert coefficient_dot(PExpr.zero(2), PExpr.one(2)) == 0
+    with pytest.raises(ValueError, match="^mixed moduli"):
+        weigh(PExpr.one(2), M3)
+    with pytest.raises(ValueError, match="^mixed moduli"):
+        coefficient_dot(PExpr.one(2), PExpr.one(3))
 
 
 def _random_homogeneous(rng, m, n, mode):
