@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
-from .scalars import Cyc, CycRat, ParamMode, evaluate, extend_denominator, scalar_to_json
+from .scalars import Cyc, CycRat, ParamMode, clear_denominators, evaluate, scalar_to_json
 from .symfunc import PExpr, QExpr, coefficient_dot, p_multiply, to_p, weigh
 from .vertex import x0_apply_diff, x0_matrix
 
@@ -91,9 +91,10 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
 
     The recursion runs over one monic running denominator D, holding
     u_j = c_j D as polynomials: each sum of u_j against the matrix takes no
-    gcd, and c_k = sum / (D gap) one cancelling gcd.  When den c_k does not
-    divide D, D and every u_j grow by the missing factor.  At the end D is
-    the lcm L of the denominators and the u_j are the cleared coordinates.
+    gcd, and c_k = sum / (D gap) one cancelling gcd.  `clear_denominators`
+    grows D to lcm(D, den c_k), and every u_j by the same factor.  At the
+    end D is the lcm L of the denominators and the u_j are the cleared
+    coordinates.
     In eval mode D stays 1.
 
     The check runs on the cleared form N = L * eigenvector in P: X0 is
@@ -119,9 +120,8 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
         if s.is_zero:
             continue
         c = s / ((ev - diag[k]) * den)
-        grow, u = extend_denominator(den, c)
+        den, (grow, u) = clear_denominators(m, [den.inv(), c])
         if grow != 1:
-            den = grow * den
             nums = {j: grow * v for j, v in nums.items()}
         coeffs[k], nums[k] = c, u
     shapes = [mat.order[k] for k in coeffs]

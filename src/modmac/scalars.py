@@ -46,7 +46,6 @@ __all__ = [
     "zeta",
     "epsilon",
     "clear_denominators",
-    "extend_denominator",
     "evaluate",
     "scalar_to_json",
     "scalar_to_str",
@@ -692,7 +691,8 @@ def _mk_rat(m: int, num, den) -> Cyc | CycRat:
 def clear_denominators(m: int, values: list) -> tuple[Cyc | CycRat, list]:
     """The monic lcm L of the denominators of nonzero scalars, and the list
     of L * value, each a polynomial in q; (1, values) when all already are.
-    One gcd per distinct denominator after the first, none per value."""
+    One gcd per distinct denominator after the first, none per value.  For
+    a monic polynomial D, [1/D, c] gives lcm(D, den c) and [L / D, c L]."""
     dens = list(dict.fromkeys(v._den for v in values if isinstance(v, CycRat) and not v.is_polynomial))
     if not dens:
         return _cyc_one(m), values
@@ -704,21 +704,6 @@ def clear_denominators(m: int, values: list) -> tuple[Cyc | CycRat, list]:
                    else _qmul(m, v._num, _qdivmod(m, common, v._den)[0]), one)
            for v in values]
     return _mk_rat(m, common, one), out
-
-
-def extend_denominator(d: Cyc | CycRat, c: Cyc | CycRat) -> tuple[Cyc | CycRat, Cyc | CycRat]:
-    """(f, c d f) for a monic polynomial d and a scalar c: f = den c / gcd(d,
-    den c) is the monic factor by which d grows to lcm(d, den c), and c d f
-    is a polynomial.  f is the Cyc one when d already clears c.  One gcd
-    when both d and den c depend on q, none otherwise."""
-    m = c.m
-    if isinstance(c, Cyc) or c.is_polynomial:
-        # a monic constant d is one
-        return _cyc_one(m), c if isinstance(d, Cyc) else d * c
-    dv = d._num if isinstance(d, CycRat) else (d.den, d.num)
-    quo, grow, _ = _cancel(m, dv, c._den)
-    one = (1, _cyc_one(m).num)
-    return _mk_rat(m, grow, one), _mk_rat(m, _qmul(m, c._num, quo), one)
 
 
 def _as_cyc(m: int, c) -> Cyc:

@@ -236,7 +236,8 @@ def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.R
 def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
     """Monic eigenvectors with nonzero coefficients on the dominating support,
     the closed-form eigenvalue, the series-form eigen-equation, and a Gram
-    matrix with zero off-diagonal and nonzero diagonal.  `solve_q` checks the
+    matrix with zero off-diagonal and nonzero diagonal.  The series form is
+    compared in P, times L, with the cleared N = L Q.  `solve_q` checks the
     normal-ordered eigen-equation itself; its InternalCheckError is reported."""
     try:
         for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
@@ -256,7 +257,7 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
                                               for nu, c in mac.q_coeffs))
                     if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
                         return _report("eigenbasis", m, False, f"eigenvalue off at {where}")
-                    if to_p(by_series, mode) != mac.p_form.scale(mac.eigenvalue):
+                    if by_series.scale(mac.lcm) != mac.cleared.scale(mac.eigenvalue):
                         return _report("eigenbasis", m, False,
                                        f"not an eigenvector of the series form at {where}")
                 for i, row in enumerate(gram(n, mode)):

@@ -189,16 +189,13 @@ class PExpr(_Expr):
         return PExpr._raw(self.m, {lam: -c for lam, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, PExpr):
-            _require_same_m(self.m, other.m)
-            return PExpr._collect(self.m, (
-                (union(la, lb), ca * cb)
-                for la, ca in self.terms.items() for lb, cb in other.terms.items()
-            ))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not isinstance(other, PExpr):
+            return NotImplemented
+        _require_same_m(self.m, other.m)
+        return PExpr._collect(self.m, (
+            (union(la, lb), ca * cb)
+            for la, ca in self.terms.items() for lb, cb in other.terms.items()
+        ))
 
     def scale(self, c) -> "PExpr":
         if not c:
@@ -312,12 +309,13 @@ def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
 def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
     """Deformed Hall pairing on the p basis: <p_lam, p_mu> = delta * z_lam * eps_lam.
 
-    The library pairs in P through `weigh`; this is the tests' oracle for it."""
+    The library pairs in P through `weigh`; this is the tests' oracle for it,
+    with its own p-basis weights: coefficient_dot(f, g') for g'_lam =
+    g_lam eps_lam z_lam."""
     _require_same_m(f.m, g.m)
     _require_same_m(f.m, mode.m)
-    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    return sum((c * large.terms[lam] * epsilon_product(lam, mode) * z_of(lam)
-                for lam, c in small.terms.items() if lam in large.terms), mode.zero())
+    return coefficient_dot(f, PExpr._raw(g.m, {lam: c * epsilon_product(lam, mode) * z_of(lam)
+                                               for lam, c in g.terms.items()}))
 
 
 @lru_cache(maxsize=None)

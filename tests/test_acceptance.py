@@ -10,7 +10,10 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from modmac import selfcheck
+from modmac.errors import InternalCheckError, VerificationError
 from modmac.macdonald import all_q, gram
 from modmac.scalars import eval_mode, evaluate, symbolic_mode
 from modmac.selfcheck import (
@@ -28,7 +31,8 @@ from modmac.selfcheck import (
     _check_triangularity,
     run_selfcheck,
 )
-from modmac.symfunc import PExpr, d_dp, p_multiply
+from modmac.partitions import Partition
+from modmac.symfunc import PExpr, d_dp, p_multiply, qprod_to_p
 from modmac.vertex import x0_apply_diff
 
 
@@ -93,6 +97,77 @@ def test_self_adjointness_failure_is_reported(monkeypatch):
     report = _check_self_adjoint(3, 4, 4)
     assert report["status"] == "fail"
     assert report["detail"] == "fails at n=4, pair (0,2), eval(q0=2, c0=-1 - xi)"
+
+
+def _off_at(inner, at, skew):
+    # inner, with its value at the arguments `at` passed through skew
+    return lambda *args: skew(inner(*args)) if args[:len(at)] == at else inner(*args)
+
+
+def _raising(exc):
+    def raise_(*args):
+        raise exc("planted failure")
+    return raise_
+
+
+def _drop_one_reduced(inner):
+    def enumerate_partitions(n, kind="all", m=None):
+        out = inner(n, kind, m)
+        return out[1:] if kind == "m_reduced" and n == 3 else out
+    return enumerate_partitions
+
+
+# criterion, the check at small ranges, the one function it checks, a
+# broken stand-in for it, and the report's detail
+FAILURES = {
+    "equinumerosity": (
+        lambda: _check_equinumerosity(2, 5), "enumerate_partitions", _drop_one_reduced,
+        "counts differ at n=3: 2 m-regular, 1 m-reduced"),
+    "traisesq": (
+        lambda: _check_newton(2, 3, 0, random.Random(0)), "newton_rhs",
+        lambda f: _off_at(f, ((2, 1),), lambda v: v + PExpr.monomial(2, (3,))),
+        "lhs != rhs"),
+    "lowering-count": (
+        lambda: _check_nl(2, 3), "nl_falling",
+        lambda f: _off_at(f, ((2, 1), (1,)), lambda v: v + 1),
+        "mismatch at lam=(2, 1), nu=(1,)"),
+    "creation-expansion": (
+        lambda: _check_r_expansion(2, 4), "d_mu",
+        lambda f: _off_at(f, ((2, 1),), lambda v: v * 2), "mismatch at n=3"),
+    "convolution": (
+        lambda: _check_convolution(2, 4), "r_to_p",
+        lambda f: _off_at(f, (2,), lambda v: v.scale(2)), "mismatch at n=2"),
+    "twisted-product": (
+        lambda: _check_modular_relation(2, 6), "modular_relation_check",
+        lambda f: _raising(VerificationError), "planted failure"),
+    "operator-agreement": (
+        lambda: _check_operator_agreement(2, 4), "x0_apply_diff",
+        lambda f: _off_at(f, (qprod_to_p(Partition((3,)), 2),), lambda v: v.scale(2)),
+        "mismatch at (3,)"),
+    "raising-triangular": (
+        lambda: _check_triangularity(2, 4), "x0_matrix",
+        lambda f: _raising(InternalCheckError), "planted failure"),
+    "eigenvalue-separation": (
+        lambda: _check_separation(2, 4, 0, 4, random.Random(0)), "eigen_collision",
+        lambda f: lambda lam, mu, m: False, "known collision family broke at k=0, l=0"),
+    "eigenbasis": (
+        lambda: _check_eigenbasis(3, 3, 0), "x0_apply_series",
+        lambda f: _off_at(f, ((2, 1),), lambda v: v.scale(2)),
+        "not an eigenvector of the series form at (2, 1) (m=3, symbolic)"),
+    "schur-q-limit": (
+        lambda: _check_schur_q(2, 4), "schur_q_oracle",
+        lambda f: _off_at(f, ((3, 1),), lambda v: v.scale(2)), "mismatch at (3, 1)"),
+}
+
+
+@pytest.mark.parametrize("identity", FAILURES)
+def test_criterion_failure_is_reported(identity, monkeypatch):
+    # each criterion reports its own failure: break the one function it
+    # checks, on `selfcheck`, and read the report
+    check, name, broken, detail = FAILURES[identity]
+    monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
+    report = check()
+    assert (report["identity"], report["status"], report["detail"]) == (identity, "fail", detail)
 
 
 def test_c10_eigenvalue_separation():

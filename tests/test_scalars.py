@@ -12,7 +12,6 @@ from modmac.scalars import (
     Cyc,
     CycRat,
     clear_denominators,
-    extend_denominator,
     cyclotomic_polynomial,
     epsilon,
     euler_phi,
@@ -292,8 +291,9 @@ def test_clear_denominators():
     assert lcm == 1 and type(lcm) is Cyc and nums is polys
 
 
-def test_extend_denominator():
-    # (f, c d f): d f = lcm(d, den c) and c d f is a polynomial
+def test_clear_denominators_grows_a_running_denominator():
+    # [1/d, c] clears to (d f, [f, c d f]): d f = lcm(d, den c) and c d f is
+    # a polynomial
     q = CycRat.q(3)
     one = Cyc(3, (1,))
     cases = [
@@ -305,12 +305,13 @@ def test_extend_denominator():
         (one, (q + 1) / (q * q + 2 * q + 3), q * q + 2 * q + 3),      # d = 1 takes no gcd
     ]
     for d, c, grow in cases:
-        f, u = extend_denominator(d, c)
+        lcm, (f, u) = clear_denominators(3, [d.inv(), c])
         assert f == grow and type(f) is type(grow)
+        assert lcm == d * f
         assert u == c * d * f and (isinstance(u, Cyc) or u.is_polynomial)
     # eval mode: every value is a Cyc and d stays one
-    f, u = extend_denominator(one, zeta(3))
-    assert f == 1 and u is zeta(3)
+    lcm, (f, u) = clear_denominators(3, [one.inv(), zeta(3)])
+    assert lcm == 1 and f == 1 and u is zeta(3)
 
 
 def test_json_round_trip():

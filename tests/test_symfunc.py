@@ -107,6 +107,16 @@ def test_p_multiply_examples():
         p_multiply(p1, p21)
 
 
+def test_only_scale_multiplies_by_a_scalar():
+    f = PExpr.monomial(3, (2, 1))
+    assert f.scale(3) == PExpr.monomial(3, (2, 1), 3)
+    for c in (3, Fraction(1, 2), zeta(3), CycRat.q(3)):
+        with pytest.raises(TypeError):
+            f * c
+        with pytest.raises(TypeError):
+            c * f
+
+
 def test_q_to_p_examples():
     e1 = epsilon(1, M2)
     assert to_p(q_to_p(2, 2), M2) == PExpr(2, {(1, 1): 1 / (2 * e1 * e1)})
