@@ -16,12 +16,12 @@ import sys
 from .errors import (EigenvalueCollisionAtEvaluation, InternalCheckError, PoleAtSpecialization,
                      VerificationError)
 from .macdonald import gram, solve_q, specialize_q0
-from .newton import newton_lhs, newton_rhs, qpow_dseq
 from .partitions import Partition, enumerate_partitions
 from .scalars import ParamMode, eval_mode, parse_scalar_literal, symbolic_mode
-from .selfcheck import run_selfcheck
 from .symfunc import q_to_p, qprod_to_p, to_p
 from .vertex import X0Matrix, x0_apply_series, x0_matrix
+# newton and selfcheck each serve one command, which imports it: the other
+# commands never compile them
 
 # a process runs one command: objects frozen at exit spare finalization's full
 # collections a walk over every object, whose memory the OS reclaims anyway
@@ -183,6 +183,8 @@ def qexpand_cmd(pm: ParamMode, n: int | None, lam: Partition | None) -> None:
 @_command("newton-verify", _M, _LAMBDA, *_MODE)
 def newton_verify_cmd(pm: ParamMode, lam: Partition) -> None:
     """Check the generalized Newton identity for one partition."""
+    from .newton import newton_lhs, newton_rhs, qpow_dseq
+
     delta = newton_lhs(lam, pm) - newton_rhs(lam, pm, qpow_dseq(pm))
     _emit({"identity": "traisesq", "m": pm.m, "lambda": lam.to_json(),
            "status": "ok" if delta.is_zero else "fail", "delta": to_p(delta, pm).to_json()})
@@ -227,6 +229,8 @@ def specialize_cmd(m: int, lam: Partition) -> None:
           _opt("--out", choices=("table", "json"), default="table"))
 def selfcheck_cmd(m: int, max_n: int, seed: int, out: str) -> None:
     """Run every identity family; exits 1 if any single check fails."""
+    from .selfcheck import run_selfcheck
+
     reports = run_selfcheck(m, max_n, seed)
     if out == "json":
         _emit(reports)

@@ -12,8 +12,6 @@ automorphism P_n -> P_n + 1 - xi^n.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from functools import lru_cache
 from itertools import combinations
@@ -151,6 +149,10 @@ class X0Matrix(NamedTuple):
         }
 
     def to_csv(self) -> str:
+        # the one user of csv: a command that writes JSON never loads it
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         labels = ["+".join(map(str, lam)) for lam in self.order]

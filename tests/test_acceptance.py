@@ -32,7 +32,7 @@ from modmac.selfcheck import (
     run_selfcheck,
 )
 from modmac.partitions import Partition
-from modmac.symfunc import PExpr, d_dp, p_multiply, qprod_to_p
+from modmac.symfunc import PExpr, QExpr, d_dp, p_multiply, qprod_to_p
 from modmac.vertex import x0_apply_diff
 
 
@@ -110,6 +110,30 @@ def _raising(exc):
     return raise_
 
 
+def _edit_shape(shape, edit):
+    # an `all_q` stand-in whose eigenvector at shape is passed through edit
+    return lambda inner: lambda n, mode: [edit(mac) if mac.shape == shape else mac
+                                          for mac in inner(n, mode)]
+
+
+def _replace_coeff(position, change):
+    # an eigenvector with its `position`-th q-coordinate passed through change
+    def edit(mac):
+        coeffs = list(mac.q_coeffs)
+        nu, c = coeffs[position]
+        coeffs[position] = (nu, change(c))
+        return mac._replace(q_coeffs=tuple(coeffs))
+    return edit
+
+
+def _non_polynomial_first(inner):
+    # `_collision_precheck`, its first value plus 1/(q - 1)
+    def precheck(order, mode):
+        values = inner(order, mode)
+        return [values[0] + (mode.qpow(1) - 1).inv()] + values[1:]
+    return precheck
+
+
 def _drop_one_reduced(inner):
     def enumerate_partitions(n, kind="all", m=None):
         out = inner(n, kind, m)
@@ -117,8 +141,9 @@ def _drop_one_reduced(inner):
     return enumerate_partitions
 
 
-# criterion, the check at small ranges, the one function it checks, a
-# broken stand-in for it, and the report's detail
+# failure case (the criterion, then "/" and the branch where a criterion
+# fails in more than one way), the check at small ranges, the one function
+# it checks, a broken stand-in for it, and the report's detail
 FAILURES = {
     "equinumerosity": (
         lambda: _check_equinumerosity(2, 5), "enumerate_partitions", _drop_one_reduced,
@@ -127,6 +152,15 @@ FAILURES = {
         lambda: _check_newton(2, 3, 0, random.Random(0)), "newton_rhs",
         lambda f: _off_at(f, ((2, 1),), lambda v: v + PExpr.monomial(2, (3,))),
         "lhs != rhs"),
+    "traisesq/leading-coefficient": (
+        lambda: _check_newton(2, 3, 0, random.Random(0)), "d_lambda_mu",
+        lambda f: _off_at(f, ((2, 1), (2, 1)), lambda v: v + 1),
+        "leading coefficient off"),
+    "traisesq/random-d-sequence": (
+        lambda: _check_newton(2, 3, 1, random.Random(0)), "newton_rhs",
+        lambda f: lambda lam, mode, d: f(lam, mode, d) + (
+            PExpr.zero(2) if mode.is_symbolic else PExpr.monomial(2, (3,))),
+        "lhs != rhs (random d-sequence)"),
     "lowering-count": (
         lambda: _check_nl(2, 3), "nl_falling",
         lambda f: _off_at(f, ((2, 1), (1,)), lambda v: v + 1),
@@ -140,6 +174,11 @@ FAILURES = {
     "twisted-product": (
         lambda: _check_modular_relation(2, 6), "modular_relation_check",
         lambda f: _raising(VerificationError), "planted failure"),
+    "twisted-product/coordinate": (
+        lambda: _check_modular_relation(2, 6), "modular_relation_check",
+        lambda f: _off_at(f, (2, 2),
+                          lambda v: QExpr(2, {nu: 2 * c for nu, c in v.terms.items()})),
+        "q_(4) coordinate of the relation is not 2"),
     "operator-agreement": (
         lambda: _check_operator_agreement(2, 4), "x0_apply_diff",
         lambda f: _off_at(f, (qprod_to_p(Partition((3,)), 2),), lambda v: v.scale(2)),
@@ -150,23 +189,58 @@ FAILURES = {
     "eigenvalue-separation": (
         lambda: _check_separation(2, 4, 0, 4, random.Random(0)), "eigen_collision",
         lambda f: lambda lam, mu, m: False, "known collision family broke at k=0, l=0"),
+    "eigenvalue-separation/non-polynomial-gap": (
+        lambda: _check_separation(2, 4, 0, 4, random.Random(0)), "_collision_precheck",
+        _non_polynomial_first, "non-polynomial gap (3,) vs (2, 1)"),
+    "eigenvalue-separation/predicate": (
+        lambda: _check_separation(2, 4, 5, 4, random.Random(0)), "eigen_collision",
+        lambda f: lambda lam, mu, m: not f(lam, mu, m),
+        "predicate mismatch (1, 1, 1) vs (1, 1, 1)"),
+    "eigenvalue-separation/internal-check": (
+        lambda: _check_separation(2, 4, 0, 4, random.Random(0)), "_collision_precheck",
+        lambda f: _raising(InternalCheckError), "planted failure"),
     "eigenbasis": (
         lambda: _check_eigenbasis(3, 3, 0), "x0_apply_series",
         lambda f: _off_at(f, ((2, 1),), lambda v: v.scale(2)),
         "not an eigenvector of the series form at (2, 1) (m=3, symbolic)"),
+    "eigenbasis/not-monic": (
+        lambda: _check_eigenbasis(3, 3, 0), "all_q",
+        _edit_shape((2, 1), _replace_coeff(0, lambda c: c + c)),
+        "not monic at (2, 1) (m=3, symbolic)"),
+    "eigenbasis/support": (
+        lambda: _check_eigenbasis(3, 3, 0), "all_q",
+        _edit_shape((2, 1), lambda mac: mac._replace(
+            q_coeffs=mac.q_coeffs + ((Partition((1, 1, 1)), mac.mode.one()),))),
+        "support below index at (2, 1) (m=3, symbolic)"),
+    "eigenbasis/zero-coefficient": (
+        lambda: _check_eigenbasis(3, 3, 0), "all_q",
+        _edit_shape((2, 1), _replace_coeff(1, lambda c: c - c)),
+        "zero coefficient at (3,) in (2, 1) (m=3, symbolic)"),
+    "eigenbasis/eigenvalue": (
+        lambda: _check_eigenbasis(3, 3, 0), "eigenvalue_c",
+        lambda f: _off_at(f, ((2, 1),), lambda v: v + 1),
+        "eigenvalue off at (2, 1) (m=3, symbolic)"),
+    "eigenbasis/gram-diagonal": (
+        lambda: _check_eigenbasis(3, 3, 0), "gram",
+        lambda f: _off_at(f, (2,), lambda g: [[g[0][0] - g[0][0]] + g[0][1:]] + g[1:]),
+        "zero Gram diagonal at n=2, index 0 (m=3, symbolic)"),
+    "eigenbasis/internal-check": (
+        lambda: _check_eigenbasis(3, 3, 0), "all_q",
+        lambda f: _raising(InternalCheckError), "planted failure"),
     "schur-q-limit": (
         lambda: _check_schur_q(2, 4), "schur_q_oracle",
         lambda f: _off_at(f, ((3, 1),), lambda v: v.scale(2)), "mismatch at (3, 1)"),
 }
 
 
-@pytest.mark.parametrize("identity", FAILURES)
-def test_criterion_failure_is_reported(identity, monkeypatch):
-    # each criterion reports its own failure: break the one function it
+@pytest.mark.parametrize("case", FAILURES)
+def test_criterion_failure_is_reported(case, monkeypatch):
+    # each criterion reports each of its failures: break the one function it
     # checks, on `selfcheck`, and read the report
-    check, name, broken, detail = FAILURES[identity]
+    check, name, broken, detail = FAILURES[case]
     monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
     report = check()
+    identity = case.partition("/")[0]
     assert (report["identity"], report["status"], report["detail"]) == (identity, "fail", detail)
 
 

@@ -527,12 +527,65 @@ def test_commands_leave_the_collector_alone():
 
 
 def test_import_loads_no_heavy_module():
-    # start-up cost: the command line needs none of these
+    # start-up cost: the command line needs none of these, and gram runs
+    # neither newton nor selfcheck nor writes CSV
+    heavy = "{'click', 'dataclasses', 'inspect', 'modmac.newton', 'modmac.selfcheck', 'csv'}"
     res = _fresh_interpreter(
         "import sys; before = set(sys.modules); import modmac.cli; "
-        "print(sorted({'click', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        f"print(sorted({heavy} & (set(sys.modules) - before))); "
+        "modmac.cli.main(['gram', '--m', '2', '--n', '3']); "
+        f"print(sorted({heavy} & (set(sys.modules) - before)))")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.decode().splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+def test_package_import_loads_no_module():
+    res = _fresh_interpreter(
+        "import sys; import modmac; "
+        "print(sorted(n for n in sys.modules if n.startswith('modmac.')))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.decode().strip() == "[]"
+
+
+def test_star_import_binds_the_module_names():
+    # the names come from the modules' __all__ on first use; an unknown name
+    # is still an AttributeError
+    res = _fresh_interpreter(
+        "from modmac import *\n"
+        "bound = {n for n in dir() if not n.startswith('_')}\n"
+        "import modmac\n"
+        "from modmac import (errors, macdonald, newton, partitions, scalars, selfcheck,\n"
+        "                    symfunc, vertex)\n"
+        "names = {n for mod in (errors, macdonald, newton, partitions, scalars, selfcheck,\n"
+        "                       symfunc, vertex) for n in mod.__all__}\n"
+        "assert bound == names == set(modmac.__all__), bound ^ names\n"
+        "try:\n"
+        "    modmac.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.decode().strip() == "module 'modmac' has no attribute 'no_such_name'"
+
+
+# the GOLDEN digest where there is one; the others were recorded before
+# newton and selfcheck were imported inside their commands
+_DEFERRED = (
+    ("selfcheck --m 2 --max-n 2 --out json",
+     "9c367da3b124fb54e3d465a4428488701a9aa265827d1378968fe5a4a1798ff8"),
+    ("newton-verify --m 2 --lambda 2,1",
+     "ea437fa213e713468a141719ca3aae1f9df82d44c2afd827fc27c95286e888e0"),
+    ("x0-matrix --m 2 --n 3 --out csv", dict((c, d) for c, _, d in GOLDEN)[
+        "x0-matrix --m 2 --n 3 --out csv"]),
+)
+
+
+@pytest.mark.parametrize("cmd,digest", _DEFERRED, ids=[c for c, _ in _DEFERRED])
+def test_deferred_imports_run_in_a_fresh_interpreter(cmd, digest):
+    # each command loads the module only it uses (newton, selfcheck, csv)
+    res = _fresh_interpreter(f"from modmac.cli import main; main({cmd.split()!r})")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
 
 
 def test_runs_without_click():
