@@ -1,18 +1,22 @@
 """Generalized Newton identity: lowering counts, expansion coefficients, and
-the brute-force left-hand side.
+both sides.
 
 The identity relates the raising series built from a creation sequence R to
 products of generalized complete functions.  Everything here is generic over
 the defining sequence d (with d_n specialized to q^n - 1 by the rest of the
 package) so the identity can be exercised on arbitrary sequences as well.
+The left-hand side reads the lowering table `partitions.lowerings`; `nl_brute`
+is the exhaustive walk that the closed-form counts are checked against.
 The right-hand side is linear in d: each d_{lam,mu} is sum_k w_k d_k with
 weights counted once per (lam, mu), whatever the sequence.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import Callable
 
@@ -23,7 +27,7 @@ from .partitions import (
     _split_counts,
     dominates,
     enumerate_partitions,
-    lowering_counts,
+    lowerings,
 )
 from .scalars import Cyc, CycRat, ParamMode
 from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
@@ -52,8 +56,15 @@ def qpow_dseq(mode: ParamMode) -> DSeq:
 
 def nl_brute(lam: Partition, nu: Partition) -> int:
     """Count tuples (i_1..i_s), 1 <= i_j <= lam_j, whose positive leftovers
-    lam_j - i_j form exactly nu (zeros discarded)."""
-    return dict(lowering_counts(lam)).get(nu, 0)
+    lam_j - i_j form exactly nu (zeros discarded), by walking every tuple."""
+    return _brute_counts(lam)[nu]
+
+
+@lru_cache(maxsize=None)
+def _brute_counts(lam: Partition) -> Counter[tuple[int, ...]]:
+    # a Partition hashes and compares as its tuple, so nl_brute looks nu up
+    return Counter(tuple(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))
+                   for tup in product(*(range(1, p + 1) for p in lam)))
 
 
 def _clamped_quotient(prod: int, nu_counts: dict[int, int], formula: str) -> int:
@@ -129,7 +140,7 @@ def _rhs_weights(lam: Partition, mu: Partition) -> tuple[tuple[int, Fraction], .
     # lowers the weight, so only the proper splits count.  The walk hands
     # over the multiplicities of nu and rho, which is all these need.
     w: dict[int, Fraction] = {}
-    for nu, rho, _ in _split_counts(mu):
+    for nu, rho in _split_counts(mu):
         count = _nl_closed_counts(lam, nu)
         if count:
             scale = count * _sign_scale(rho)
@@ -151,21 +162,19 @@ def d_lambda_mu(lam: Partition, mu: Partition, d: DSeq) -> Cyc | CycRat:
 
 
 def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -> PExpr:
-    """Brute-force left-hand side of the generalized Newton identity.
+    """Left-hand side of the generalized Newton identity.
 
     Sums R_{i_1+...+i_s} q_{lam_1-i_1} ... q_{lam_s-i_s} over all tuples with
-    every i_j >= 1, in P.  Tuples are enumerated exhaustively and grouped
-    only by their leftover partition nu, which fixes the total |lam| - |nu|,
-    before the ring products are taken.  `rs` overrides the creation
-    sequence (index by total degree); by default the closed-form expansion
-    is used.
+    every i_j >= 1, in P: the entries of the lowering table of lam with
+    t = len(lam), each a count of tuples with one leftover partition nu and
+    so one total k = |lam| - |nu|.  `rs` overrides the creation sequence
+    (index by total degree); by default the closed-form expansion is used.
     """
     if not lam:
         raise ValueError("the identity is stated for nonempty partitions")
-    n = lam.weight
-    terms = ((r_times_qprod(n - nu.weight, nu, mode) if rs is None
-              else p_multiply(rs[n - nu.weight], qprod_to_p(nu, mode.m))).scale(c)
-             for nu, c in lowering_counts(lam))
+    terms = ((r_times_qprod(k, nu, mode) if rs is None
+              else p_multiply(rs[k], qprod_to_p(nu, mode.m))).scale(c)
+             for (k, t, nu), c in lowerings(lam).items() if t == len(lam))
     return PExpr.sum(mode.m, terms)
 
 

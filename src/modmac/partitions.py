@@ -16,8 +16,8 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
 from itertools import product as iproduct
-from math import comb, factorial, prod
-from operator import index
+from math import factorial, prod
+from operator import index, neg
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -27,8 +27,7 @@ __all__ = [
     "union",
     "z_of",
     "mult_factorial",
-    "splits",
-    "lowering_counts",
+    "lowerings",
 ]
 
 _KINDS = ("all", "m_regular", "m_reduced")
@@ -183,37 +182,31 @@ def _count_factorial(counts: dict[int, int]) -> int:
     return prod(map(factorial, counts.values()))
 
 
-def splits(lam: Partition) -> Iterator[tuple[Partition, Partition, int]]:
-    """Each sub-multiset of lam once, as (sub, complement, positions): the
-    number of index sets of lam that pick out sub.  The positions sum to
-    2^len(lam)."""
-    for sub, rest, positions in _split_counts(lam):
-        yield (_raw_partition([v for v, c in sub.items() for _ in range(c)]),
-               _raw_partition([v for v, c in rest.items() for _ in range(c)]), positions)
-
-
-def _split_counts(lam: Partition) -> Iterator[tuple[dict[int, int], dict[int, int], int]]:
-    # the one walk behind `splits`, each side as its multiplicities (part
-    # value -> count, largest first, no zeros), for callers that count
+def _split_counts(lam: Partition) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    # each sub-multiset of lam and its complement once, as multiplicities
+    # (part value -> count, largest first, no zeros)
     counts = lam.multiplicities()
     parts, mults = tuple(counts), tuple(counts.values())
     for choice in iproduct(*(range(a + 1) for a in mults)):
         yield ({v: c for v, c in zip(parts, choice) if c},
-               {v: a - c for v, a, c in zip(parts, mults, choice) if a > c},
-               prod(map(comb, mults, choice)))
+               {v: a - c for v, a, c in zip(parts, mults, choice) if a > c})
 
 
-@lru_cache(maxsize=None)
-def lowering_counts(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Count the tuples (i_1..i_s), 1 <= i_j <= lam_j, by the partition nu of
-    their positive leftovers lam_j - i_j; the tuple sums to |lam| - |nu|.
-    Returns (nu, count) pairs in order of first occurrence.
-
-    The one exhaustive tuple walk: `nl_brute` and `newton_lhs` read it as it
-    is, and `x0_apply_series` on the lowered parts of each split of lam.
+def lowerings(lam: Partition) -> dict[tuple[int, int, Partition], int]:
+    """Count the tuples (i_1..i_s), 0 <= i_j <= lam_j, by (k, t, nu): their
+    sum, the number of positive i_j and the partition of the positive
+    leftovers lam_j - i_j.  The one lowering table of the raising sums:
+    `x0_apply_series` reads every entry, `newton_lhs` those with t = len(lam).
+    Parts are added one at a time and equal states merged, so a run of c
+    equal parts costs a polynomial in c, not (v + 1)^c tuples.
     """
-    counts: dict[tuple[int, ...], int] = {}
-    for tup in iproduct(*(range(1, p + 1) for p in lam)):
-        left = tuple(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))
-        counts[left] = counts.get(left, 0) + 1
-    return tuple((_raw_partition(left), c) for left, c in counts.items())
+    states: dict[tuple[int, tuple[int, ...]], int] = {(0, ()): 1}
+    for p in lam:
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (t, nu), c in states.items():
+            for left in range(p + 1):
+                at = bisect_left(nu, -left, key=neg)
+                key = (t + (left < p), nu[:at] + (left,) + nu[at:] if left else nu)
+                nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+    return {(sum(lam) - sum(nu), t, _raw_partition(nu)): c for (t, nu), c in states.items()}

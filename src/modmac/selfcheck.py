@@ -143,8 +143,11 @@ def _check_convolution(m: int, bound: int) -> dict:
 
 def _check_modular_relation(m: int, top: int) -> dict:
     """The twisted product at every degree km <= top; the relation's q_(km)
-    coordinate must be m."""
+    coordinate must be m.  Skipped when no k >= 1 fits."""
     ks = [k for k in range(1, top // m + 1)]
+    if not ks:
+        return {"identity": "twisted-product", "m": m, "status": "skipped",
+                "detail": f"no k >= 1 with km <= {top}"}
     try:
         for k in ks:
             rel = modular_relation_check(k, m)
@@ -153,7 +156,7 @@ def _check_modular_relation(m: int, top: int) -> dict:
                                f"q_({k * m}) coordinate of the relation is not {m}")
     except VerificationError as exc:
         return _report("twisted-product", m, False, str(exc))
-    return _report("twisted-product", m, True, f"km<={m * len(ks) if ks else 0}")
+    return _report("twisted-product", m, True, f"km<={m * len(ks)}")
 
 
 def _check_operator_agreement(m: int, bound: int) -> dict:
@@ -294,7 +297,7 @@ def run_selfcheck(m: int, max_n: int, seed: int = 0) -> list[dict]:
         _check_nl(m, min(max_n + 1, 9)),
         _check_r_expansion(m, min(max_n, 10)),
         _check_convolution(m, min(max_n, 10)),
-        _check_modular_relation(m, min(2 * max_n, 12)),
+        _check_modular_relation(m, min(max(2 * max_n, m), 12)),
         _check_operator_agreement(m, operator_bound),
         _check_triangularity(m, operator_bound),
         _check_self_adjoint(m, min(max_n, 6), min(max_n, 8)),

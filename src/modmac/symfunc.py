@@ -40,7 +40,6 @@ from .scalars import (
     epsilon,
     scalar_to_json,
     scalar_to_str,
-    zeta,
 )
 
 __all__ = [
@@ -425,30 +424,30 @@ def p_to_q_reduced(f: PExpr) -> QExpr:
 # the modular relation among the q's
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def modular_relation_check(k: int, m: int) -> QExpr:
     """Degree-km coefficient of the m-fold twisted product of the q series.
 
     The product over i of Y(xi^i z) telescopes to 1, so the coefficient must
     vanish identically; it is expanded in P and asserted zero.
     Returns the intermediate q-coordinates (the relation itself) on success.
+    The factors are multiplied one at a time, each state a partition of the
+    degrees taken with integer counts per exponent of xi mod m.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     total = k * m
-    relation = QExpr._collect(m, (
-        (_raw_partition(sorted((x for x in comp if x), reverse=True)),
-         zeta(m, sum((i + 1) * ni for i, ni in enumerate(comp))))
-        for comp in _compositions(total, m)
-    ))
+    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * (m - 1)}
+    for i in range(1, m + 1):
+        nxt: dict[tuple[int, ...], list[int]] = {}
+        for taken, row in states.items():
+            for n in range(total - sum(taken) + 1):
+                key = tuple(sorted(taken + (n,), reverse=True)) if n else taken
+                acc = nxt.setdefault(key, [0] * m)
+                for e, c in enumerate(row):
+                    acc[(e + i * n) % m] += c
+        states = nxt
+    relation = QExpr._collect(m, ((_raw_partition(taken), Cyc(m, row))
+                                  for taken, row in states.items() if sum(taken) == total))
     delta = relation.to_p()
     if not delta.is_zero:
         raise VerificationError(

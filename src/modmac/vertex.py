@@ -1,7 +1,8 @@
 """The degree-preserving zero mode of the vertex operator on the modular ring.
 
 Two independent implementations are kept side by side: a raising-series sum
-over lowering tuples, and a normal-ordered product of a creation
+read off the lowering table `partitions.lowerings` (the fold that also gives
+the Newton left-hand side), and a normal-ordered product of a creation
 multiplication with an annihilation translation.  Their agreement, the
 dominance triangularity, and the closed-form diagonal are the load-bearing
 checks for everything downstream.  Both act on the P basis of `symfunc`, where
@@ -24,9 +25,7 @@ from .partitions import (
     _require_same_m,
     dominates,
     enumerate_partitions,
-    lowering_counts,
-    splits,
-    union,
+    lowerings,
 )
 from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, scalar_to_str, zeta
 from .symfunc import (
@@ -68,20 +67,13 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
 
     Sums R_{i_1+...+i_s} a_{i_1} q_{lam_1-i_1} ... a_{i_s} q_{lam_s-i_s} over
     all tuples with i_j >= 0, where a_0 = 1 and a_k = 1 - xi for k >= 1.
-    Grouped by the parts lowered, it is a sum over the splits of lam into
-    lowered parts `low` and kept parts of (1 - xi)^len(low) times the Newton
-    left-hand-side table of `low`, so a run of equal parts costs one split
-    per multiplicity, not one tuple per subset of positions.
+    It reads the lowering table of lam, which counts the tuples by their sum
+    k, the number t of lowered parts and the leftover partition nu: each
+    entry adds (1 - xi)^t times its count of R_k q_nu.
     """
-    m = mode.m
-    one_minus_xi = 1 - zeta(m)
-    table: dict[tuple[int, int, Partition], int] = {}
-    for low, kept, positions in splits(lam):
-        for left, c in lowering_counts(low):
-            key = (low.weight - left.weight, len(low), union(left, kept))
-            table[key] = table.get(key, 0) + positions * c
-    return PExpr.sum(m, (r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
-                         for (k, t, nu), c in table.items()))
+    one_minus_xi = 1 - zeta(mode.m)
+    return PExpr.sum(mode.m, (r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
+                              for (k, t, nu), c in lowerings(lam).items()))
 
 
 @lru_cache(maxsize=None)

@@ -62,6 +62,21 @@ def test_package_republishes_the_module_names():
     assert modmac.__version__ == "0.1.0"
 
 
+def test_module_level_imports_are_all_read():
+    # a name bound by a module-level import and never read is a leftover
+    import ast
+    from pathlib import Path
+
+    for path in sorted(Path(modmac.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__" for alias in node.names}
+        assert bound <= read, (path.name, sorted(bound - read))
+
+
 def test_partitions_command():
     res = _run("partitions", "--m", "2", "--n", "4", "--class", "m-reduced")
     assert res.exit_code == 0
@@ -240,6 +255,18 @@ def test_selfcheck_command():
     res3 = _run("selfcheck", "--m", "3", "--max-n", "3")
     assert res3.exit_code == 0
     assert "[skip] schur-q-limit" in res3.output
+
+
+def test_selfcheck_twisted_product_checks_a_degree_or_skips():
+    # every m <= 12 checks at least k = 1, even when 2 * max-n < m
+    twisted = {r["identity"]: r for r in json.loads(
+        _run("selfcheck", "--m", "5", "--max-n", "2", "--out", "json").output)}["twisted-product"]
+    assert (twisted["status"], twisted["detail"]) == ("ok", "km<=5")
+    # past the cap of 12 no degree fits: skipped, not a vacuous pass
+    res = _run("selfcheck", "--m", "13", "--max-n", "1", "--out", "json")
+    assert res.exit_code == 0
+    twisted = {r["identity"]: r for r in json.loads(res.output)}["twisted-product"]
+    assert (twisted["status"], twisted["detail"]) == ("skipped", "no k >= 1 with km <= 12")
 
 
 def test_output_is_deterministic():

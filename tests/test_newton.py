@@ -15,7 +15,7 @@ from modmac.newton import (
     qpow_dseq,
     r_from_recursion,
 )
-from modmac.partitions import Partition, dominates, enumerate_partitions
+from modmac.partitions import Partition, dominates, enumerate_partitions, lowerings
 from modmac.scalars import Cyc, CycRat, eval_mode, symbolic_mode
 from modmac.symfunc import q_to_p, r_to_p
 
@@ -24,6 +24,16 @@ F = Fraction
 M2 = symbolic_mode(2)
 Q = CycRat.q(2)
 D2 = qpow_dseq(M2)
+
+
+def test_nl_brute_reads_as_the_lowering_table_slice():
+    # the exhaustive walk and the fold agree on every i_j >= 1 tuple count
+    for n in range(0, 9):
+        below = [nu for w in range(n) for nu in enumerate_partitions(w)]
+        for lam in enumerate_partitions(n):
+            table = lowerings(lam)
+            for nu in below:
+                assert nl_brute(lam, nu) == table.get((n - nu.weight, len(lam), nu), 0), (lam, nu)
 
 
 def test_nl_brute_examples():

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,8 @@ from modmac.partitions import (
     Partition,
     dominates,
     enumerate_partitions,
-    lowering_counts,
+    lowerings,
     mult_factorial,
-    splits,
     union,
     z_of,
 )
@@ -213,42 +213,43 @@ def test_row_and_rectangle_are_extreme():
 
 
 def test_lowering_counts_examples():
-    # 1 <= i_j <= lam_j, keyed by the positive leftovers
-    assert lowering_counts(P((2, 1))) == ((P((1,)), 1), (P(()), 1))
-    assert dict(lowering_counts(P((2, 2))))[P((1,))] == 2
-    assert lowering_counts(P(())) == ((P(()), 1),)
-    # a run of ones has one tuple, however long
-    assert lowering_counts(P((1,) * 40)) == ((P(()), 1),)
+    # 0 <= i_j <= lam_j, keyed by (sum, number lowered, positive leftovers)
+    assert lowerings(P((2, 1))) == {
+        (0, 0, P((2, 1))): 1, (1, 1, P((2,))): 1, (1, 1, P((1, 1))): 1,
+        (2, 2, P((1,))): 1, (2, 1, P((1,))): 1, (3, 2, P(())): 1}
+    assert lowerings(P(())) == {(0, 0, P(())): 1}
+    # a run of ones: one entry per number lowered
+    assert lowerings(P((1,) * 40)) == {(t, t, P((1,) * (40 - t))): comb(40, t) for t in range(41)}
     # a bare tuple would hash and compare equal but have no weight
-    for nu, _ in lowering_counts(P((3, 2, 2))):
+    for _, _, nu in lowerings(P((3, 2, 2))):
         assert type(nu) is Partition
 
 
+def _direct_lowerings(lam, low=0):
+    # every tuple low <= i_j <= lam_j, counted by (k, t, nu)
+    want = Counter()
+    for tup in product(*(range(low, p + 1) for p in lam)):
+        nu = P(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))
+        want[sum(tup), sum(1 for i in tup if i), nu] += 1
+    return want
+
+
 def test_lowering_counts_match_direct_count():
-    # exactly the tuples with every i_j >= 1, each counted once
-    for n in range(0, 9):
-        for lam in enumerate_partitions(n):
-            want = Counter()
-            for tup in product(*(range(1, p + 1) for p in lam)):
-                want[P(sorted((p - i for p, i in zip(lam, tup) if p > i), reverse=True))] += 1
-            assert dict(lowering_counts(lam)) == want, lam
+    lams = [lam for n in range(11) for lam in enumerate_partitions(n)]
+    for lam in lams + [P((1,) * 12), P((2,) * 6 + (1,) * 6)]:
+        got = lowerings(lam)
+        assert got == _direct_lowerings(lam), lam
+        # the Newton left-hand side's slice: exactly the tuples with every i_j >= 1
+        assert {key: c for key, c in got.items() if key[1] == len(lam)} == \
+            _direct_lowerings(lam, 1), lam
 
 
-def test_splits_pick_each_sub_multiset_once():
-    for n in range(0, 9):
-        for lam in enumerate_partitions(n):
-            got = list(splits(lam))
-            subs = [sub for sub, _, _ in got]
-            assert len(set(subs)) == len(subs), lam
-            # every sub-multiset of the positions appears
-            assert set(subs) == {P(sorted(c, reverse=True)) for k in range(len(lam) + 1)
-                                 for c in combinations(lam, k)}, lam
-            for sub, rest, _ in got:
-                assert union(sub, rest) == lam
-                assert type(sub) is Partition and type(rest) is Partition
-            assert sum(positions for _, _, positions in got) == 2 ** len(lam), lam
-    assert list(splits(P((1, 1)))) == [(P(()), P((1, 1)), 1), (P((1,)), P((1,)), 2),
-                                       (P((1, 1)), P(()), 1)]
+def test_lowering_counts_fold_a_long_run():
+    # 3^40 tuples, merged into the C(42, 2) choices of how many 2s stay,
+    # become 1 or vanish
+    table = lowerings(P((2,) * 40))
+    assert len(table) == comb(42, 2)
+    assert sum(table.values()) == 3 ** 40
 
 
 def test_union_examples():

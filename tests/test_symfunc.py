@@ -457,6 +457,29 @@ def test_modular_relation_against_direct_series_product():
         assert rel.to_p().is_zero
 
 
+def _composition_walk(k, m):
+    # the relation as the sum over every composition (n_1..n_m) of km of
+    # xi^{sum i n_i} q_{sorted positive n}, depth first, the last factor
+    # taking what is left: integer counts per exponent of xi mod m
+    rows = {}
+
+    def walk(i, left, taken, e):
+        if i == m:
+            rows.setdefault(tuple(sorted(taken + (left,), reverse=True)), [0] * m)[e % m] += 1
+            return
+        for n in range(left + 1):
+            walk(i + 1, left - n, taken + (n,), e + i * n)
+
+    walk(1, k * m, (), 0)
+    return QExpr._collect(m, ((P(n for n in key if n), Cyc(m, row)) for key, row in rows.items()))
+
+
+def test_modular_relation_matches_the_composition_walk():
+    for m in range(2, 13):
+        for k in range(1, 12 // m + 1):
+            assert modular_relation_check(k, m) == _composition_walk(k, m), (m, k)
+
+
 def test_qexpr_validation_and_json():
     with pytest.raises(ValueError):
         QExpr(2, {(1, 1): Cyc(3, (1,))})
