@@ -21,7 +21,8 @@ operands of different moduli raise "mixed moduli: a vs b" from
 
 Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
 q that the Euclidean algorithm keeps monic.  One long division, `_qdivmod`,
-serves both the reduction modulo Phi_m and the gcds in q.
+serves the reduction modulo Phi_m, the gcds in q and the field inverse,
+which is the extended Euclid of a numerator against Phi_m over Q.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .errors import DegenerateEvaluationPoint, PoleAtSpecialization
+from .errors import DegenerateEvaluationPoint, InternalCheckError, PoleAtSpecialization
 from .partitions import _require_m, _require_same_m
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "evaluate",
     "scalar_to_json",
     "scalar_to_str",
-    "scalar_from_json",
     "parse_scalar_literal",
 ]
 
@@ -112,15 +112,6 @@ def _int_mul(m: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
             for i, r in row:
                 out[i] += c * r
     return out
-
-
-@lru_cache(maxsize=None)
-def _galois_images(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # for each unit k != 1 mod m: the images of 1, xi, ..., xi^(phi-1) under
-    # the Galois automorphism xi -> xi^k, as integer vectors
-    phi = euler_phi(m)
-    return tuple(tuple(zeta(m, i * k).num for i in range(phi))
-                 for k in range(2, m) if gcd(k, m) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -257,31 +248,36 @@ class Cyc(_Scalar):
     __rmul__ = __mul__
 
     def inv(self) -> "Cyc":
-        key = (self.m, self.num, self.den)
-        cached = _INV_CACHE.get(key)
-        if cached is not None:
-            return cached
-        a = self.num
-        if not any(a):
-            raise ZeroDivisionError("division by zero in Q(xi)")
-        if any(a[1:]):
-            # a^-1 = (product of the other conjugates of a) / norm(a)
-            m = self.m
-            rest = [1] + [0] * (len(a) - 1)
-            for images in _galois_images(m):
-                conj = [0] * len(a)
-                for x, img in zip(a, images):
-                    if x:
-                        for i, c in enumerate(img):
-                            conj[i] += x * c
-                rest = _int_mul(m, rest, conj)
-            norm = _int_mul(m, a, rest)[0]
-            sign = 1 if norm > 0 else -1
-            out = _mk_cyc(m, [sign * self.den * x for x in rest], sign * norm)
-        else:
+        """The inverse in Q(xi_m), by the extended Euclid of the numerator
+        against Phi_m over Q: each remainder r is s a mod Phi_m for a
+        cofactor s, and the last is a nonzero constant c, so a^-1 = s / c.
+        The polynomials are packed rows at m = 1, so `_qdivmod` does the
+        division.  The product with a is checked to be 1."""
+        m, a, den = self.m, self.num, self.den
+        if not any(a[1:]):
+            if not a[0]:
+                raise ZeroDivisionError("division by zero in Q(xi)")
             # (a0 / den)^-1 = den / a0, already coprime
-            a0 = a[0]
-            out = _raw_cyc(self.m, (self.den if a0 > 0 else -self.den,) + a[1:], abs(a0))
+            return _raw_cyc(m, (den if a[0] > 0 else -den,) + a[1:], abs(a[0]))
+        key = (m, a, den)
+        out = _INV_CACHE.get(key)
+        if out is not None:
+            return out
+        r0, s0 = (1, cyclotomic_polynomial(m)), (1, ())
+        r, s = (1, tuple(_qtrim(1, list(a)))), (1, (1,))
+        while len(r[1]) > 1:
+            r, s = _monic(1, r, s)
+            quo, rem = _qdivmod(1, r0, r)
+            qd, qv = _qmul(1, quo, s)
+            r0, s0, r, s = r, s, rem, _qadd(1, s0, (qd, tuple([-x for x in qv])))
+        # a^-1 = s / r = (sv / sd) (rd / c), and (a / den)^-1 = den a^-1
+        (rd, (c,)), (sd, sv) = r, s
+        if c < 0:
+            c, rd = -c, -rd
+        k = den * rd
+        out = _mk_cyc(m, [k * x for x in sv] + [0] * (len(a) - len(sv)), c * sd)
+        if _int_mul(m, a, out.num) != [den * out.den] + [0] * (len(a) - 1):
+            raise InternalCheckError(f"the Euclidean inverse of {self} in Q(xi_{m}) fails to multiply back to 1")
         _INV_CACHE[key] = out
         return out
 
@@ -340,6 +336,7 @@ def _render_terms(coeffs, sym: str, word=str) -> str:
     return out
 
 
+# inverses of irrational Cycs; a rational one inverts in O(1) and is not kept
 _INV_CACHE: dict = {}
 
 
@@ -834,14 +831,6 @@ def scalar_to_json(a: Cyc | CycRat) -> dict:
     if isinstance(a, Cyc):
         return {"num": [_cyc_vec_json(a)] if a else [], "den": [_cyc_vec_json(_cyc_one(a.m))]}
     return {"num": [_cyc_vec_json(c) for c in a.num], "den": [_cyc_vec_json(c) for c in a.den]}
-
-
-def scalar_from_json(m: int, obj: dict) -> Cyc | CycRat:
-    """Inverse of `scalar_to_json`: a Cyc when the value is constant in q,
-    a CycRat otherwise."""
-    num = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["num"]]
-    den = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["den"]]
-    return CycRat(m, num, den)
 
 
 _LITERAL = re.compile(r"^\s*(?P<sign>-)?\s*(?:(?P<rat>\d+(?:/\d+)?)\s*\*?\s*)?(?P<xi>xi(?:\^(?P<exp>-?\d+))?)?\s*$",

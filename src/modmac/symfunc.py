@@ -6,8 +6,7 @@ act term by term.  There q_n = sum P_rho / z_rho, so the q-products and the
 change to the m-reduced q-basis are rational and depend on m alone.  p is
 an output format: `to_p` converts once, at the edge.  The pairing is
 diagonal on P, and `weigh` clears its weights into a vector's coefficients,
-so the library pairs in P; `scalar_product` is the same pairing on the p
-basis.
+so the library pairs in P; the tests pair on the p basis as their oracle.
 
 Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
 validate every key and modulus and coerce int and Fraction coefficients.
@@ -52,11 +51,9 @@ __all__ = [
     "r_to_p",
     "r_times_qprod",
     "epsilon_product",
-    "scalar_product",
     "pairing_weights",
     "weigh",
     "coefficient_dot",
-    "d_dp",
     "p_to_q_reduced",
     "modular_relation_check",
 ]
@@ -305,18 +302,6 @@ def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
     return r_to_p(k, mode) * qprod_to_p(nu, mode.m)
 
 
-def scalar_product(f: PExpr, g: PExpr, mode: ParamMode) -> Cyc | CycRat:
-    """Deformed Hall pairing on the p basis: <p_lam, p_mu> = delta * z_lam * eps_lam.
-
-    The library pairs in P through `weigh`; this is the tests' oracle for it,
-    with its own p-basis weights: coefficient_dot(f, g') for g'_lam =
-    g_lam eps_lam z_lam."""
-    _require_same_m(f.m, g.m)
-    _require_same_m(f.m, mode.m)
-    return coefficient_dot(f, PExpr._raw(g.m, {lam: c * epsilon_product(lam, mode) * z_of(lam)
-                                               for lam, c in g.terms.items()}))
-
-
 @lru_cache(maxsize=None)
 def pairing_weights(n: int, mode: ParamMode) -> dict[Partition, Cyc | CycRat]:
     """The pairing on P at weight n: w_rho = <P_rho, P_rho> = z_rho / eps_rho
@@ -351,24 +336,6 @@ def coefficient_dot(f: PExpr, g: PExpr) -> Cyc | CycRat:
     small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
     return sum((c * large.terms[rho] for rho, c in small.terms.items() if rho in large.terms),
                _cyc_zero(f.m))
-
-
-def d_dp(n: int, f: PExpr) -> PExpr:
-    """Formal partial derivative with respect to the degree-n basis element."""
-    if n <= 0:
-        raise ValueError(f"derivative index must be positive, got {n}")
-    if n % f.m == 0:
-        raise ValueError(f"p_{n} is not a generator: {f.m} divides {n}")
-
-    def lowered():
-        for lam, c in f.terms.items():
-            k = lam.count(n)
-            if k:
-                rest = list(lam)
-                rest.remove(n)
-                yield _raw_partition(rest), c * k
-
-    return PExpr._collect(f.m, lowered())
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from modmac.selfcheck import (
     run_selfcheck,
 )
 from modmac.partitions import Partition
-from modmac.symfunc import PExpr, QExpr, d_dp, p_multiply, qprod_to_p
+from modmac.symfunc import PExpr, QExpr, p_multiply, qprod_to_p
 from modmac.vertex import x0_apply_diff
+from oracles import d_dp
 
 
 def _ok(report):

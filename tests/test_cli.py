@@ -77,6 +77,39 @@ def test_module_level_imports_are_all_read():
         assert bound <= read, (path.name, sorted(bound - read))
 
 
+def test_public_names_all_have_a_reader():
+    # a name in an `__all__` that nothing in the package reads, outside its
+    # own definition, serves only the tests, which keep such oracles in
+    # tests/oracles.py
+    import ast
+    from pathlib import Path
+
+    def is_all(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+    def reads(node, skip):
+        for child in ast.iter_child_nodes(node):
+            if is_all(child) or (isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == skip):
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            elif isinstance(child, ast.Attribute):
+                yield child.attr
+            elif isinstance(child, ast.ImportFrom):
+                yield from (alias.name for alias in child.names)
+            yield from reads(child, skip)
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(modmac.__file__).parent.glob("*.py"))}
+    unread = []
+    for name, tree in trees.items():
+        public = next((ast.literal_eval(node.value) for node in tree.body if is_all(node)), [])
+        unread += [(name, x) for x in public
+                   if not any(x in reads(t, x if other == name else None) for other, t in trees.items())]
+    assert not unread, unread
+
+
 def test_partitions_command():
     res = _run("partitions", "--m", "2", "--n", "4", "--class", "m-reduced")
     assert res.exit_code == 0

@@ -23,10 +23,10 @@ from modmac.symfunc import (
     p_multiply,
     q_to_p,
     qprod_to_p,
-    scalar_product,
     to_p,
 )
 from modmac.vertex import eigenvalue_c, x0_apply_diff, x0_matrix
+from oracles import scalar_product
 
 P = Partition
 F = Fraction

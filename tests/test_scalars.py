@@ -18,7 +18,6 @@ from modmac.scalars import (
     eval_mode,
     evaluate,
     parse_scalar_literal,
-    scalar_from_json,
     scalar_to_json,
     symbolic_mode,
     zeta,
@@ -314,6 +313,14 @@ def test_clear_denominators_grows_a_running_denominator():
     assert lcm == 1 and f == 1 and u is zeta(3)
 
 
+def scalar_from_json(m, obj):
+    # test-local decoder: the inverse of scalar_to_json, a Cyc when the value
+    # is constant in q and a CycRat otherwise
+    num = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["num"]]
+    den = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["den"]]
+    return CycRat(m, num, den)
+
+
 def test_json_round_trip():
     q = CycRat.q(4)
     a = (q**2 - zeta(4)) / (q + 2)
@@ -438,6 +445,64 @@ def test_cyc_arithmetic_matches_sympy():
             assert same == a and hash(same) == hash(a)
             assert (a == b) == (pa - pb).rem(mod).is_zero
             assert (a == r) == (pa == pr) and (a == 3) == (pa == 3)
+
+
+_LARGE_M_ELEMENTS = (
+    [2, 1, 0, -1],
+    [F(1, 3), F(-5, 2), 0, 4],
+    [0] * 5 + [F(3, 7), 0, -2],
+    [F(-2, 5)] + [0] * 60 + [1],
+)
+
+
+def test_inverse_matches_sympy_invert():
+    # the Euclidean inverse against sympy's, modulo Phi_m: random elements
+    # for every m in 3..40, sparse ones at two large primes
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261020)
+
+    def to_poly(c):
+        return sympy.Poly([sympy.Rational(f.numerator, f.denominator) for f in reversed(c.coeffs)],
+                          x, domain="QQ")
+
+    cases = [(m, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(euler_phi(m))])
+             for m in range(3, 41) for _ in range(3)]
+    cases += [(m, v) for m in (101, 211) for v in _LARGE_M_ELEMENTS]
+    for m, v in cases:
+        a = Cyc(m, v)
+        if a:
+            inv = a.inv()
+            _assert_canonical(inv, m)
+            assert to_poly(inv) == to_poly(a).invert(sympy.Poly(sympy.cyclotomic_poly(m, x), x, domain="QQ"))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 7, 8, 9, 12, 15, 101])
+def test_inverses_epsilon_takes(m):
+    # 1 / (1 - z) = -(1/m) sum_k k z^k for z = xi^n != 1, a closed form
+    # independent of the Euclid; epsilon inverts xi^-n (1 - xi^n)
+    for n in [n for n in (1, 2, 3, m - 1, m + 1, 2 * m - 1) if n % m]:
+        closed = sum((zeta(m, k * n) * F(-k, m) for k in range(1, m)), Cyc(m))
+        a = 1 - zeta(m, n)
+        assert a.inv() == closed
+        assert (zeta(m, -n) * a).inv() == zeta(m, n) * closed
+        _assert_canonical(a.inv(), m)
+
+
+def test_inverse_multiplies_back_to_one():
+    # no oracle needed: a * a^-1 = 1, in canonical form, repeated from the cache
+    rng = random.Random(7)
+    elements = [(m, _random_rational_vector(rng, euler_phi(m))) for m in range(2, 31) for _ in range(4)]
+    elements += [(m, v) for m in (101, 211) for v in _LARGE_M_ELEMENTS]
+    elements += [(5, [F(-3, 2)]), (7, [0, 0, F(-1, 4)])]
+    for m, v in elements:
+        a = Cyc(m, v)
+        if not a:
+            continue
+        inv = a.inv()
+        _assert_canonical(inv, m)
+        assert a * inv == 1 and inv * a == 1
+        assert a.inv() == inv and inv.inv() == a
 
 
 def test_cycrat_arithmetic_matches_sympy():

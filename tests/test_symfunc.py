@@ -10,7 +10,6 @@ from modmac.symfunc import (
     PExpr,
     QExpr,
     coefficient_dot,
-    d_dp,
     epsilon_product,
     modular_relation_check,
     p_multiply,
@@ -19,11 +18,11 @@ from modmac.symfunc import (
     qprod_to_p,
     pairing_weights,
     r_to_p,
-    scalar_product,
     to_p,
     weigh,
 )
 from modmac.vertex import s_apply, x0_apply_diff, x0_apply_series, x0_matrix
+from oracles import d_dp, scalar_product
 
 P = Partition
 F = Fraction

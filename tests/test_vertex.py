@@ -18,7 +18,7 @@ from modmac.scalars import (
     symbolic_mode,
     zeta,
 )
-from modmac.symfunc import PExpr, d_dp, q_to_p, qprod_to_p, to_p
+from modmac.symfunc import PExpr, q_to_p, qprod_to_p, to_p
 from modmac.vertex import (
     X0Matrix,
     eigen_collision,
@@ -28,6 +28,7 @@ from modmac.vertex import (
     x0_apply_series,
     x0_matrix,
 )
+from oracles import d_dp
 
 P = Partition
 F = Fraction
