@@ -14,7 +14,9 @@ The p-form N_rho / (L eps_rho) is formed only where it is read.
 
 The q -> 0 limit is taken on symbolically computed coefficients, never by
 re-running the solve at q = 0: there the eigenvalues depend only on the
-length mod m and collide, so the recursion's denominators vanish.
+length mod m and collide, so the recursion's denominators vanish.  Each
+coefficient's value at q = 0 is the quotient of the constant terms of its
+coprime numerator and denominator; a zero denominator term is a pole.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, PoleAtSpecialization
 from .partitions import Partition, dominates, enumerate_partitions, z_of
-from .scalars import Cyc, CycRat, ParamMode, clear_denominators, evaluate, scalar_to_json
+from .scalars import Cyc, CycRat, ParamMode, clear_denominators, scalar_to_json
 from .symfunc import PExpr, QExpr, coefficient_dot, p_multiply, to_p, weigh
 from .vertex import x0_apply_diff, x0_matrix
 
@@ -175,12 +177,13 @@ def specialize_q0(mac: ModularMacdonald) -> PExpr:
         raise ValueError("specialization requires a symbolically solved eigenvector")
     terms = {}
     for lam, c in mac.p_form.terms.items():
-        try:
-            terms[lam] = evaluate(c, 0)
-        except PoleAtSpecialization as exc:
-            raise PoleAtSpecialization(
-                f"coefficient of p_{lam} in Q_{mac.shape} has a pole at q = 0"
-            ) from exc
+        if isinstance(c, CycRat):
+            # num(0) / den(0), where den(0) = 0 is a pole: num and den are coprime
+            num0, den0 = c.num[0], c.den[0]
+            if not den0:
+                raise PoleAtSpecialization(f"coefficient of p_{lam} in Q_{mac.shape} has a pole at q = 0")
+            c = num0 / den0
+        terms[lam] = c
     return PExpr(mac.m, terms)
 
 

@@ -9,7 +9,9 @@ ends in a single gcd.  A polynomial in q over Q(xi_m) is packed the same way,
 one denominator over flat integer rows of phi(m) entries per power of q, so
 it too takes one gcd per operation, not one per coefficient.  The
 deformation parameter q lives in a field of canonicalized rational functions
-(gcd-reduced, monic denominator), so equality is coefficient-wise.
+(gcd-reduced, monic denominator), so equality is coefficient-wise.  Such a
+value is built from `CycRat.q`, `zeta` and field arithmetic alone, and read
+only at q = 0, from its constant terms (`macdonald.specialize_q0`).
 
 One rule picks the type: a scalar is a `Cyc` unless it depends on a formal
 q, so every value constant in q, zero included, is a `Cyc` and a `CycRat`
@@ -22,7 +24,8 @@ operands of different moduli raise "mixed moduli: a vs b" from
 Every polynomial division here is by a monic polynomial: Phi_m, or a gcd in
 q that the Euclidean algorithm keeps monic.  One long division, `_qdivmod`,
 serves the reduction modulo Phi_m, the gcds in q and the field inverse,
-which is the extended Euclid of a numerator against Phi_m over Q.
+which is the extended Euclid of a numerator against Phi_m over Q; products
+reduce by a table of x^(phi+j) mod Phi_m, each row x times the one before.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
-from .errors import DegenerateEvaluationPoint, InternalCheckError, PoleAtSpecialization
+from .errors import DegenerateEvaluationPoint, InternalCheckError
 from .partitions import _require_m, _require_same_m
 
 __all__ = [
@@ -47,7 +50,6 @@ __all__ = [
     "zeta",
     "epsilon",
     "clear_denominators",
-    "evaluate",
     "scalar_to_json",
     "scalar_to_str",
     "parse_scalar_literal",
@@ -83,11 +85,15 @@ def euler_phi(m: int) -> int:
 @lru_cache(maxsize=None)
 def _reduction_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # x^(phi+j) mod Phi_m for j = 0..phi-2, each row as its nonzero
-    # (power, coefficient) pairs
+    # (power, coefficient) pairs: x^phi is x^phi - Phi_m, and each next row
+    # is x times the one before less its top coefficient times Phi_m
     mod = cyclotomic_polynomial(m)
-    phi = len(mod) - 1
-    rows = (_qdivmod(1, (1, (0,) * j + (1,)), (1, mod))[1][1] for j in range(phi, 2 * phi - 1))
-    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+    row, rows = [-c for c in mod[:-1]], []
+    for _ in range(len(mod) - 2):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [-top * mod[0]] + [x - top * c for x, c in zip(row, mod[1:-1])]
+    return tuple(rows)
 
 
 def _int_mul(m: int, a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -542,24 +548,6 @@ def _cancel(m: int, a, b):
     return a, b, None
 
 
-def _qeval(m: int, a, x: Cyc) -> Cyc:
-    # Horner on the rows of a nonzero a: with x = xn / xd, sum_k v_k x^k / d
-    # is (sum_k v_k xn^k xd^(top-k)) / (d xd^top)
-    d, v = a
-    phi = euler_phi(m)
-    acc, p = list(v[-phi:]), 1
-    for i in range(len(v) - 2 * phi, -1, -phi):
-        p *= x.den
-        acc = [y + p * r for y, r in zip(_qconv(m, acc, x.num), v[i:i + phi])]
-    return _mk_cyc(m, acc, d * p)
-
-
-def _qpack(m: int, coeffs: Iterable):
-    cs = [_as_cyc(m, c) for c in coeffs]
-    d = lcm(*(c.den for c in cs))
-    return _qnorm(d, _qtrim(euler_phi(m), [x * (d // c.den) for c in cs for x in c.num]))
-
-
 def _qunpack(m: int, a) -> tuple[Cyc, ...]:
     d, v = a
     phi = euler_phi(m)
@@ -573,22 +561,11 @@ class CycRat(_Scalar):
     the denominator monic, so equality is tuple equality.  The read-only
     `num` and `den` give them as tuples of Cyc coefficients, ascending in q.
     Every value constant in q is a `Cyc` instead, so a CycRat is never zero
-    and equals no Cyc, int or Fraction.
+    and equals no Cyc, int or Fraction.  There is no public constructor: a
+    CycRat comes from `CycRat.q` and field arithmetic, through `_mk_rat`.
     """
 
     __slots__ = ("m", "_num", "_den")
-
-    def __new__(cls, m: int, num: Iterable = (), den: Iterable | None = None):
-        dv = _qpack(m, (1,) if den is None else den)
-        if not dv[1]:
-            raise ZeroDivisionError("zero denominator")
-        nv, dv, _ = _cancel(m, _qpack(m, num), dv)
-        dv, nv = _monic(m, dv, nv)
-        return _mk_rat(m, nv, dv)
-
-    def __getnewargs__(self):
-        # __new__ needs its arguments to copy or unpickle a CycRat
-        return self.m, self.num, self.den
 
     num = property(lambda self: _qunpack(self.m, self._num))
     den = property(lambda self: _qunpack(self.m, self._den))
@@ -800,21 +777,6 @@ def epsilon(n: int, mode: ParamMode) -> Cyc | CycRat:
         )
     denom = (1 - zeta(m, n)) * mode.c0**n
     return (mode.qpow(n) - 1) * denom.inv()
-
-
-def evaluate(a: Cyc | CycRat, q0) -> Cyc:
-    """Exact substitution of q = q0; raises PoleAtSpecialization on a pole.
-
-    The canonical form guarantees numerator and denominator have no common
-    root, so a vanishing denominator is a genuine pole.  A Cyc is constant.
-    """
-    x = _as_cyc(a.m, q0)
-    if isinstance(a, Cyc):
-        return a
-    dv = _qeval(a.m, a._den, x)
-    if not dv:
-        raise PoleAtSpecialization(f"denominator of {a} vanishes at q = {x}")
-    return _qeval(a.m, a._num, x) * dv.inv()
 
 
 # ---------------------------------------------------------------------------

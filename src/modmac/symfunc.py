@@ -38,7 +38,6 @@ from .scalars import (
     clear_denominators,
     epsilon,
     scalar_to_json,
-    scalar_to_str,
 )
 
 __all__ = [
@@ -124,8 +123,7 @@ class _Expr:
         name = type(self).__name__
         if not self.terms:
             return f"{name}(0)"
-        bits = [f"({scalar_to_str(c)})*{self.basis[0]}{list(lam)}"
-                for lam, c in self.sorted_items()]
+        bits = [f"({c})*{self.basis[0]}{list(lam)}" for lam, c in self.sorted_items()]
         return f"{name}(" + " + ".join(bits) + ")"
 
     def to_json(self) -> dict:
@@ -157,10 +155,6 @@ class PExpr(_Expr):
     @classmethod
     def one(cls, m: int) -> "PExpr":
         return cls(m, {Partition(): 1})
-
-    @classmethod
-    def monomial(cls, m: int, lam, coeff=1) -> "PExpr":
-        return cls(m, {Partition(lam): coeff})
 
     @classmethod
     def sum(cls, m: int, exprs) -> "PExpr":

@@ -2,7 +2,9 @@
 
 `scalar_product` pairs on the p basis with its own weights, against the
 library's pairing in P through `weigh`; `d_dp` differentiates in a power
-sum, against `s_apply`'s translation.
+sum, against `s_apply`'s translation; `evaluate` substitutes a value for q
+by Horner's rule in Cyc arithmetic, against the packed rows of a CycRat and
+the eval-mode solve.
 """
 
 from __future__ import annotations
@@ -40,3 +42,19 @@ def d_dp(n: int, f: PExpr) -> PExpr:
                 yield _raw_partition(rest), c * k
 
     return PExpr._collect(f.m, lowered())
+
+
+def evaluate(a: Cyc | CycRat, q0) -> Cyc:
+    """a at q = q0 for an int, Fraction or Cyc q0: Horner's rule on the public
+    `num` and `den`, in Cyc arithmetic.  A Cyc is constant; a pole raises
+    ZeroDivisionError."""
+    if isinstance(a, Cyc):
+        return a
+
+    def horner(coeffs):
+        acc = Cyc(a.m)
+        for c in reversed(coeffs):
+            acc = acc * q0 + c
+        return acc
+
+    return horner(a.num) / horner(a.den)

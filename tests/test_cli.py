@@ -80,7 +80,8 @@ def test_module_level_imports_are_all_read():
 def test_public_names_all_have_a_reader():
     # a name in an `__all__` that nothing in the package reads, outside its
     # own definition, serves only the tests, which keep such oracles in
-    # tests/oracles.py
+    # tests/oracles.py; so does a public method or property of a class named
+    # in an `__all__` that the package never reads as an attribute
     import ast
     from pathlib import Path
 
@@ -100,6 +101,13 @@ def test_public_names_all_have_a_reader():
                 yield from (alias.name for alias in child.names)
             yield from reads(child, skip)
 
+    def attribute_reads(node, skip):
+        for child in ast.iter_child_nodes(node):
+            if child is not skip:
+                if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                    yield child.attr
+                yield from attribute_reads(child, skip)
+
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(Path(modmac.__file__).parent.glob("*.py"))}
     unread = []
@@ -107,6 +115,14 @@ def test_public_names_all_have_a_reader():
         public = next((ast.literal_eval(node.value) for node in tree.body if is_all(node)), [])
         unread += [(name, x) for x in public
                    if not any(x in reads(t, x if other == name else None) for other, t in trees.items())]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name in public):
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef):
+                    names = [member.name]
+                else:
+                    names = [t.id for t in getattr(member, "targets", ()) if isinstance(t, ast.Name)]
+                unread += [(name, f"{cls.name}.{x}") for x in names if not x.startswith("_")
+                           and not any(x in attribute_reads(t, member) for t in trees.values())]
     assert not unread, unread
 
 
@@ -258,6 +274,23 @@ def test_eigenvalue_collision_exits_one():
     obj = json.loads(res.output)
     assert obj["status"] == "fail"
     assert obj["error"] == "EigenvalueCollisionAtEvaluation"
+
+
+def test_a_failing_identity_exits_one(monkeypatch):
+    # newton-verify and selfcheck report a broken Newton identity and exit 1
+    from modmac import newton, selfcheck
+    from modmac.symfunc import PExpr
+
+    def zero_rhs(lam, mode, d):
+        return PExpr.zero(mode.m)
+
+    monkeypatch.setattr(newton, "newton_rhs", zero_rhs)
+    monkeypatch.setattr(selfcheck, "newton_rhs", zero_rhs)
+    res = _run("newton-verify", "--m", "2", "--lambda", "2,1")
+    assert res.exit_code == 1 and json.loads(res.stdout)["status"] == "fail"
+    res = _run("selfcheck", "--m", "2", "--max-n", "2", "--out", "json")
+    assert res.exit_code == 1
+    assert {r["identity"]: r["status"] for r in json.loads(res.stdout)}["traisesq"] == "fail"
 
 
 def test_gram_command():

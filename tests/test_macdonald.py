@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from modmac import macdonald, selfcheck, vertex
-from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError
+from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError, PoleAtSpecialization
 from modmac.macdonald import (
     all_q,
     gram,
@@ -317,6 +317,15 @@ def test_specialize_examples():
     assert got == PExpr(3, {(1,): Cyc(3, (1,)) - zeta(3, -1)})
     with pytest.raises(ValueError):
         specialize_q0(solve_q(P((1,)), eval_mode(2, 2)))
+
+
+def test_specialize_reports_a_pole():
+    # with L = q every p-coefficient N_rho / (q eps_rho) has q in its
+    # denominator and a numerator prime to it: a pole at q = 0
+    mac = solve_q(P((1,)), M2)._replace(lcm=Q)
+    message = f"coefficient of p_{P((1,))} in Q_{P((1,))} has a pole at q = 0"
+    with pytest.raises(PoleAtSpecialization, match=f"^{re.escape(message)}$"):
+        specialize_q0(mac)
 
 
 def test_schur_q_oracle_values():

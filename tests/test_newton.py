@@ -4,7 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from modmac.errors import InternalCheckError
 from modmac.newton import (
+    _clamped_quotient,
     d_lambda_mu,
     d_mu,
     newton_lhs,
@@ -121,3 +123,10 @@ def test_theorem_generic_sequences():
         for n in range(1, 6):
             for lam in enumerate_partitions(n):
                 assert newton_lhs(lam, me, rs=rs) == newton_rhs(lam, me, d), lam
+
+
+def test_clamped_quotient_rejects_an_inexact_division():
+    # a positive product that m(nu)! does not divide means a broken closed form
+    assert _clamped_quotient(-4, {1: 2}, "falling form") == 0
+    with pytest.raises(InternalCheckError, match=r"^falling form gave 3, not divisible by m\(nu\)! = 2"):
+        _clamped_quotient(3, {1: 2}, "falling form")

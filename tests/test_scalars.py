@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from modmac.errors import PoleAtSpecialization
+from modmac import scalars
+from modmac.errors import InternalCheckError
 from modmac.scalars import (
     Cyc,
     CycRat,
@@ -16,16 +17,26 @@ from modmac.scalars import (
     epsilon,
     euler_phi,
     eval_mode,
-    evaluate,
     parse_scalar_literal,
     scalar_to_json,
     symbolic_mode,
     zeta,
 )
-from modmac.scalars import _monic, _pgcd, _qadd, _qdivmod, _qeval, _qmul, _qnorm, _qunpack
+from modmac.scalars import _monic, _pgcd, _qadd, _qdivmod, _qmul, _qnorm, _qunpack, _reduction_table
 from modmac.symfunc import PExpr
+from oracles import evaluate
 
 F = Fraction
+
+
+def _rat(m, num, den=(1,)):
+    # sum_k num_k q^k over sum_k den_k q^k, built by the public arithmetic
+    q = CycRat.q(m)
+
+    def poly(cs):
+        return sum((c * q**k for k, c in enumerate(cs)), Cyc(m))
+
+    return poly(num) / poly(den)
 
 
 def test_cyclotomic_polynomials():
@@ -106,7 +117,7 @@ def _random_cycrat(rng, m):
     while True:
         den = [_random_cyc(rng, m) for _ in range(rng.randint(1, 2))]
         if any(den):
-            return CycRat(m, num, den)
+            return _rat(m, num, den)
 
 
 def test_field_axioms_random_sweep():
@@ -124,22 +135,22 @@ def test_field_axioms_random_sweep():
 
 
 def _assert_one_representation(v, m):
-    # a Cyc, or a CycRat that is not constant in q, in the representation the
-    # canonicalizing constructor produces
+    # a Cyc, or a CycRat that is not constant in q, in the representation
+    # arithmetic rebuilds from its own num and den
     if isinstance(v, Cyc):
         _assert_canonical(v, m)
         return
     assert type(v) is CycRat and v.m == m
     assert len(v.num) > 1 or len(v.den) > 1
     assert v.num[-1] and v.den[-1] == 1
-    w = CycRat(m, v.num, v.den)
+    w = _rat(m, v.num, v.den)
     assert (w.num, w.den) == (v.num, v.den)
 
 
 def test_arithmetic_results_stay_canonical():
-    # fast-path add/mul/div must land on the same representation the
-    # canonicalizing constructor produces, and on a Cyc exactly when the
-    # value is constant in q
+    # fast-path add/mul/div must land on the same representation as
+    # rebuilding the value from its num and den, and on a Cyc exactly when
+    # the value is constant in q
     rng = random.Random(99)
     for m in (2, 3, 5):
         for _ in range(120):
@@ -161,13 +172,17 @@ def test_canonicalization():
     assert a == 1 / (q + 1)
     # denominator is monic and the representation is canonical
     assert a.den[-1] == 1
-    assert CycRat(2, a.num, a.den) == a
+    assert _rat(2, a.num, a.den) == a
     assert (1 / (q + 1)) + (q / (q + 1)) == 1
     assert ((q - 1) / 2) * (2 / (q - 1)) == 1
     with pytest.raises(ZeroDivisionError):
-        CycRat(2, (1,), ())
-    with pytest.raises(ZeroDivisionError):
-        q / CycRat(2)
+        q / (q - q)
+
+
+def test_cycrat_has_no_coefficient_constructor():
+    # a CycRat comes from CycRat.q and arithmetic only
+    with pytest.raises(TypeError):
+        CycRat(3, (1,), (1, 1))
 
 
 def test_epsilon_examples():
@@ -209,9 +224,10 @@ def test_eval_mode_validation():
 
 
 def test_evaluate_examples():
+    # the tests' oracle for substituting q
     q = CycRat.q(2)
     assert evaluate((1 - q) / 2, 0) == F(1, 2)
-    with pytest.raises(PoleAtSpecialization):
+    with pytest.raises(ZeroDivisionError):
         evaluate(1 / (q - 1), 1)
     assert evaluate((q**2 - q) / q, 0) == -1
     assert evaluate(zeta(3), 0) == zeta(3)  # a Cyc is a constant
@@ -223,9 +239,9 @@ def test_evaluate_examples():
     (lambda q: (q + 1) - q, 1),
     (lambda q: q / q - zeta(3), 1 - zeta(3)),
     (lambda q: (q + zeta(3)) / (q - 1) - 1 / (q - 1) * (q + zeta(3)), 0),
-    (lambda q: CycRat(3, (5,)), 5),
-    (lambda q: CycRat(3), 0),
-    (lambda q: CycRat(3, (2, 1), (1, F(1, 2))), 2),
+    (lambda q: _rat(3, (5,)), 5),
+    (lambda q: _rat(3, ()), 0),
+    (lambda q: _rat(3, (2, 1), (1, F(1, 2))), 2),
     (lambda q: CycRat.q(3, 0), 1),
     (lambda q: symbolic_mode(3).qpow(0), 1),
 ], ids=["q-q", "q*q^-1", "(q+1)-q", "q/q-xi", "cancelling-fractions", "ctor-constant",
@@ -242,7 +258,7 @@ def test_cross_type_equality_and_hash():
     # a CycRat is never constant in q, so it equals no Cyc, int or Fraction
     q = CycRat.q(3)
     for f in (q, (q + zeta(3)) / (q - 1), q * 2 + 1):
-        assert f == CycRat(3, f.num, f.den) and hash(f) == hash(CycRat(3, f.num, f.den))
+        assert f == _rat(3, f.num, f.den) and hash(f) == hash(_rat(3, f.num, f.den))
         for x in (0, 1, F(1, 2), Cyc(3), zeta(3)):
             assert f != x and x != f
     assert CycRat.q(2) != CycRat.q(3)
@@ -262,8 +278,8 @@ def test_cross_type_equality_and_hash():
 @pytest.mark.parametrize("make", [
     lambda: Cyc(2, (0.1,)),
     lambda: Cyc(3, (1, "2")),
-    lambda: CycRat(2, (0.5,)),
-    lambda: CycRat(2, (1,), (1, 0.5)),
+    lambda: _rat(2, (0.5,)),
+    lambda: _rat(2, (1,), (1, 0.5)),
     lambda: CycRat.q(2) + 0.5,
     lambda: eval_mode(2, 0.1),
     lambda: eval_mode(2, 2, 0.1),
@@ -318,7 +334,7 @@ def scalar_from_json(m, obj):
     # is constant in q and a CycRat otherwise
     num = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["num"]]
     den = [Cyc(m, [Fraction(s) for s in vec]) for vec in obj["den"]]
-    return CycRat(m, num, den)
+    return _rat(m, num, den)
 
 
 def test_json_round_trip():
@@ -370,7 +386,7 @@ def test_rendering_is_stable():
     q = CycRat.q(3)
     a = (q - zeta(3)) / (q + 1)
     assert str(a) == str((q - zeta(3)) / (q + 1))
-    assert str(CycRat(3)) == "0"
+    assert str(q - q) == "0"
 
 
 def _random_rational_vector(rng, n):
@@ -507,7 +523,7 @@ def test_inverse_multiplies_back_to_one():
 
 def test_cycrat_arithmetic_matches_sympy():
     # each value is built as (A*G)/(B*G) with a monic linear G, so the
-    # constructor's gcd runs; the operands share a linear factor, so the
+    # division's gcd runs; the operands share a linear factor, so the
     # gcds of add and mul run, and (a - b) + b cancels a whole denominator factor
     sympy = pytest.importorskip("sympy")
     x, q = sympy.symbols("x q")
@@ -554,7 +570,7 @@ def test_cycrat_arithmetic_matches_sympy():
             a = _pmul_list(random_poly(m, rng.randint(0, 2)), numf)
             b = _pmul_list(random_poly(m, rng.randint(0, 1)), denf)
             pg = to_poly(g)
-            return CycRat(m, _pmul_list(a, g), _pmul_list(b, g)), to_poly(a) * pg, to_poly(b) * pg
+            return _rat(m, _pmul_list(a, g), _pmul_list(b, g)), to_poly(a) * pg, to_poly(b) * pg
 
         for _ in range(4):
             # a and c share the factor h in their denominators, b has it on top
@@ -650,17 +666,12 @@ def test_packed_kernel_matches_sympy():
             if len(ca[1]) > phi and len(cb[1]) > phi:
                 res = to_poly(ca).reorder(q, x).resultant(to_poly(cb).reorder(q, x))
                 assert not sympy.Poly(res.as_expr(), x, q, domain="QQ").rem(mod).is_zero
-            # Horner at a point with a denominator and an irrational part
-            x0 = c / rng.choice((1, 2, 3))
-            at = pa.as_expr().subs(q, to_poly((x0.den, x0.num)).as_expr())
-            got = _qeval(m, a, x0)
-            assert to_poly((got.den, got.num)) == sympy.Poly(at, x, q, domain="QQ").rem(mod)
             # a CycRat built from the views reads back as the same value
-            v = CycRat(m, _qunpack(m, a), _qunpack(m, b))
+            v = _rat(m, _qunpack(m, a), _qunpack(m, b))
             if isinstance(v, Cyc):
                 pn, pd = to_poly((v.den, v.num)), to_poly((1, Cyc(m, (1,)).num))
             else:
-                assert CycRat(m, v.num, v.den) == v
+                assert _rat(m, v.num, v.den) == v
                 assert all(isinstance(y, Cyc) for y in v.num + v.den)
                 pn, pd = to_poly(v._num), to_poly(v._den)
             assert (pn * pb - pa * pd).rem(mod).is_zero
@@ -672,3 +683,51 @@ def _pmul_list(a, b):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return out
+
+
+def _long_division_table(m):
+    # test-local oracle: x^(phi+j) mod Phi_m for j = 0..phi-2 by separate
+    # long divisions, as (power, coefficient) pairs of the nonzero entries
+    mod = cyclotomic_polynomial(m)
+    phi = len(mod) - 1
+    rows = (_qdivmod(1, (1, (0,) * j + (1,)), (1, mod))[1][1] for j in range(phi, 2 * phi - 1))
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in rows)
+
+
+@pytest.mark.parametrize("ms", [range(2, 301), (1001, 2003)], ids=["2..300", "1001,2003"])
+def test_reduction_table_matches_long_division(ms):
+    # each row is x times the one before less its top coefficient times Phi_m
+    for m in ms:
+        assert _reduction_table(m) == _long_division_table(m), m
+
+
+def test_argument_checks():
+    with pytest.raises(ValueError):
+        cyclotomic_polynomial(0)
+    with pytest.raises(ValueError):
+        CycRat.q(3, -1)
+    with pytest.raises(ValueError):
+        symbolic_mode(3).qpow(-1)
+
+
+@pytest.mark.parametrize("value", [zeta(3), CycRat.q(3)], ids=["cyc", "cycrat"])
+def test_foreign_operands_are_not_implemented(value):
+    # a type the scalars do not know leaves the operation to the other operand
+    for op in ("__sub__", "__rsub__", "__truediv__", "__rtruediv__"):
+        assert getattr(value, op)("x") is NotImplemented, op
+    with pytest.raises(TypeError):
+        "x" / value
+
+
+def test_scalar_repr():
+    assert repr(zeta(3)) == "Cyc(3, xi)"
+    assert repr(Cyc(3, (F(1, 2),))) == "Cyc(3, 1/2)"
+    assert repr((CycRat.q(2) + 1) / 2) == "CycRat(2, 1/2 + 1/2*q)"
+
+
+def test_inverse_that_fails_to_multiply_back_is_an_internal_error(monkeypatch):
+    # a fresh irrational inverse is checked by multiplying back
+    monkeypatch.setattr(scalars, "_INV_CACHE", {})
+    monkeypatch.setattr(scalars, "_int_mul", lambda m, a, b: [2] + [0] * (len(a) - 1))
+    with pytest.raises(InternalCheckError, match="fails to multiply back"):
+        (1 + zeta(5)).inv()

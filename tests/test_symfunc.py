@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from modmac import symfunc
+from modmac.errors import InternalCheckError, VerificationError
 from modmac.macdonald import solve_q
 from modmac.partitions import Partition, dominates, enumerate_partitions, mult_factorial, z_of
 from modmac.scalars import Cyc, CycRat, _pgcd, epsilon, eval_mode, symbolic_mode, zeta
 from modmac.symfunc import (
     PExpr,
     QExpr,
+    _exact_inverse,
     coefficient_dot,
     epsilon_product,
     modular_relation_check,
@@ -73,7 +76,7 @@ def test_pexpr_sum():
     assert PExpr.sum(3, []) == PExpr.zero(3)
     assert (f + (-f)).terms == {}
     assert PExpr.sum(3, [f, -f]).terms == {}
-    g = PExpr.monomial(2, (1,))
+    g = PExpr(2, {(1,): 1})
     with pytest.raises(ValueError):
         f + g
     with pytest.raises(ValueError):
@@ -96,19 +99,19 @@ def test_pexpr_sum_matches_chained_addition():
 
 
 def test_p_multiply_examples():
-    p1 = PExpr.monomial(2, (1,))
-    p21 = PExpr.monomial(3, (2, 1))
-    assert p_multiply(PExpr.monomial(3, (1,)), p21) == PExpr.monomial(3, (2, 1, 1))
+    p1 = PExpr(2, {(1,): 1})
+    p21 = PExpr(3, {(2, 1): 1})
+    assert p_multiply(PExpr(3, {(1,): 1}), p21) == PExpr(3, {(2, 1, 1): 1})
     f = PExpr(3, {(1,): 1, (2,): 1})
-    assert p_multiply(f, PExpr.monomial(3, (1,))) == PExpr(3, {(1, 1): 1, (2, 1): 1})
+    assert p_multiply(f, PExpr(3, {(1,): 1})) == PExpr(3, {(1, 1): 1, (2, 1): 1})
     assert p_multiply(PExpr.one(2), p1) == p1
     with pytest.raises(ValueError):
         p_multiply(p1, p21)
 
 
 def test_only_scale_multiplies_by_a_scalar():
-    f = PExpr.monomial(3, (2, 1))
-    assert f.scale(3) == PExpr.monomial(3, (2, 1), 3)
+    f = PExpr(3, {(2, 1): 1})
+    assert f.scale(3) == PExpr(3, {(2, 1): 3})
     for c in (3, Fraction(1, 2), zeta(3), CycRat.q(3)):
         with pytest.raises(TypeError):
             f * c
@@ -277,17 +280,17 @@ def test_log_inverse_round_trip(mode):
             if (l - 1) % 2:
                 c = -c
             acc = acc + qprod_to_p(lam, m).scale(epsilon(n, mode) * n * c)
-        assert to_p(acc, mode) == PExpr.monomial(m, (n,)), n
+        assert to_p(acc, mode) == PExpr(m, {(n,): 1}), n
 
 
 def test_scalar_product_examples():
-    p1 = PExpr.monomial(2, (1,))
+    p1 = PExpr(2, {(1,): 1})
     assert scalar_product(p1, p1, M2) == epsilon(1, M2)
-    assert scalar_product(PExpr.monomial(3, (1,)), PExpr.monomial(3, (2,)), M3).is_zero
+    assert scalar_product(PExpr(3, {(1,): 1}), PExpr(3, {(2,): 1}), M3).is_zero
     q1 = to_p(q_to_p(1, 2), M2)
     assert scalar_product(q1, q1, M2) == 1 / epsilon(1, M2)
     with pytest.raises(ValueError):
-        scalar_product(p1, PExpr.monomial(3, (1,)), M2)
+        scalar_product(p1, PExpr(3, {(1,): 1}), M2)
 
 
 # each modulus to a weight past it, where the modular structure appears
@@ -306,7 +309,7 @@ def test_cleared_pairing_equals_scalar_product(mode, n):
     m = mode.m
     one = Cyc(m, (1,))
     for rho, w in pairing_weights(n, mode).items():
-        p_rho = to_p(PExpr.monomial(m, rho), mode)
+        p_rho = to_p(PExpr(m, {rho: 1}), mode)
         assert w == scalar_product(p_rho, p_rho, mode)
     basis = [qprod_to_p(lam, m) for lam in enumerate_partitions(n, "m_reduced", m)[:3]]
     vectors = basis + [x0_apply_diff(f, mode) for f in basis]
@@ -343,7 +346,7 @@ def _random_homogeneous(rng, m, n, mode):
     out = PExpr.zero(m)
     for lam in enumerate_partitions(n, "m_regular", m):
         if rng.random() < 0.6:
-            out = out + PExpr.monomial(m, lam, F(rng.randint(-5, 5), rng.randint(1, 3)))
+            out = out + PExpr(m, {lam: F(rng.randint(-5, 5), rng.randint(1, 3))})
     return out
 
 
@@ -357,25 +360,25 @@ def test_h_pair_adjointness(mode):
         deg = rng.randint(0, 8 - n)
         f = _random_homogeneous(rng, m, deg, mode)
         g = _random_homogeneous(rng, m, deg + n, mode)
-        lhs = scalar_product(p_multiply(PExpr.monomial(m, (n,)), f), g, mode)
+        lhs = scalar_product(p_multiply(PExpr(m, {(n,): 1}), f), g, mode)
         rhs = scalar_product(f, d_dp(n, g).scale(epsilon(n, mode) * n), mode)
         assert lhs == rhs
 
 
 def test_d_dp_examples():
-    assert d_dp(1, PExpr.monomial(2, (1, 1))) == PExpr(2, {(1,): 2})
-    assert d_dp(2, PExpr.monomial(3, (1, 1))).is_zero
-    assert d_dp(1, PExpr.monomial(3, (2, 1, 1))) == PExpr(3, {(2, 1): 2})
+    assert d_dp(1, PExpr(2, {(1, 1): 1})) == PExpr(2, {(1,): 2})
+    assert d_dp(2, PExpr(3, {(1, 1): 1})).is_zero
+    assert d_dp(1, PExpr(3, {(2, 1, 1): 1})) == PExpr(3, {(2, 1): 2})
     with pytest.raises(ValueError):
-        d_dp(2, PExpr.monomial(2, (1,)))
+        d_dp(2, PExpr(2, {(1,): 1}))
     with pytest.raises(ValueError):
-        d_dp(0, PExpr.monomial(2, (1,)))
+        d_dp(0, PExpr(2, {(1,): 1}))
 
 
 def test_derived_keys_are_partitions():
     # a bare tuple key hashes and compares equal to a Partition but has no weight
     f = qprod_to_p(P((2, 2, 1)), 3)
-    product = PExpr.monomial(3, (2, 1)) * PExpr.monomial(3, (1,))
+    product = PExpr(3, {(2, 1): 1}) * PExpr(3, {(1,): 1})
     exprs = (f, d_dp(1, f), d_dp(2, f), product, x0_apply_series(P((2, 1, 1)), M3),
              p_to_q_reduced(f), to_p(f, M3))
     keys = [lam for e in exprs for lam in e.terms]
@@ -388,8 +391,8 @@ def test_p_to_q_reduced_examples():
     qx = p_to_q_reduced(qprod_to_p(P((3, 1)), 2))
     assert qx.terms == {P((3, 1)): Cyc(2, (1,))}
     # p_1 = eps_1 P_1
-    p1 = PExpr.monomial(2, (1,), epsilon(1, M2))
-    assert to_p(p1, M2) == PExpr.monomial(2, (1,))
+    p1 = PExpr(2, {(1,): epsilon(1, M2)})
+    assert to_p(p1, M2) == PExpr(2, {(1,): 1})
     qx = p_to_q_reduced(p1)
     assert qx.terms == {P((1,)): epsilon(1, M2)}
     qx = p_to_q_reduced(qprod_to_p(P((1, 1)), 2))
@@ -503,3 +506,39 @@ def test_pexpr_json_shape():
 
 def test_epsilon_product_empty():
     assert epsilon_product(P(()), M2) == 1
+
+
+def test_expr_structure_and_repr():
+    assert PExpr.zero(2).homogeneous_degree() is None
+    assert x0_apply_diff(PExpr.zero(3), M3).is_zero
+    f = PExpr(2, {(1,): Q2, (3,): F(1, 2)})
+    assert repr(PExpr.zero(2)) == "PExpr(0)"
+    assert repr(f) == "PExpr((q)*p[1] + (1/2)*p[3])"
+    assert repr(QExpr(3, {(3,): zeta(3)})) == "QExpr((xi)*q[3])"
+    # another type leaves the comparison to the other operand
+    assert f.__eq__(QExpr(2, f.terms)) is NotImplemented and f.__eq__(1) is NotImplemented
+    assert f != QExpr(2, f.terms)
+
+
+def test_singular_change_of_basis_is_an_internal_error():
+    one = Cyc(2, (1,))
+    with pytest.raises(InternalCheckError, match="singular change-of-basis matrix at column 1"):
+        _exact_inverse([[one, one], [one, one]], 2)
+
+
+def test_reduced_basis_count_mismatch_is_an_internal_error(monkeypatch):
+    real = symfunc.enumerate_partitions
+
+    def short_reduced(n, kind, m):
+        out = real(n, kind, m)
+        return out[:-1] if kind == "m_reduced" else out
+
+    monkeypatch.setattr(symfunc, "enumerate_partitions", short_reduced)
+    with pytest.raises(InternalCheckError, match=r"^\|m-regular\| != \|m-reduced\| at weight 4: 2 vs 1$"):
+        symfunc._reduced_basis_solver.__wrapped__(4, 2)
+
+
+def test_nonzero_twisted_product_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(QExpr, "to_p", lambda self: PExpr.one(self.m))
+    with pytest.raises(VerificationError, match=r"nonzero z\^2 coefficient"):
+        modular_relation_check(1, 2)
