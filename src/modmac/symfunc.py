@@ -3,10 +3,10 @@
 Elements are kept on the normalized power sums P_rho = p_rho / eps_rho: eps
 is multiplicative, so multiplication is union of partitions and derivations
 act term by term.  There q_n = sum P_rho / z_rho, so the q-products and the
-change to the m-reduced q-basis are rational and depend on m alone.  p is
-an output format: `to_p` converts once, at the edge.  The pairing is
-diagonal on P, and `weigh` clears its weights into a vector's coefficients,
-so the library pairs in P; the tests pair on the p basis as their oracle.
+inverse change to the m-reduced q-basis, one PExpr row per reduced lambda,
+depend on m alone.  `to_p` converts to p once, at the edge.  `weigh` clears
+the diagonal pairing on P into a vector, so `coefficient_dot` is the one sum
+over P: it pairs, and it reads each reduced coordinate off its row.
 
 Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
 validate every key and modulus and coerce int and Fraction coefficients.
@@ -34,6 +34,7 @@ from .scalars import (
     Cyc,
     CycRat,
     ParamMode,
+    _cyc_one,
     _cyc_zero,
     clear_denominators,
     epsilon,
@@ -339,7 +340,8 @@ def coefficient_dot(f: PExpr, g: PExpr) -> Cyc | CycRat:
 def _exact_inverse(a: list[list[Cyc]], m: int) -> list[list[Cyc]]:
     """Gauss-Jordan over Q(xi_m), pivoting on the first nonzero entry."""
     n = len(a)
-    aug = [list(row) + [Cyc(m, (int(i == j),)) for j in range(n)] for i, row in enumerate(a)]
+    one, zero = _cyc_one(m), _cyc_zero(m)
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
@@ -359,26 +361,24 @@ def _exact_inverse(a: list[list[Cyc]], m: int) -> list[list[Cyc]]:
 
 @lru_cache(maxsize=None)
 def _reduced_basis_solver(n: int, m: int):
-    rows = tuple(enumerate_partitions(n, "m_regular", m))
+    """(cols, rows): the m-reduced lambda of weight n and, for each, its row of
+    the inverse change of basis as a PExpr on the m-regular rho."""
+    regular = tuple(enumerate_partitions(n, "m_regular", m))
     cols = tuple(enumerate_partitions(n, "m_reduced", m))
-    if len(rows) != len(cols):
+    if len(regular) != len(cols):
         raise InternalCheckError(
-            f"|m-regular| != |m-reduced| at weight {n}: {len(rows)} vs {len(cols)}"
+            f"|m-regular| != |m-reduced| at weight {n}: {len(regular)} vs {len(cols)}"
         )
-    matrix = [[qprod_to_p(c, m).coeff(r) for c in cols] for r in rows]
-    return rows, cols, _exact_inverse(matrix, m)
+    inv = _exact_inverse([[qprod_to_p(c, m).coeff(r) for c in cols] for r in regular], m)
+    return cols, tuple(PExpr._raw(m, {rho: x for rho, x in zip(regular, row) if x}) for row in inv)
 
 
 def p_to_q_reduced(f: PExpr) -> QExpr:
-    """Unique coordinates of a homogeneous element in the m-reduced q-basis."""
-    m = f.m
+    """Coordinates in the m-reduced q-basis: lambda's is coefficient_dot(row, f)."""
     if f.is_zero:
-        return QExpr._raw(m, {})
-    rows, cols, inv = _reduced_basis_solver(f.homogeneous_degree(), m)
-    b = [(k, f.terms[r]) for k, r in enumerate(rows) if r in f.terms]
-    coeffs = ((col, sum((inv[j][k] * bk for k, bk in b), _cyc_zero(m)))
-              for j, col in enumerate(cols))
-    return QExpr._raw(m, {col: x for col, x in coeffs if x})
+        return QExpr._raw(f.m, {})
+    cols, rows = _reduced_basis_solver(f.homogeneous_degree(), f.m)
+    return QExpr._collect(f.m, ((col, coefficient_dot(row, f)) for col, row in zip(cols, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,49 @@ def test_p_to_q_reduced_examples():
         p_to_q_reduced(PExpr(2, {(1,): 1, (1, 1): 1}))
 
 
+# ---------------------------------------------------------------------------
+# test-local oracle: the Gauss-Jordan inverse applied by position
+
+
+def positional_inverse(n, m):
+    regular = enumerate_partitions(n, "m_regular", m)
+    cols = enumerate_partitions(n, "m_reduced", m)
+    return regular, cols, _exact_inverse([[qprod_to_p(c, m).coeff(r) for c in cols] for r in regular], m)
+
+
+def p_to_q_by_position(basis, f):
+    regular, cols, inv = basis
+    b = [(k, f.terms[r]) for k, r in enumerate(regular) if r in f.terms]
+    coeffs = ((col, sum((inv[j][k] * bk for k, bk in b), Cyc(f.m, ())))
+              for j, col in enumerate(cols))
+    return {col: x for col, x in coeffs if x}
+
+
+REDUCED_CASES = [(m, n) for m in (2, 3, 4, 5, 6, 8, 12) for n in range(1, 9 if m == 2 else 7)]
+
+
+@pytest.mark.parametrize("m,n", REDUCED_CASES)
+def test_p_to_q_reduced_matches_positional_inverse(m, n):
+    basis = positional_inverse(n, m)
+    for mode in (symbolic_mode(m), eval_mode(m, 2)):
+        for lam in enumerate_partitions(n):
+            f = qprod_to_p(lam, m)
+            g = x0_apply_diff(f, mode)
+            for h in (f, g, f + g):
+                assert p_to_q_reduced(h).terms == p_to_q_by_position(basis, h), (mode, lam)
+
+
+@pytest.mark.parametrize("m,n", REDUCED_CASES)
+def test_inverse_rows_are_sparse_pexprs_on_the_regular_basis(m, n):
+    cols, rows = symfunc._reduced_basis_solver(n, m)
+    assert cols == tuple(enumerate_partitions(n, "m_reduced", m)) and len(rows) == len(cols)
+    regular = set(enumerate_partitions(n, "m_regular", m))
+    for row in rows:
+        assert type(row) is PExpr and row.m == m and row.terms
+        assert set(row.terms) <= regular
+        assert all(type(c) is Cyc and c for c in row.terms.values())
+
+
 def test_round_trip_through_reduced_basis():
     for m, top in ((2, 7), (3, 6)):
         for n in range(0, top + 1):
