@@ -13,8 +13,7 @@ import gc
 import json
 import sys
 
-from .errors import (EigenvalueCollisionAtEvaluation, InternalCheckError, PoleAtSpecialization,
-                     VerificationError)
+from .errors import FAILURES
 from .macdonald import gram, solve_q, specialize_q0
 from .partitions import Partition, enumerate_partitions
 from .scalars import ParamMode, eval_mode, parse_scalar_literal, symbolic_mode
@@ -26,9 +25,6 @@ from .vertex import X0Matrix, x0_apply_series, x0_matrix
 # a process runs one command: objects frozen at exit spare finalization's full
 # collections a walk over every object, whose memory the OS reclaims anyway
 atexit.register(gc.freeze)
-
-_FAILURES = (VerificationError, InternalCheckError, EigenvalueCollisionAtEvaluation,
-             PoleAtSpecialization)
 
 
 def _emit(obj) -> None:
@@ -155,7 +151,7 @@ def main(args=None, prog_name=None) -> None:
         if "mode" in opts:
             opts["pm"] = _param_mode(*(opts.pop(k) for k in ("m", "mode", "q0", "c0")))
         _COMMANDS[name][0](**opts)
-    except _FAILURES as exc:  # before ValueError: a collision is one
+    except FAILURES as exc:  # before ValueError: a collision is one
         _emit({"status": "fail", "error": type(exc).__name__, "message": str(exc)})
         sys.exit(1)
     except ValueError as exc:

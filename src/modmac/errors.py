@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one failure rule: an
+exception of `FAILURES` means a computation failed, not that an argument was
+bad.  The command line reports one as a JSON failure (exit 1); a selfcheck
+family that meets one anywhere makes it its fail report, and the rest run."""
 
 __all__ = [
+    "FAILURES",
     "PoleAtSpecialization",
     "EigenvalueCollisionAtEvaluation",
     "DegenerateEvaluationPoint",
@@ -43,4 +47,13 @@ class InternalCheckError(RuntimeError):
 
 
 class VerificationError(Exception):
-    """An identity check requested by the caller did not hold."""
+    """An identity check requested by the caller did not hold; `extra` holds
+    JSON fields that locate the failure, which a selfcheck report carries."""
+
+    def __init__(self, message: str, extra: dict | None = None):
+        super().__init__(message)
+        self.extra = extra or {}
+
+
+FAILURES = (VerificationError, InternalCheckError, EigenvalueCollisionAtEvaluation,
+            PoleAtSpecialization)

@@ -810,7 +810,7 @@ def parse_scalar_literal(m: int, text: str) -> Cyc:
         raise ValueError(f"zero denominator in scalar literal {text!r}") from None
     if mt.group("sign"):
         r = -r
-    out = Cyc(m, (r,))
+    out = _as_cyc(m, r)
     if mt.group("xi"):
         k = int(mt.group("exp")) if mt.group("exp") else 1
         out = out * zeta(m, k)

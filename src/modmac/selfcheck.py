@@ -2,19 +2,24 @@
 
 Each `_check_*` function takes its ranges (weight bounds, numbers of random
 draws, pool sizes) and, where it samples, a `random.Random`, and returns a
-JSON-able report whose status is ok, fail or skipped.  `run_selfcheck`
-scales the ranges by a max-weight knob for the `selfcheck` command; the
-acceptance tests call the same functions at their full ranges, so this
-module is the one implementation of every criterion.
+JSON-able report made by one rule, `_family`, which names the identity once:
+a detail the check returns is an ok report, a `_Skipped` a skipped one, and
+any exception of `errors.FAILURES` met anywhere in the family, in the check
+or in a library function it calls, a fail report, its message the detail
+and a `VerificationError`'s `extra` after it; the other families still run.
+`run_selfcheck` scales the ranges by a max-weight knob for the `selfcheck`
+command; the acceptance tests call the same functions at their full ranges,
+so this module is the one implementation of every criterion.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 
-from .errors import InternalCheckError, VerificationError
+from .errors import FAILURES, VerificationError
 from .macdonald import all_q, gram, schur_q_oracle, solve_q, specialize_q0
 from .newton import (
     d_lambda_mu,
@@ -28,7 +33,7 @@ from .newton import (
     r_from_recursion,
 )
 from .partitions import Partition, dominates, enumerate_partitions
-from .scalars import Cyc, CycRat, eval_mode, symbolic_mode
+from .scalars import Cyc, CycRat, _as_cyc, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
     QExpr,
@@ -53,135 +58,135 @@ from .vertex import (
 __all__ = ["run_selfcheck"]
 
 
-def _report(identity: str, m: int, ok: bool, detail: str, **extra) -> dict:
-    out = {"identity": identity, "m": m, "status": "ok" if ok else "fail", "detail": detail}
-    out.update(extra)
-    return out
+class _Skipped(Exception):
+    """The family's statement does not apply at these ranges; the message says why."""
 
 
-def _check_equinumerosity(m: int, top: int) -> dict:
+def _family(identity: str):
+    """The one report builder (see above): check(m, *ranges), as a report."""
+    def decorate(check):
+        @wraps(check)
+        def report(m: int, *ranges) -> dict:
+            try:
+                status, detail, extra = "ok", check(m, *ranges), {}
+            except _Skipped as exc:
+                status, detail, extra = "skipped", str(exc), {}
+            except FAILURES as exc:
+                status, detail, extra = "fail", str(exc), getattr(exc, "extra", {})
+            return {"identity": identity, "m": m, "status": status, "detail": detail, **extra}
+        return report
+    return decorate
+
+
+@_family("equinumerosity")
+def _check_equinumerosity(m: int, top: int) -> str:
     for n in range(0, top + 1):
         regular = len(enumerate_partitions(n, "m_regular", m))
         reduced = len(enumerate_partitions(n, "m_reduced", m))
         if regular != reduced:
-            return _report("equinumerosity", m, False,
-                           f"counts differ at n={n}: {regular} m-regular, {reduced} m-reduced")
-    return _report("equinumerosity", m, True, f"n<={top}")
+            raise VerificationError(
+                f"counts differ at n={n}: {regular} m-regular, {reduced} m-reduced")
+    return f"n<={top}"
 
 
-def _newton_sweep(m: int, bound: int, mode, d, rs=None) -> dict | None:
+def _newton_sweep(bound: int, mode, d, rs=None, note: str = "") -> None:
     for n in range(1, bound + 1):
         for lam in enumerate_partitions(n):
             delta = newton_lhs(lam, mode, rs=rs) - newton_rhs(lam, mode, d)
             if not delta.is_zero:
-                return _report("traisesq", m, False, "lhs != rhs",
-                               **{"lambda": lam.to_json(), "delta": to_p(delta, mode).to_json()})
+                raise VerificationError("lhs != rhs" + note, {
+                    "lambda": lam.to_json(), "delta": to_p(delta, mode).to_json()})
             lead = d_lambda_mu(lam, lam, d)
-            want = d(lam[-1])
-            if (len(lam) - 1) % 2:
-                want = -want
+            want = d(lam[-1]) if len(lam) % 2 else -d(lam[-1])
             if lead != want:
-                return _report("traisesq", m, False, "leading coefficient off",
-                               **{"lambda": lam.to_json()})
-    return None
+                raise VerificationError("leading coefficient off" + note, {"lambda": lam.to_json()})
 
 
-def _check_newton(m: int, bound: int, draws: int, rng: random.Random) -> dict:
+@_family("traisesq")
+def _check_newton(m: int, bound: int, draws: int, rng: random.Random) -> str:
     """The identity for |lambda| <= bound at d_n = q^n - 1, then for `draws`
     random rational d-sequences at q0 = 2."""
     mode = symbolic_mode(m)
-    bad = _newton_sweep(m, bound, mode, qpow_dseq(mode))
-    if bad:
-        return bad
+    _newton_sweep(bound, mode, qpow_dseq(mode))
     emode = eval_mode(m, 2)
     for _ in range(draws):
-        vals = {n: Cyc(m, (Fraction(rng.randint(-9, 9), rng.randint(1, 7)),))
+        vals = {n: _as_cyc(m, Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
                 for n in range(1, bound + 1)}
-        d = lambda n: vals[n]
-        rs = r_from_recursion(bound, d, emode)
-        bad = _newton_sweep(m, bound, emode, d, rs=rs)
-        if bad:
-            bad["detail"] += " (random d-sequence)"
-            return bad
-    return _report("traisesq", m, True,
-                   f"|lambda|<={bound}, instance + {draws} random d-sequences")
+        rs = r_from_recursion(bound, vals.__getitem__, emode)
+        _newton_sweep(bound, emode, vals.__getitem__, rs, " (random d-sequence)")
+    return f"|lambda|<={bound}, instance + {draws} random d-sequences"
 
 
-def _check_nl(m: int, bound: int) -> dict:
+@_family("lowering-count")
+def _check_nl(m: int, bound: int) -> str:
     for a in range(0, bound + 1):
         for lam in enumerate_partitions(a):
             for b in range(0, a + 1):
                 for nu in enumerate_partitions(b):
                     ref = nl_brute(lam, nu)
                     if nl_closed(lam, nu) != ref or nl_falling(lam, nu) != ref:
-                        return _report("lowering-count", m, False,
-                                       f"mismatch at lam={lam}, nu={nu}")
-    return _report("lowering-count", m, True, f"|lambda|<={bound}")
+                        raise VerificationError(f"mismatch at lam={lam}, nu={nu}")
+    return f"|lambda|<={bound}"
 
 
-def _check_r_expansion(m: int, bound: int) -> dict:
+@_family("creation-expansion")
+def _check_r_expansion(m: int, bound: int) -> str:
     mode = symbolic_mode(m)
     d = qpow_dseq(mode)
     for n in range(1, bound + 1):
-        if n % m == 0:
-            continue
-        rhs = QExpr(m, {mu: d_mu(mu, d) for mu in enumerate_partitions(n)}).to_p()
-        if r_to_p(n, mode) != rhs:
-            return _report("creation-expansion", m, False, f"mismatch at n={n}")
-    return _report("creation-expansion", m, True, f"n<={bound}")
+        if n % m:
+            rhs = QExpr(m, {mu: d_mu(mu, d) for mu in enumerate_partitions(n)}).to_p()
+            if r_to_p(n, mode) != rhs:
+                raise VerificationError(f"mismatch at n={n}")
+    return f"n<={bound}"
 
 
-def _check_convolution(m: int, bound: int) -> dict:
+@_family("convolution")
+def _check_convolution(m: int, bound: int) -> str:
     mode = symbolic_mode(m)
     for n in range(1, bound + 1):
         acc = PExpr.sum(m, (p_multiply(r_to_p(i, mode), q_to_p(n - i, m))
                             for i in range(1, n + 1)))
         if acc != q_to_p(n, m).scale(mode.qpow(n) - 1):
-            return _report("convolution", m, False, f"mismatch at n={n}")
-    return _report("convolution", m, True, f"n<={bound}")
+            raise VerificationError(f"mismatch at n={n}")
+    return f"n<={bound}"
 
 
-def _check_modular_relation(m: int, top: int) -> dict:
+@_family("twisted-product")
+def _check_modular_relation(m: int, top: int) -> str:
     """The twisted product at every degree km <= top; the relation's q_(km)
     coordinate must be m.  Skipped when no k >= 1 fits."""
-    ks = [k for k in range(1, top // m + 1)]
+    ks = range(1, top // m + 1)
     if not ks:
-        return {"identity": "twisted-product", "m": m, "status": "skipped",
-                "detail": f"no k >= 1 with km <= {top}"}
-    try:
-        for k in ks:
-            rel = modular_relation_check(k, m)
-            if rel.coeff(Partition((k * m,))) != m:
-                return _report("twisted-product", m, False,
-                               f"q_({k * m}) coordinate of the relation is not {m}")
-    except VerificationError as exc:
-        return _report("twisted-product", m, False, str(exc))
-    return _report("twisted-product", m, True, f"km<={m * len(ks)}")
+        raise _Skipped(f"no k >= 1 with km <= {top}")
+    for k in ks:
+        if modular_relation_check(k, m).coeff(Partition((k * m,))) != m:
+            raise VerificationError(f"q_({k * m}) coordinate of the relation is not {m}")
+    return f"km<={m * len(ks)}"
 
 
-def _check_operator_agreement(m: int, bound: int) -> dict:
+@_family("operator-agreement")
+def _check_operator_agreement(m: int, bound: int) -> str:
     mode = symbolic_mode(m)
     for n in range(0, bound + 1):
         for lam in enumerate_partitions(n):
             if x0_apply_series(lam, mode) != x0_apply_diff(qprod_to_p(lam, m), mode):
-                return _report("operator-agreement", m, False, f"mismatch at {lam}")
-    return _report("operator-agreement", m, True, f"|lambda|<={bound}")
+                raise VerificationError(f"mismatch at {lam}")
+    return f"|lambda|<={bound}"
 
 
-def _check_triangularity(m: int, bound: int) -> dict:
+@_family("raising-triangular")
+def _check_triangularity(m: int, bound: int) -> str:
     """Every nonzero entry of the assembled matrix sits at a dominating row,
     and the diagonal is the closed-form eigenvalue: `x0_matrix` checks both
-    before it returns, and its InternalCheckError is reported."""
-    mode = symbolic_mode(m)
-    try:
-        for n in range(1, bound + 1):
-            x0_matrix(n, mode)
-    except InternalCheckError as exc:
-        return _report("raising-triangular", m, False, str(exc))
-    return _report("raising-triangular", m, True, f"n<={bound}")
+    before it returns, raising InternalCheckError otherwise."""
+    for n in range(1, bound + 1):
+        x0_matrix(n, symbolic_mode(m))
+    return f"n<={bound}"
 
 
-def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> dict:
+@_family("self-adjoint")
+def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> str:
     """The pairing is symmetric, so X is self-adjoint iff <X f_i, f_j> =
     <X f_j, f_i> for every i < j.  Both sides are compared in P, times
     K_i K_j for the (K, g) of `weigh`: polynomial products, no gcd."""
@@ -193,31 +198,26 @@ def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> dict:
             for i, j in combinations(range(len(basis)), 2):
                 (ki, gi), (kj, gj) = weighted[i], weighted[j]
                 if coefficient_dot(images[i], gj) * ki != coefficient_dot(images[j], gi) * kj:
-                    return _report("self-adjoint", m, False,
-                                   f"fails at n={n}, pair ({i},{j}), {mode.describe()}")
-    return _report("self-adjoint", m, True,
-                   f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}")
+                    raise VerificationError(f"fails at n={n}, pair ({i},{j}), {mode.describe()}")
+    return f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}"
 
 
-def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.Random) -> dict:
+@_family("eigenvalue-separation")
+def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.Random) -> str:
     """Distinct m-reduced eigenvalues differ by a nonzero polynomial for
     n <= bound; the collision predicate matches eigenvalue equality on
     `pairs` random pairs from the partitions of n <= pool_n and on a known
-    colliding family.  Distinctness is `x0_matrix`'s own precheck, whose
-    InternalCheckError is reported; each shape's eigenvalue is computed once."""
+    colliding family.  Distinctness is `x0_matrix`'s own precheck, which
+    raises InternalCheckError; each shape's eigenvalue is computed once."""
     mode = symbolic_mode(m)
     values: dict[Partition, Cyc | CycRat] = {}
-    try:
-        for n in range(1, bound + 1):
-            order = tuple(enumerate_partitions(n, "m_reduced", m))
-            values.update(zip(order, _collision_precheck(order, mode)))
-            for lam, mu in combinations(order, 2):
-                diff = values[lam] - values[mu]
-                if isinstance(diff, CycRat) and not diff.is_polynomial:
-                    return _report("eigenvalue-separation", m, False,
-                                   f"non-polynomial gap {lam} vs {mu}")
-    except InternalCheckError as exc:
-        return _report("eigenvalue-separation", m, False, str(exc))
+    for n in range(1, bound + 1):
+        order = tuple(enumerate_partitions(n, "m_reduced", m))
+        values.update(zip(order, _collision_precheck(order, mode)))
+        for lam, mu in combinations(order, 2):
+            diff = values[lam] - values[mu]
+            if isinstance(diff, CycRat) and not diff.is_polynomial:
+                raise VerificationError(f"non-polynomial gap {lam} vs {mu}")
     pool = [lam for n in range(0, pool_n + 1) for lam in enumerate_partitions(n)]
     family = {(k, l): (Partition([2] * (m + l) + [1] * k), Partition([2] * l + [1] * (k + 2 * m)))
               for k in range(0, 3) for l in range(0, 3)}
@@ -227,65 +227,54 @@ def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.R
     for _ in range(pairs):
         lam, mu = rng.choice(pool), rng.choice(pool)
         if eigen_collision(lam, mu, m) != (values[lam] == values[mu]):
-            return _report("eigenvalue-separation", m, False,
-                           f"predicate mismatch {lam} vs {mu}")
+            raise VerificationError(f"predicate mismatch {lam} vs {mu}")
     for (k, l), (lam, mu) in family.items():
         if not eigen_collision(lam, mu, m) or values[lam] != values[mu]:
-            return _report("eigenvalue-separation", m, False,
-                           f"known collision family broke at k={k}, l={l}")
-    return _report("eigenvalue-separation", m, True, f"n<={bound} + {pairs} random pairs")
+            raise VerificationError(f"known collision family broke at k={k}, l={l}")
+    return f"n<={bound} + {pairs} random pairs"
 
 
-def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> dict:
+@_family("eigenbasis")
+def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> str:
     """Monic eigenvectors with nonzero coefficients on the dominating support,
     the closed-form eigenvalue, the series-form eigen-equation, and a Gram
     matrix with zero off-diagonal and nonzero diagonal.  The series form is
     compared in P, times L, with the cleared N = L Q.  `solve_q` checks the
-    normal-ordered eigen-equation itself; its InternalCheckError is reported."""
-    try:
-        for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
-            for n in range(1, bound + 1):
-                for mac in all_q(n, mode):
-                    where = f"{mac.shape} (m={m}, {mode.describe()})"
-                    if mac.coeff(mac.shape) != mode.one():
-                        return _report("eigenbasis", m, False, f"not monic at {where}")
-                    for nu, c in mac.q_coeffs:
-                        if not dominates(nu, mac.shape):
-                            return _report("eigenbasis", m, False,
-                                           f"support below index at {where}")
-                        if c.is_zero:
-                            return _report("eigenbasis", m, False,
-                                           f"zero coefficient at {nu} in {where}")
-                    by_series = PExpr.sum(m, (x0_apply_series(nu, mode).scale(c)
-                                              for nu, c in mac.q_coeffs))
-                    if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
-                        return _report("eigenbasis", m, False, f"eigenvalue off at {where}")
-                    if by_series.scale(mac.lcm) != mac.cleared.scale(mac.eigenvalue):
-                        return _report("eigenbasis", m, False,
-                                       f"not an eigenvector of the series form at {where}")
-                for i, row in enumerate(gram(n, mode)):
-                    if row[i].is_zero:
-                        return _report("eigenbasis", m, False,
-                                       f"zero Gram diagonal at n={n}, index {i} "
-                                       f"(m={m}, {mode.describe()})")
-    except InternalCheckError as exc:
-        return _report("eigenbasis", m, False, str(exc))
-    return _report("eigenbasis", m, True,
-                   f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}")
+    normal-ordered eigen-equation itself, raising InternalCheckError."""
+    for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
+        for n in range(1, bound + 1):
+            for mac in all_q(n, mode):
+                where = f"{mac.shape} (m={m}, {mode.describe()})"
+                if mac.coeff(mac.shape) != mode.one():
+                    raise VerificationError(f"not monic at {where}")
+                for nu, c in mac.q_coeffs:
+                    if not dominates(nu, mac.shape):
+                        raise VerificationError(f"support below index at {where}")
+                    if c.is_zero:
+                        raise VerificationError(f"zero coefficient at {nu} in {where}")
+                by_series = PExpr.sum(m, (x0_apply_series(nu, mode).scale(c)
+                                          for nu, c in mac.q_coeffs))
+                if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
+                    raise VerificationError(f"eigenvalue off at {where}")
+                if by_series.scale(mac.lcm) != mac.cleared.scale(mac.eigenvalue):
+                    raise VerificationError(f"not an eigenvector of the series form at {where}")
+            for i, row in enumerate(gram(n, mode)):
+                if row[i].is_zero:
+                    raise VerificationError(f"zero Gram diagonal at n={n}, index {i} "
+                                            f"(m={m}, {mode.describe()})")
+    return f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}"
 
 
-def _check_schur_q(m: int, bound: int) -> dict:
+@_family("schur-q-limit")
+def _check_schur_q(m: int, bound: int) -> str:
     if m != 2:
-        return {"identity": "schur-q-limit", "m": m, "status": "skipped",
-                "detail": "only stated for m=2"}
+        raise _Skipped("only stated for m=2")
     mode = symbolic_mode(2)
     for n in range(1, bound + 1):
         for lam in enumerate_partitions(n):
-            if not lam.is_strict():
-                continue
-            if specialize_q0(solve_q(lam, mode)) != schur_q_oracle(lam):
-                return _report("schur-q-limit", 2, False, f"mismatch at {lam}")
-    return _report("schur-q-limit", 2, True, f"strict |lambda|<={bound}")
+            if lam.is_strict() and specialize_q0(solve_q(lam, mode)) != schur_q_oracle(lam):
+                raise VerificationError(f"mismatch at {lam}")
+    return f"strict |lambda|<={bound}"
 
 
 def run_selfcheck(m: int, max_n: int, seed: int = 0) -> list[dict]:

@@ -25,6 +25,7 @@ from .errors import InternalCheckError, VerificationError
 from .partitions import (
     Partition,
     _raw_partition,
+    _require_m,
     _require_same_m,
     enumerate_partitions,
     union,
@@ -34,6 +35,7 @@ from .scalars import (
     Cyc,
     CycRat,
     ParamMode,
+    _as_cyc,
     _cyc_one,
     _cyc_zero,
     clear_denominators,
@@ -72,15 +74,14 @@ class _Expr:
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms=None):
+        _require_m(m)
         self.m = m
         clean: dict[Partition, Cyc | CycRat] = {}
         for lam, c in (terms or {}).items():
             lam = Partition(lam)
             self._check_key(lam)
-            if not isinstance(c, (Cyc, CycRat)):
-                c = Cyc(m, (c,))
-            else:
-                _require_same_m(m, c.m)
+            c = c if isinstance(c, CycRat) else _as_cyc(m, c)
+            _require_same_m(m, c.m)
             if c:
                 clean[lam] = c
         self.terms = clean

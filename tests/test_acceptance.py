@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from modmac import selfcheck
-from modmac.errors import InternalCheckError, VerificationError
+from modmac.errors import (EigenvalueCollisionAtEvaluation, InternalCheckError,
+                           PoleAtSpecialization, VerificationError)
 from modmac.macdonald import all_q, gram
 from modmac.scalars import eval_mode, symbolic_mode
 from modmac.selfcheck import (
@@ -105,10 +106,11 @@ def _off_at(inner, at, skew):
     return lambda *args: skew(inner(*args)) if args[:len(at)] == at else inner(*args)
 
 
-def _raising(exc):
+def _planted(exc):
+    # a stand-in for any function, which raises exc
     def raise_(*args):
         raise exc("planted failure")
-    return raise_
+    return lambda inner: raise_
 
 
 def _edit_shape(shape, edit):
@@ -144,11 +146,16 @@ def _drop_one_reduced(inner):
 
 # failure case (the criterion, then "/" and the branch where a criterion
 # fails in more than one way), the check at small ranges, the one function
-# it checks, a broken stand-in for it, and the report's detail
+# it checks, a broken stand-in for it, and the report's detail; the
+# "/internal-check", "/collision" and "/pole" cases plant a library error of
+# the failure set inside the family, which is the family's fail report
 FAILURES = {
     "equinumerosity": (
         lambda: _check_equinumerosity(2, 5), "enumerate_partitions", _drop_one_reduced,
         "counts differ at n=3: 2 m-regular, 1 m-reduced"),
+    "equinumerosity/internal-check": (
+        lambda: _check_equinumerosity(2, 5), "enumerate_partitions",
+        _planted(InternalCheckError), "planted failure"),
     "traisesq": (
         lambda: _check_newton(2, 3, 0, random.Random(0)), "newton_rhs",
         lambda f: _off_at(f, ((2, 1),), lambda v: v + PExpr(2, {(3,): 1})),
@@ -162,31 +169,51 @@ FAILURES = {
         lambda f: lambda lam, mode, d: f(lam, mode, d) + (
             PExpr.zero(2) if mode.is_symbolic else PExpr(2, {(3,): 1})),
         "lhs != rhs (random d-sequence)"),
+    "traisesq/internal-check": (
+        lambda: _check_newton(2, 3, 0, random.Random(0)), "newton_rhs",
+        _planted(InternalCheckError), "planted failure"),
     "lowering-count": (
         lambda: _check_nl(2, 3), "nl_falling",
         lambda f: _off_at(f, ((2, 1), (1,)), lambda v: v + 1),
         "mismatch at lam=(2, 1), nu=(1,)"),
+    "lowering-count/internal-check": (
+        lambda: _check_nl(2, 3), "nl_falling", _planted(InternalCheckError), "planted failure"),
     "creation-expansion": (
         lambda: _check_r_expansion(2, 4), "d_mu",
         lambda f: _off_at(f, ((2, 1),), lambda v: v * 2), "mismatch at n=3"),
+    "creation-expansion/internal-check": (
+        lambda: _check_r_expansion(2, 4), "r_to_p", _planted(InternalCheckError),
+        "planted failure"),
     "convolution": (
         lambda: _check_convolution(2, 4), "r_to_p",
         lambda f: _off_at(f, (2,), lambda v: v.scale(2)), "mismatch at n=2"),
+    "convolution/internal-check": (
+        lambda: _check_convolution(2, 4), "q_to_p", _planted(InternalCheckError),
+        "planted failure"),
     "twisted-product": (
         lambda: _check_modular_relation(2, 6), "modular_relation_check",
-        lambda f: _raising(VerificationError), "planted failure"),
+        _planted(VerificationError), "planted failure"),
     "twisted-product/coordinate": (
         lambda: _check_modular_relation(2, 6), "modular_relation_check",
         lambda f: _off_at(f, (2, 2),
                           lambda v: QExpr(2, {nu: 2 * c for nu, c in v.terms.items()})),
         "q_(4) coordinate of the relation is not 2"),
+    "twisted-product/internal-check": (
+        lambda: _check_modular_relation(2, 6), "modular_relation_check",
+        _planted(InternalCheckError), "planted failure"),
     "operator-agreement": (
         lambda: _check_operator_agreement(2, 4), "x0_apply_diff",
         lambda f: _off_at(f, (qprod_to_p(Partition((3,)), 2),), lambda v: v.scale(2)),
         "mismatch at (3,)"),
+    "operator-agreement/internal-check": (
+        lambda: _check_operator_agreement(2, 4), "x0_apply_diff",
+        _planted(InternalCheckError), "planted failure"),
+    "self-adjoint/internal-check": (
+        lambda: _check_self_adjoint(3, 4, 4), "weigh", _planted(InternalCheckError),
+        "planted failure"),
     "raising-triangular": (
         lambda: _check_triangularity(2, 4), "x0_matrix",
-        lambda f: _raising(InternalCheckError), "planted failure"),
+        _planted(InternalCheckError), "planted failure"),
     "eigenvalue-separation": (
         lambda: _check_separation(2, 4, 0, 4, random.Random(0)), "eigen_collision",
         lambda f: lambda lam, mu, m: False, "known collision family broke at k=0, l=0"),
@@ -199,7 +226,7 @@ FAILURES = {
         "predicate mismatch (1, 1, 1) vs (1, 1, 1)"),
     "eigenvalue-separation/internal-check": (
         lambda: _check_separation(2, 4, 0, 4, random.Random(0)), "_collision_precheck",
-        lambda f: _raising(InternalCheckError), "planted failure"),
+        _planted(InternalCheckError), "planted failure"),
     "eigenbasis": (
         lambda: _check_eigenbasis(3, 3, 0), "x0_apply_series",
         lambda f: _off_at(f, ((2, 1),), lambda v: v.scale(2)),
@@ -227,10 +254,19 @@ FAILURES = {
         "zero Gram diagonal at n=2, index 0 (m=3, symbolic)"),
     "eigenbasis/internal-check": (
         lambda: _check_eigenbasis(3, 3, 0), "all_q",
-        lambda f: _raising(InternalCheckError), "planted failure"),
+        _planted(InternalCheckError), "planted failure"),
+    "eigenbasis/collision": (
+        lambda: _check_eigenbasis(3, 3, 0), "all_q",
+        _planted(EigenvalueCollisionAtEvaluation), "planted failure"),
     "schur-q-limit": (
         lambda: _check_schur_q(2, 4), "schur_q_oracle",
         lambda f: _off_at(f, ((3, 1),), lambda v: v.scale(2)), "mismatch at (3, 1)"),
+    "schur-q-limit/internal-check": (
+        lambda: _check_schur_q(2, 4), "solve_q", _planted(InternalCheckError),
+        "planted failure"),
+    "schur-q-limit/pole": (
+        lambda: _check_schur_q(2, 4), "specialize_q0", _planted(PoleAtSpecialization),
+        "planted failure"),
 }
 
 
@@ -243,6 +279,21 @@ def test_criterion_failure_is_reported(case, monkeypatch):
     report = check()
     identity = case.partition("/")[0]
     assert (report["identity"], report["status"], report["detail"]) == (identity, "fail", detail)
+
+
+@pytest.mark.parametrize("case, fields", [
+    ("traisesq", {"lambda": [2, 1], "delta": "lhs - rhs"}),
+    ("traisesq/leading-coefficient", {"lambda": [2, 1]}),
+])
+def test_newton_failure_names_its_shape(case, fields, monkeypatch):
+    # the failing lambda, and the nonzero difference, follow the detail
+    check, name, broken, _ = FAILURES[case]
+    monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
+    report = check()
+    assert list(report) == ["identity", "m", "status", "detail", *fields]
+    assert report["lambda"] == fields["lambda"]
+    if "delta" in fields:
+        assert [t["partition"] for t in report["delta"]["terms"]] == [[3]]
 
 
 def test_c10_eigenvalue_separation():

@@ -293,6 +293,25 @@ def test_a_failing_identity_exits_one(monkeypatch):
     assert {r["identity"]: r["status"] for r in json.loads(res.stdout)}["traisesq"] == "fail"
 
 
+def test_a_failure_inside_a_family_is_that_familys_report(monkeypatch):
+    # a library error met inside one family is its fail report: the other
+    # eleven families still run and report, and the command exits 1
+    from modmac import selfcheck
+    from modmac.errors import InternalCheckError
+
+    def broken(lam, nu):
+        raise InternalCheckError("planted failure")
+
+    monkeypatch.setattr(selfcheck, "nl_falling", broken)
+    res = _run("selfcheck", "--m", "2", "--max-n", "2", "--out", "json")
+    assert res.exit_code == 1
+    reports = json.loads(res.stdout)
+    assert isinstance(reports, list) and len(reports) == 12, reports
+    assert [r["status"] for r in reports] == ["ok"] * 2 + ["fail"] + ["ok"] * 9
+    assert reports[2] == {"identity": "lowering-count", "m": 2, "status": "fail",
+                          "detail": "planted failure"}
+
+
 def test_gram_command():
     res = _run("gram", "--m", "2", "--n", "2")
     assert res.exit_code == 0
