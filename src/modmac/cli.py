@@ -233,7 +233,9 @@ def selfcheck_cmd(m: int, max_n: int, seed: int, out: str) -> None:
     else:
         for r in reports:
             mark = {"ok": " ok ", "fail": "FAIL", "skipped": "skip"}[r["status"]]
-            sys.stdout.write(f"[{mark}] {r['identity']:<22} m={r['m']}  {r['detail']}\n")
+            # the fields after the detail (traisesq's lambda, delta) locate a failure
+            extra = "".join(f"  {k}={json.dumps(v, separators=(',', ':'))}" for k, v in list(r.items())[4:])
+            sys.stdout.write(f"[{mark}] {r['identity']:<22} m={r['m']}  {r['detail']}{extra}\n")
     if any(r["status"] == "fail" for r in reports):
         sys.exit(1)
 

@@ -5,8 +5,8 @@ The identity relates the raising series built from a creation sequence R to
 products of generalized complete functions.  Everything here is generic over
 the defining sequence d (with d_n specialized to q^n - 1 by the rest of the
 package) so the identity can be exercised on arbitrary sequences as well.
-The left-hand side reads the lowering table `partitions.lowerings`; `nl_brute`
-is the exhaustive walk that the closed-form counts are checked against.
+The left-hand side is `symfunc.raising_sum` over the lowering table's slice
+t = len(lam); `nl_brute` is the exhaustive walk the closed forms are checked against.
 The right-hand side is linear in d: each d_{lam,mu} is sum_k w_k d_k with
 weights counted once per (lam, mu), whatever the sequence.
 """
@@ -30,7 +30,7 @@ from .partitions import (
     lowerings,
 )
 from .scalars import Cyc, CycRat, ParamMode
-from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_times_qprod
+from .symfunc import PExpr, p_multiply, q_to_p, qprod_to_p, r_to_p, raising_sum
 
 __all__ = [
     "DSeq",
@@ -165,17 +165,14 @@ def newton_lhs(lam: Partition, mode: ParamMode, rs: list[PExpr] | None = None) -
     """Left-hand side of the generalized Newton identity.
 
     Sums R_{i_1+...+i_s} q_{lam_1-i_1} ... q_{lam_s-i_s} over all tuples with
-    every i_j >= 1, in P: the entries of the lowering table of lam with
-    t = len(lam), each a count of tuples with one leftover partition nu and
-    so one total k = |lam| - |nu|.  `rs` overrides the creation sequence
-    (index by total degree); by default the closed-form expansion is used.
+    every i_j >= 1, in P: `raising_sum` over the entries of `lowerings(lam)`
+    with t = len(lam).  `rs` overrides the creation sequence (index by total
+    degree), by default `r_to_p`.
     """
     if not lam:
         raise ValueError("the identity is stated for nonempty partitions")
-    terms = ((r_times_qprod(k, nu, mode) if rs is None
-              else p_multiply(rs[k], qprod_to_p(nu, mode.m))).scale(c)
-             for (k, t, nu), c in lowerings(lam).items() if t == len(lam))
-    return PExpr.sum(mode.m, terms)
+    return raising_sum(mode.m, ((k, nu, c) for (k, t, nu), c in lowerings(lam).items() if t == len(lam)),
+                       (lambda k: r_to_p(k, mode)) if rs is None else rs.__getitem__)
 
 
 def newton_rhs(lam: Partition, mode: ParamMode, d: DSeq) -> PExpr:

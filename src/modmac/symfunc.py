@@ -7,6 +7,7 @@ inverse change to the m-reduced q-basis, one PExpr row per reduced lambda,
 depend on m alone.  `to_p` converts to p once, at the edge.  `weigh` clears
 the diagonal pairing on P into a vector, so `coefficient_dot` is the one sum
 over P: it pairs, and it reads each reduced coordinate off its row.
+`raising_sum` is the one raising sum, of the zero mode's series and Newton's.
 
 Construction rule: the public `PExpr(...)`/`QExpr(...)` constructors
 validate every key and modulus and coerce int and Fraction coefficients.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .errors import InternalCheckError, VerificationError
 from .partitions import (
@@ -51,7 +53,7 @@ __all__ = [
     "q_to_p",
     "qprod_to_p",
     "r_to_p",
-    "r_times_qprod",
+    "raising_sum",
     "epsilon_product",
     "pairing_weights",
     "weigh",
@@ -233,10 +235,7 @@ def p_multiply(f: PExpr, g: PExpr) -> PExpr:
 @lru_cache(maxsize=None)
 def epsilon_product(lam: Partition, mode: ParamMode) -> Cyc | CycRat:
     """Product of epsilon over the parts (empty partition gives 1)."""
-    out = mode.one()
-    for part in lam:
-        out = out * epsilon(part, mode)
-    return out
+    return prod((epsilon(part, mode) for part in lam), start=mode.one())
 
 
 def to_p(f: PExpr, mode: ParamMode) -> PExpr:
@@ -283,19 +282,21 @@ def r_to_p(n: int, mode: ParamMode) -> PExpr:
         return PExpr.zero(mode.m)
     terms = {}
     for rho in enumerate_partitions(n, "m_regular", mode.m):
-        w = mode.one()
-        for part in rho:
-            w = w * (mode.qpow(part) - 1)
+        w = prod((mode.qpow(part) - 1 for part in rho), start=mode.one())
         if not w:
             epsilon_product(rho, mode)  # raises DegenerateEvaluationPoint
         terms[rho] = w / z_of(rho)
     return PExpr._raw(mode.m, terms)
 
 
-@lru_cache(maxsize=None)
-def r_times_qprod(k: int, nu: Partition, mode: ParamMode) -> PExpr:
-    """Cached product R_k * q_nu; shared by the Newton and operator sums."""
-    return r_to_p(k, mode) * qprod_to_p(nu, mode.m)
+def raising_sum(m: int, entries, creation) -> PExpr:
+    """sum w R_k q_nu over the (k, nu, w) entries, in P, R_k = creation(k): one
+    product R_k A_k per degree k, with A_k = sum w q_nu expanded into P once."""
+    groups: dict[int, list] = {}
+    for k, nu, w in entries:
+        groups.setdefault(k, []).append((nu, w))
+    return PExpr.sum(m, (p_multiply(creation(k), QExpr._collect(m, combo).to_p())
+                         for k, combo in groups.items()))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,9 @@
 """The degree-preserving zero mode of the vertex operator on the modular ring.
 
 Two independent implementations are kept side by side: a raising-series sum
-read off the lowering table `partitions.lowerings` (the fold that also gives
-the Newton left-hand side), and a normal-ordered product of a creation
-multiplication with an annihilation translation.  Their agreement, the
+over the lowering table `partitions.lowerings` by `symfunc.raising_sum` (which
+also gives the Newton left-hand side), and a normal-ordered product of a
+creation multiplication with an annihilation translation.  Their agreement, the
 dominance triangularity, and the closed-form diagonal are the load-bearing
 checks for everything downstream.  Both act on the P basis of `symfunc`, where
 R_k is polynomial in q and the annihilation exponential exp(sum_n (1 - xi^n)
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .errors import EigenvalueCollisionAtEvaluation, InternalCheckError
@@ -32,8 +33,8 @@ from .symfunc import (
     PExpr,
     p_multiply,
     p_to_q_reduced,
-    r_times_qprod,
     r_to_p,
+    raising_sum,
 )
 
 __all__ = [
@@ -66,14 +67,13 @@ def x0_apply_series(lam: Partition, mode: ParamMode) -> PExpr:
     """Raising-series implementation of the zero mode on q_lam.
 
     Sums R_{i_1+...+i_s} a_{i_1} q_{lam_1-i_1} ... a_{i_s} q_{lam_s-i_s} over
-    all tuples with i_j >= 0, where a_0 = 1 and a_k = 1 - xi for k >= 1.
-    It reads the lowering table of lam, which counts the tuples by their sum
-    k, the number t of lowered parts and the leftover partition nu: each
-    entry adds (1 - xi)^t times its count of R_k q_nu.
+    all tuples with i_j >= 0, where a_0 = 1 and a_k = 1 - xi for k >= 1:
+    `raising_sum` over the entries (k, t, nu) of `lowerings(lam)`, each count
+    weighted by (1 - xi)^t.
     """
-    one_minus_xi = 1 - zeta(mode.m)
-    return PExpr.sum(mode.m, (r_times_qprod(k, nu, mode).scale(one_minus_xi**t * c)
-                              for (k, t, nu), c in lowerings(lam).items()))
+    powers = [1, *accumulate(repeat(1 - zeta(mode.m), len(lam)), mul)]
+    return raising_sum(mode.m, ((k, nu, powers[t] * c) for (k, t, nu), c in lowerings(lam).items()),
+                       lambda k: r_to_p(k, mode))
 
 
 @lru_cache(maxsize=None)

@@ -293,6 +293,30 @@ def test_a_failing_identity_exits_one(monkeypatch):
     assert {r["identity"]: r["status"] for r in json.loads(res.stdout)}["traisesq"] == "fail"
 
 
+def test_a_failing_table_line_names_its_input(monkeypatch):
+    # with newton_rhs skewed at lambda = (2,), the table's FAIL line carries
+    # the report's extra fields as compact JSON, as --out json does
+    from modmac import selfcheck
+    from modmac.symfunc import PExpr
+
+    inner = selfcheck.newton_rhs
+
+    def skewed(lam, mode, d):
+        rhs = inner(lam, mode, d)
+        return rhs + PExpr(mode.m, {(1, 1): 1}) if lam == (2,) else rhs
+
+    monkeypatch.setattr(selfcheck, "newton_rhs", skewed)
+    res = _run("selfcheck", "--m", "2", "--max-n", "2")
+    assert res.exit_code == 1
+    reports = json.loads(_run("selfcheck", "--m", "2", "--max-n", "2", "--out", "json").stdout)
+    fail = next(r for r in reports if r["status"] == "fail")
+    assert fail["lambda"] == [2]
+    line = next(line for line in res.stdout.splitlines() if line.startswith("[FAIL]"))
+    assert line == (f"[FAIL] traisesq               m=2  lhs != rhs  lambda=[2]  "
+                    f"delta={json.dumps(fail['delta'], separators=(',', ':'))}")
+    assert res.stdout.count("[ ok ]") == 11
+
+
 def test_a_failure_inside_a_family_is_that_familys_report(monkeypatch):
     # a library error met inside one family is its fail report: the other
     # eleven families still run and report, and the command exits 1

@@ -6,8 +6,16 @@ import pytest
 from modmac import symfunc
 from modmac.errors import InternalCheckError, VerificationError
 from modmac.macdonald import solve_q
-from modmac.partitions import Partition, dominates, enumerate_partitions, mult_factorial, z_of
-from modmac.scalars import Cyc, CycRat, _pgcd, epsilon, eval_mode, symbolic_mode, zeta
+from modmac.newton import newton_lhs, r_from_recursion
+from modmac.partitions import (
+    Partition,
+    dominates,
+    enumerate_partitions,
+    lowerings,
+    mult_factorial,
+    z_of,
+)
+from modmac.scalars import Cyc, CycRat, _as_cyc, _pgcd, epsilon, eval_mode, symbolic_mode, zeta
 from modmac.symfunc import (
     PExpr,
     QExpr,
@@ -585,3 +593,40 @@ def test_nonzero_twisted_product_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(QExpr, "to_p", lambda self: PExpr.one(self.m))
     with pytest.raises(VerificationError, match=r"nonzero z\^2 coefficient"):
         modular_relation_check(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the one raising sum: the zero mode's series and the Newton left-hand side
+# against the route of one product per lowering-table entry
+
+
+def _raising_oracle(lam, mode, newton=False, rs=None):
+    # sum over the entries (k, t, nu) of count * a^t * (R_k * q_nu), with
+    # a = 1 - xi for the series and a = 1 on the Newton slice t = len(lam)
+    one_minus_xi = 1 - zeta(mode.m)
+    total = PExpr.zero(mode.m)
+    for (k, t, nu), c in lowerings(lam).items():
+        if newton and t != len(lam):
+            continue
+        r = r_to_p(k, mode) if rs is None else rs[k]
+        weight = c if newton else one_minus_xi**t * c
+        total = total + (r * qprod_to_p(nu, mode.m)).scale(weight)
+    return total
+
+
+@pytest.mark.parametrize("q0", (None, 2))
+@pytest.mark.parametrize("m", (2, 3, 4, 5, 6, 8, 12))
+def test_raising_sums_match_one_product_per_entry(m, q0):
+    mode = symbolic_mode(m) if q0 is None else eval_mode(m, q0)
+    top = 9 if m == 2 else 7
+    rs = r_from_recursion(top, lambda n: _as_cyc(m, F(n + 2, 3 - n % 2)), mode)
+    closed = [r_to_p(k, mode) for k in range(top + 1)]
+    for n in range(top + 1):
+        for lam in enumerate_partitions(n):
+            assert x0_apply_series(lam, mode) == _raising_oracle(lam, mode), lam
+            if not lam:
+                continue
+            lhs = newton_lhs(lam, mode)
+            assert lhs == _raising_oracle(lam, mode, newton=True), lam
+            assert newton_lhs(lam, mode, rs=closed) == lhs, lam
+            assert newton_lhs(lam, mode, rs=rs) == _raising_oracle(lam, mode, True, rs), lam
