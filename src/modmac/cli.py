@@ -142,7 +142,8 @@ def _joined(argv: list[str]) -> list[str]:
 def main(args=None, prog_name=None) -> None:
     """Run one subcommand: a failed verification is a JSON failure report (exit 1),
     and any other ValueError is a usage error (exit 2), whichever computation
-    meets it: every ValueError the library raises is an argument check."""
+    meets it: every ValueError the library raises is an argument check.  So is a
+    MemoryError: the request is too large for the machine."""
     argv = _joined(sys.argv[1:] if args is None else list(args))
     main_parser, parsers = _parser(prog_name, argv)
     opts = vars(main_parser.parse_args(argv))
@@ -154,8 +155,8 @@ def main(args=None, prog_name=None) -> None:
     except FAILURES as exc:  # before ValueError: a collision is one
         _emit({"status": "fail", "error": type(exc).__name__, "message": str(exc)})
         sys.exit(1)
-    except ValueError as exc:
-        parsers[name].error(str(exc))
+    except (ValueError, MemoryError) as exc:
+        parsers[name].error(str(exc) or "the request does not fit in memory")
 
 
 @_command("partitions", _M, _opt("--n", lo=0, required=True),

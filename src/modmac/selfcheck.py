@@ -32,19 +32,16 @@ from .newton import (
     qpow_dseq,
     r_from_recursion,
 )
-from .partitions import Partition, dominates, enumerate_partitions
+from .partitions import Partition, dominates, enumerate_partitions, z_of
 from .scalars import Cyc, CycRat, _as_cyc, eval_mode, symbolic_mode
 from .symfunc import (
     PExpr,
     QExpr,
-    coefficient_dot,
+    epsilon_product,
     modular_relation_check,
-    p_multiply,
-    q_to_p,
     qprod_to_p,
     r_to_p,
     to_p,
-    weigh,
 )
 from .vertex import (
     _collision_precheck,
@@ -143,11 +140,12 @@ def _check_r_expansion(m: int, bound: int) -> str:
 
 @_family("convolution")
 def _check_convolution(m: int, bound: int) -> str:
+    """R_n = d_n q_n - sum_{i<n} R_i q_{n-i} at d_n = q^n - 1, through `r_from_recursion`:
+    by induction on n, its first n off `r_to_p` is the first n where this fails."""
     mode = symbolic_mode(m)
+    rs = r_from_recursion(bound, qpow_dseq(mode), mode)
     for n in range(1, bound + 1):
-        acc = PExpr.sum(m, (p_multiply(r_to_p(i, mode), q_to_p(n - i, m))
-                            for i in range(1, n + 1)))
-        if acc != q_to_p(n, m).scale(mode.qpow(n) - 1):
+        if rs[n] != r_to_p(n, mode):
             raise VerificationError(f"mismatch at n={n}")
     return f"n<={bound}"
 
@@ -187,18 +185,17 @@ def _check_triangularity(m: int, bound: int) -> str:
 
 @_family("self-adjoint")
 def _check_self_adjoint(m: int, sym_bound: int, eval_bound: int) -> str:
-    """The pairing is symmetric, so X is self-adjoint iff <X f_i, f_j> =
-    <X f_j, f_i> for every i < j.  Both sides are compared in P, times
-    K_i K_j for the (K, g) of `weigh`: polynomial products, no gcd."""
+    """P is orthogonal, <P_rho, P_rho> = z_rho / eps_rho, so X is self-adjoint iff
+    z_rho eps_sigma A_rho,sigma = z_sigma eps_rho A_sigma,rho for each pair rho, sigma
+    of one weight, A_rho,sigma the P_rho coefficient of X P_sigma: no gcd."""
     for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
         for n in range(1, bound + 1):
-            basis = [qprod_to_p(lam, m) for lam in enumerate_partitions(n, "m_reduced", m)]
-            images = [x0_apply_diff(f, mode) for f in basis]
-            weighted = [weigh(f, mode) for f in basis]
-            for i, j in combinations(range(len(basis)), 2):
-                (ki, gi), (kj, gj) = weighted[i], weighted[j]
-                if coefficient_dot(images[i], gj) * ki != coefficient_dot(images[j], gi) * kj:
-                    raise VerificationError(f"fails at n={n}, pair ({i},{j}), {mode.describe()}")
+            basis = enumerate_partitions(n, "m_regular", m)
+            images = {sigma: x0_apply_diff(PExpr(m, {sigma: 1}), mode) for sigma in basis}
+            for rho, sigma in combinations(basis, 2):
+                if (images[sigma].coeff(rho) * epsilon_product(sigma, mode) * z_of(rho)
+                        != images[rho].coeff(sigma) * epsilon_product(rho, mode) * z_of(sigma)):
+                    raise VerificationError(f"fails at n={n}, P_{rho} and P_{sigma}, {mode.describe()}")
     return f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}"
 
 
@@ -239,8 +236,8 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> str:
     """Monic eigenvectors with nonzero coefficients on the dominating support,
     the closed-form eigenvalue, the series-form eigen-equation, and a Gram
     matrix with zero off-diagonal and nonzero diagonal.  The series form is
-    compared in P, times L, with the cleared N = L Q.  `solve_q` checks the
-    normal-ordered eigen-equation itself, raising InternalCheckError."""
+    compared in P with N = L Q, each image scaled once by its polynomial L c_nu.
+    `solve_q` checks the normal-ordered eigen-equation itself, raising InternalCheckError."""
     for mode, bound in ((symbolic_mode(m), sym_bound), (eval_mode(m, 2), eval_bound)):
         for n in range(1, bound + 1):
             for mac in all_q(n, mode):
@@ -252,11 +249,11 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> str:
                         raise VerificationError(f"support below index at {where}")
                     if c.is_zero:
                         raise VerificationError(f"zero coefficient at {nu} in {where}")
-                by_series = PExpr.sum(m, (x0_apply_series(nu, mode).scale(c)
+                by_series = PExpr.sum(m, (x0_apply_series(nu, mode).scale(mac.lcm * c)
                                           for nu, c in mac.q_coeffs))
                 if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
                     raise VerificationError(f"eigenvalue off at {where}")
-                if by_series.scale(mac.lcm) != mac.cleared.scale(mac.eigenvalue):
+                if by_series != mac.cleared.scale(mac.eigenvalue):
                     raise VerificationError(f"not an eigenvector of the series form at {where}")
             for i, row in enumerate(gram(n, mode)):
                 if row[i].is_zero:

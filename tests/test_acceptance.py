@@ -9,6 +9,7 @@ failing report is shown in full.  `pytest -v` prints one line per criterion.
 import random
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -98,7 +99,22 @@ def test_self_adjointness_failure_is_reported(monkeypatch):
     monkeypatch.setattr(selfcheck, "x0_apply_diff", skewed)
     report = _check_self_adjoint(3, 4, 4)
     assert report["status"] == "fail"
-    assert report["detail"] == "fails at n=4, pair (0,2), eval(q0=2, c0=-1 - xi)"
+    assert report["detail"] == "fails at n=4, P_(4,) and P_(2, 2), eval(q0=2, c0=-1 - xi)"
+
+
+def test_self_adjointness_checks_every_pair(monkeypatch):
+    # in symbolic mode, add P_4 d^4/dP_1^4, which couples P_(1,1,1,1) to
+    # P_(4,), first and last of weight 4: no neighbours in the order
+    def skewed(f, mode):
+        image = x0_apply_diff(f, mode)
+        if not mode.is_symbolic:
+            return image
+        return image + p_multiply(PExpr(3, {(4,): 1}), d_dp(1, d_dp(1, d_dp(1, d_dp(1, f)))))
+
+    monkeypatch.setattr(selfcheck, "x0_apply_diff", skewed)
+    report = _check_self_adjoint(3, 4, 4)
+    assert report["status"] == "fail"
+    assert report["detail"] == "fails at n=4, P_(4,) and P_(1, 1, 1, 1), symbolic"
 
 
 def _off_at(inner, at, skew):
@@ -146,7 +162,9 @@ def _drop_one_reduced(inner):
 
 # failure case (the criterion, then "/" and the branch where a criterion
 # fails in more than one way), the check at small ranges, the one function
-# it checks, a broken stand-in for it, and the report's detail; the
+# it checks (a name on `selfcheck`, or "module.name" for a function of that
+# modmac module the check reaches through another), a broken stand-in for
+# it, and the report's detail; the
 # "/internal-check", "/collision" and "/pole" cases plant a library error of
 # the failure set inside the family, which is the family's fail report
 FAILURES = {
@@ -188,7 +206,7 @@ FAILURES = {
         lambda: _check_convolution(2, 4), "r_to_p",
         lambda f: _off_at(f, (2,), lambda v: v.scale(2)), "mismatch at n=2"),
     "convolution/internal-check": (
-        lambda: _check_convolution(2, 4), "q_to_p", _planted(InternalCheckError),
+        lambda: _check_convolution(2, 4), "newton.q_to_p", _planted(InternalCheckError),
         "planted failure"),
     "twisted-product": (
         lambda: _check_modular_relation(2, 6), "modular_relation_check",
@@ -209,7 +227,7 @@ FAILURES = {
         lambda: _check_operator_agreement(2, 4), "x0_apply_diff",
         _planted(InternalCheckError), "planted failure"),
     "self-adjoint/internal-check": (
-        lambda: _check_self_adjoint(3, 4, 4), "weigh", _planted(InternalCheckError),
+        lambda: _check_self_adjoint(3, 4, 4), "epsilon_product", _planted(InternalCheckError),
         "planted failure"),
     "raising-triangular": (
         lambda: _check_triangularity(2, 4), "x0_matrix",
@@ -270,12 +288,19 @@ FAILURES = {
 }
 
 
+def _plant(monkeypatch, name, broken):
+    # replace the function `name` of a FAILURES entry by broken(it)
+    module, _, attr = name.rpartition(".")
+    owner = import_module(f"modmac.{module}") if module else selfcheck
+    monkeypatch.setattr(owner, attr, broken(getattr(owner, attr)))
+
+
 @pytest.mark.parametrize("case", FAILURES)
 def test_criterion_failure_is_reported(case, monkeypatch):
     # each criterion reports each of its failures: break the one function it
-    # checks, on `selfcheck`, and read the report
+    # checks, and read the report
     check, name, broken, detail = FAILURES[case]
-    monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
+    _plant(monkeypatch, name, broken)
     report = check()
     identity = case.partition("/")[0]
     assert (report["identity"], report["status"], report["detail"]) == (identity, "fail", detail)
@@ -288,7 +313,7 @@ def test_criterion_failure_is_reported(case, monkeypatch):
 def test_newton_failure_names_its_shape(case, fields, monkeypatch):
     # the failing lambda, and the nonzero difference, follow the detail
     check, name, broken, _ = FAILURES[case]
-    monkeypatch.setattr(selfcheck, name, broken(getattr(selfcheck, name)))
+    _plant(monkeypatch, name, broken)
     report = check()
     assert list(report) == ["identity", "m", "status", "detail", *fields]
     assert report["lambda"] == fields["lambda"]

@@ -602,6 +602,42 @@ def test_zero_denominator_literal_is_usage_error(flags):
     assert "zero denominator" in res.output
 
 
+@pytest.mark.parametrize("args, call", [
+    (("gram", "--m", "3", "--n", "2"), "gram"),
+    (("macdonald", "--m", "3", "--lambda", "1"), "solve_q"),
+    (("qexpand", "--m", "3", "--n", "1", "--mode", "eval", "--q0", "2"), "q_to_p"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_request_too_large_for_memory_is_usage_error(args, call, monkeypatch):
+    # a library call that runs out of memory, as `zeta` does at m = 99999999999
+    from modmac import cli
+
+    def exhausted(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, call, exhausted)
+    res = _run(*args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.endswith("Error: the request does not fit in memory\n")
+
+
+def test_a_modulus_too_large_for_memory_exits_two():
+    # m = 99999999999: the m-long tuple of `zeta` cannot fit in 1 GiB of
+    # address space, whatever the host's overcommit
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(modmac.__file__))
+    res = subprocess.run([sys.executable, "-m", "modmac.cli", "gram", "--m", "99999999999", "--n", "1"],
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+                         preexec_fn=limit)
+    assert (res.returncode, res.stdout) == (2, b"")
+    assert res.stderr.endswith(b"Error: the request does not fit in memory\n")
+
+
 def test_option_spellings():
     # --opt=VALUE is accepted and a repeated option takes its last value, as
     # under click; no abbreviation and no -h

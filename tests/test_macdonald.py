@@ -208,14 +208,9 @@ def test_running_denominator_equals_clearing_at_the_end(mode, n):
 
 
 def _mutated_weigh(monkeypatch, mutate):
-    # every pairing of `gram` and the self-adjointness check goes through weigh
+    # every pairing of `gram` goes through weigh
     real = macdonald.weigh
-
-    def weigh(f, mode):
-        return mutate(*real(f, mode))
-
-    monkeypatch.setattr(macdonald, "weigh", weigh)
-    monkeypatch.setattr(selfcheck, "weigh", weigh)
+    monkeypatch.setattr(macdonald, "weigh", lambda f, mode: mutate(*real(f, mode)))
 
 
 def test_dropped_lcm_changes_the_gram_diagonal(monkeypatch):
@@ -230,8 +225,8 @@ def test_dropped_lcm_changes_the_gram_diagonal(monkeypatch):
 
 @pytest.mark.parametrize("mode", [M3, eval_mode(3, 2)], ids=["symbolic", "eval"])
 def test_dropped_weight_fires(monkeypatch, mode):
-    # one weighted term dropped: gram's orthogonality and the self-adjointness
-    # check both fail
+    # one weighted term dropped from gram's pairings, and one weight doubled
+    # where the self-adjointness check reads it: both fail
     assert _check_self_adjoint(3, 4, 4)["status"] == "ok"
     gram(4, mode)
     rho = P((1, 1, 1, 1))
@@ -239,8 +234,10 @@ def test_dropped_weight_fires(monkeypatch, mode):
         lcm, PExpr._raw(g.m, {key: c for key, c in g.terms.items() if key != rho})))
     with pytest.raises(InternalCheckError, match="^Gram matrix is not diagonal"):
         gram(4, mode)
+    monkeypatch.setattr(selfcheck, "epsilon_product", lambda lam, pm: (
+        2 if lam == rho else 1) * epsilon_product(lam, pm))
     report = _check_self_adjoint(3, 4, 4)
-    assert report["status"] == "fail", report
+    assert report["detail"] == "fails at n=4, P_(4,) and P_(1, 1, 1, 1), symbolic", report
 
 
 def test_gram_zeros_are_cycs():
