@@ -17,7 +17,7 @@ from .errors import FAILURES
 from .macdonald import gram, solve_q, specialize_q0
 from .partitions import Partition, enumerate_partitions
 from .scalars import ParamMode, eval_mode, parse_scalar_literal, symbolic_mode
-from .symfunc import q_to_p, qprod_to_p, to_p
+from .symfunc import QExpr, q_to_p, qprod_to_p, to_p
 from .vertex import X0Matrix, x0_apply_series, x0_matrix
 # newton and selfcheck each serve one command, which imports it: the other
 # commands never compile them
@@ -211,7 +211,9 @@ def macdonald_cmd(pm: ParamMode, lam: Partition) -> None:
 @_command("gram", _M, _opt("--n", lo=1, required=True), *_MODE, _OUT)
 def gram_cmd(pm: ParamMode, n: int, out: str) -> None:
     """Pairings of the weight-N eigenvectors (a diagonal matrix)."""
-    _emit_matrix(x0_matrix(n, pm)._replace(entries=tuple(map(tuple, gram(n, pm)))), out)
+    mat = x0_matrix(n, pm)
+    diagonal = (QExpr(pm.m, {lam: v}) for lam, v in zip(mat.order, gram(n, pm)))
+    _emit_matrix(mat._replace(columns=tuple(diagonal)), out)
 
 
 @_command("specialize", _M, _LAMBDA)

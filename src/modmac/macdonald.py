@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import InternalCheckError, PoleAtSpecialization
-from .partitions import Partition, dominates, enumerate_partitions, z_of
+from .partitions import Partition, enumerate_partitions, z_of
 from .scalars import Cyc, CycRat, ParamMode, clear_denominators, scalar_to_json
 from .symfunc import PExpr, QExpr, coefficient_dot, p_multiply, to_p, weigh
 from .vertex import x0_apply_diff, x0_matrix
@@ -44,17 +44,16 @@ __all__ = [
 class ModularMacdonald(NamedTuple):
     """A monic eigenvector of the zero mode, indexed by an m-reduced partition.
 
-    q_coeffs lists the coordinates on the m-reduced q-basis, the indexing
-    partition first and then ascending in dominance; the leading coefficient
-    is one and the support dominates the index.  lcm is the monic lcm L of
-    their denominators and cleared the eigenvector times L in P, whose
-    coefficients are polynomials.
+    q_coeffs holds the coordinates on the m-reduced q-basis, keyed by shape;
+    the coefficient at the index is one and the support dominates the index.
+    lcm is the monic lcm L of their denominators and cleared the eigenvector
+    times L in P, whose coefficients are polynomials.
     """
 
     m: int
     shape: Partition
     mode: ParamMode
-    q_coeffs: tuple[tuple[Partition, Cyc | CycRat], ...]
+    q_coeffs: QExpr
     lcm: Cyc | CycRat
     cleared: PExpr
     eigenvalue: Cyc | CycRat
@@ -64,17 +63,15 @@ class ModularMacdonald(NamedTuple):
         """The eigenvector on the p basis, N_rho / (L eps_rho); formed on each read."""
         return to_p(self.cleared, self.mode).scale(self.lcm.inv())
 
-    def coeff(self, mu) -> Cyc | CycRat:
-        return dict(self.q_coeffs).get(Partition(mu), self.mode.zero())
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "lambda": self.shape.to_json(),
             "eigenvalue": scalar_to_json(self.eigenvalue),
+            # the index first, then the shapes ascending in dominance
             "q_coeffs": [
                 {"partition": lam.to_json(), "coeff": scalar_to_json(c)}
-                for lam, c in self.q_coeffs
+                for lam, c in reversed(self.q_coeffs.sorted_items())
             ],
             "p_form": self.p_form.to_json(),
         }
@@ -84,12 +81,15 @@ class ModularMacdonald(NamedTuple):
 def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     """Solve the triangular recursion for the eigenvector indexed by lam.
 
-    Walking the dominance-above support upward from lam, each coordinate is
-    sum of already-known coordinates against the operator matrix, divided by
-    the eigenvalue gap, nonzero by `x0_matrix`'s check.  The eigenvalue and
-    every gap are read off that matrix's diagonal, which `x0_matrix` checked
-    against the closed form `eigenvalue_c`.  The result must be an
-    exact eigenvector of the independent implementation of the operator.
+    Walking the shapes before lam in `x0_matrix`'s order upward from lam,
+    the coordinate at nu is the sum of the known coordinates against the q_nu
+    entries of their columns, divided by the eigenvalue gap, nonzero by
+    `x0_matrix`'s check.  That check also puts each column's support on the
+    shapes dominating its own, so every solved shape dominates lam, and a nu
+    that does not has an empty sum and is skipped.  The eigenvalue and every
+    gap are read with `coeff` off the checked diagonal: an eigenvalue that is
+    zero at an evaluation point is absent from its column.  The result must
+    be an exact eigenvector of the independent implementation of the operator.
 
     The recursion runs over one monic running denominator D, holding
     u_j = c_j D as polynomials: each sum of u_j against the matrix takes no
@@ -106,34 +106,30 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     if not lam.is_reduced(m):
         raise ValueError(f"{lam} is not m-reduced for m = {m}")
     if not lam:
-        return ModularMacdonald(
-            m, lam, mode, ((lam, mode.one()),), mode.one(), PExpr.one(m), mode.one()
-        )
+        one = mode.one()
+        return ModularMacdonald(m, lam, mode, QExpr._raw(m, {lam: one}), one, PExpr.one(m), one)
     mat = x0_matrix(lam.weight, mode)
-    diag = mat.diagonal()
-    # the order extends dominance, so lam is the last position dominating it
-    *above, i = (k for k, nu in enumerate(mat.order) if dominates(nu, lam))
-    ev = diag[i]
-    # c_j and u_j = c_j * den, by position in the order
-    den, coeffs, nums = mode.one(), {i: mode.one()}, {i: mode.one()}
-    for k in reversed(above):
-        row = mat.entries[k]
-        s = sum((u * row[j] for j, u in nums.items()), mode.zero())
+    cols = dict(zip(mat.order, mat.columns))
+    ev = cols[lam].coeff(lam)
+    # c_nu and u_nu = c_nu * den, by shape
+    den, coeffs, nums = mode.one(), {lam: mode.one()}, {lam: mode.one()}
+    for nu in reversed(mat.order[:mat.order.index(lam)]):
+        s = sum((u * cols[mu].terms[nu] for mu, u in nums.items() if nu in cols[mu].terms),
+                mode.zero())
         if s.is_zero:
             continue
-        c = s / ((ev - diag[k]) * den)
+        c = s / ((ev - cols[nu].coeff(nu)) * den)
         den, (grow, u) = clear_denominators(m, [den.inv(), c])
         if grow != 1:
-            nums = {j: grow * v for j, v in nums.items()}
-        coeffs[k], nums[k] = c, u
-    shapes = [mat.order[k] for k in coeffs]
-    cleared = QExpr._raw(m, dict(zip(shapes, nums.values()))).to_p()
+            nums = {mu: grow * v for mu, v in nums.items()}
+        coeffs[nu], nums[nu] = c, u
+    cleared = QExpr._raw(m, nums).to_p()
     if x0_apply_diff(cleared, mode) != cleared.scale(ev):
         raise InternalCheckError(
             f"solved coordinates for {lam} are not an eigenvector of the "
             f"normal-ordered implementation (m={m}, {mode.describe()})"
         )
-    return ModularMacdonald(m, lam, mode, tuple(zip(shapes, coeffs.values())), den, cleared, ev)
+    return ModularMacdonald(m, lam, mode, QExpr._raw(m, coeffs), den, cleared, ev)
 
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
@@ -141,23 +137,23 @@ def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
     return [solve_q(lam, mode) for lam in x0_matrix(n, mode).order]
 
 
-def gram(n: int, mode: ParamMode) -> list[list[Cyc | CycRat]]:
-    """Pairings of the weight-n eigenvectors; must come out diagonal.
+def gram(n: int, mode: ParamMode) -> list[Cyc | CycRat]:
+    """The diagonal <Q_a, Q_a> of the weight-n eigenvectors' pairings, in
+    `all_q` order, after checking that every off-diagonal pairing is zero.
 
     On the cleared forms: with (K_a, G_a) = weigh(N_a), once per vector,
     K_a L_a L_b <Q_a, Q_b> = coefficient_dot(N_b, G_a), a sum of polynomial
     products that takes no gcd and is zero exactly when <Q_a, Q_b> is; a
     diagonal entry is then divided by L_a^2 K_a.  The pairing is symmetric,
-    so only i <= j is formed: the first nonzero off-diagonal entry in
-    row-major order has i < j.
+    so only a before b is paired: the first nonzero off-diagonal pairing in
+    row-major order is reported.
     """
     qs = all_q(n, mode)
-    out = [[mode.zero()] * len(qs) for _ in qs]
+    out = []
     for i, a in enumerate(qs):
         scale, weighted = weigh(a.cleared, mode)
-        out[i][i] = coefficient_dot(a.cleared, weighted) / (a.lcm * a.lcm * scale)
-        for j in range(i + 1, len(qs)):
-            b = qs[j]
+        out.append(coefficient_dot(a.cleared, weighted) / (a.lcm * a.lcm * scale))
+        for b in qs[i + 1:]:
             v = coefficient_dot(b.cleared, weighted)
             if not v.is_zero:
                 raise InternalCheckError(

@@ -242,21 +242,21 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> str:
         for n in range(1, bound + 1):
             for mac in all_q(n, mode):
                 where = f"{mac.shape} (m={m}, {mode.describe()})"
-                if mac.coeff(mac.shape) != mode.one():
+                if mac.q_coeffs.coeff(mac.shape) != mode.one():
                     raise VerificationError(f"not monic at {where}")
-                for nu, c in mac.q_coeffs:
+                for nu, c in mac.q_coeffs.terms.items():
                     if not dominates(nu, mac.shape):
                         raise VerificationError(f"support below index at {where}")
                     if c.is_zero:
                         raise VerificationError(f"zero coefficient at {nu} in {where}")
                 by_series = PExpr.sum(m, (x0_apply_series(nu, mode).scale(mac.lcm * c)
-                                          for nu, c in mac.q_coeffs))
+                                          for nu, c in mac.q_coeffs.terms.items()))
                 if mac.eigenvalue != eigenvalue_c(mac.shape, mode):
                     raise VerificationError(f"eigenvalue off at {where}")
                 if by_series != mac.cleared.scale(mac.eigenvalue):
                     raise VerificationError(f"not an eigenvector of the series form at {where}")
-            for i, row in enumerate(gram(n, mode)):
-                if row[i].is_zero:
+            for i, v in enumerate(gram(n, mode)):
+                if v.is_zero:
                     raise VerificationError(f"zero Gram diagonal at n={n}, index {i} "
                                             f"(m={m}, {mode.describe()})")
     return f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}"

@@ -31,6 +31,7 @@ from .partitions import (
 from .scalars import Cyc, CycRat, ParamMode, scalar_to_json, scalar_to_str, zeta
 from .symfunc import (
     PExpr,
+    QExpr,
     p_multiply,
     p_to_q_reduced,
     r_to_p,
@@ -119,25 +120,27 @@ class X0Matrix(NamedTuple):
     """Matrix of the zero mode on the m-reduced q-basis of one weight.
 
     `order` is the `enumerate_partitions` order, a linear extension of
-    dominance (greatest first); the entry at (row nu, column lam) is the q_nu
-    coefficient of the image of q_lam, so the matrix is upper triangular with
-    the eigenvalues on the diagonal.
+    dominance (greatest first); `columns` holds the image of each q_lam in
+    that order, as m-reduced coordinates keyed by shape.  The q_nu coordinate
+    of column lam is the entry at (row nu, column lam), so the matrix is
+    upper triangular with the eigenvalues on the diagonal.
     """
 
     m: int
     n: int
     order: tuple[Partition, ...]
-    entries: tuple[tuple[Cyc | CycRat, ...], ...]
+    columns: tuple[QExpr, ...]
 
-    def diagonal(self) -> list[Cyc | CycRat]:
-        return [self.entries[i][i] for i in range(len(self.order))]
+    def rows(self) -> list[list[Cyc | CycRat]]:
+        """The dense matrix, row nu holding the q_nu coordinate of every column."""
+        return [[col.coeff(nu) for col in self.columns] for nu in self.order]
 
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
             "order": [lam.to_json() for lam in self.order],
-            "entries": [[scalar_to_json(x) for x in row] for row in self.entries],
+            "entries": [[scalar_to_json(x) for x in row] for row in self.rows()],
         }
 
     def to_csv(self) -> str:
@@ -149,7 +152,7 @@ class X0Matrix(NamedTuple):
         writer = csv.writer(buf, lineterminator="\n")
         labels = ["+".join(map(str, lam)) for lam in self.order]
         writer.writerow([""] + labels)
-        for label, row in zip(labels, self.entries):
+        for label, row in zip(labels, self.rows()):
             writer.writerow([label] + [scalar_to_str(x) for x in row])
         return buf.getvalue()
 
@@ -180,15 +183,14 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
     """Assemble and check the zero-mode matrix on the m-reduced basis of weight n.
 
     The closed-form eigenvalues are computed once, here, and the diagonal is
-    checked against them; the eigen-solve reads its eigenvalues off it.
+    checked against them; the eigen-solve reads them off the columns.
     """
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
     order = tuple(enumerate_partitions(n, "m_reduced", mode.m))
     values = _collision_precheck(order, mode)
-    columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode)) for lam in order}
-    for lam, expected in zip(order, values):
-        col = columns[lam]
+    columns = tuple(p_to_q_reduced(x0_apply_series(lam, mode)) for lam in order)
+    for lam, col, expected in zip(order, columns, values):
         for nu in col.support():
             if not dominates(nu, lam):
                 raise InternalCheckError(
@@ -202,7 +204,4 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
                 f"diagonal mismatch at {lam}: got {diag}, eigenvalue "
                 f"formula gives {expected} (m={mode.m}, {mode.describe()})"
             )
-    entries = tuple(
-        tuple(columns[lam].coeff(nu) for lam in order) for nu in order
-    )
-    return X0Matrix(mode.m, n, order, entries)
+    return X0Matrix(mode.m, n, order, columns)

@@ -544,6 +544,14 @@ GOLDEN = (
      "c56f5df87027578768d8838ee7d4d29567fd48d7bebdd36842b82081670b92d4"),
     ("qexpand --m 3 --n 2 --mode eval --q0 2 --c0 -xi", 0,
      "a27b125099713c02f945edbf548a11d8aba094ce97ba906ec211b2e9fbcbffdf"),
+    # a zero eigenvalue: 2 q0 - 1 at q0 = 1/2; that of (3, 1, 1) at m = 6,
+    # q0 = xi^5, which the solve for (2, 1, 1, 1) passes as a gap
+    ("macdonald --m 2 --lambda 1 --mode eval --q0 1/2", 0,
+     "7bdd48db0b1d432c8715f5eed4334692f2c3afb4addaa4bae03e633af351d22a"),
+    ("gram --m 6 --n 5 --mode eval --q0 xi^5", 0,
+     "9d6a0006c62db3df0197d62934466c3335034ccaed5677c86856d3da3278538a"),
+    ("macdonald --m 6 --lambda 2,1,1,1 --mode eval --q0 xi^5", 0,
+     "b1a6ddd9b386ced6bd91b4f3497660af68e9b205f4b8d7fa269724f27cf1092c"),
 )
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from modmac import macdonald, selfcheck, vertex
+from modmac import cli, macdonald, selfcheck, vertex
 from modmac.errors import EigenvalueCollisionAtEvaluation, InternalCheckError, PoleAtSpecialization
 from modmac.macdonald import (
     all_q,
@@ -37,12 +37,12 @@ Q = CycRat.q(2)
 
 def _in_P(mac):
     # the eigenvector in the P coordinates the operator acts on
-    return QExpr(mac.m, dict(mac.q_coeffs)).to_p()
+    return mac.q_coeffs.to_p()
 
 
 def test_solve_q_degree_one():
     mac = solve_q(P((1,)), M2)
-    assert mac.q_coeffs == ((P((1,)), Cyc(2, (1,))),)
+    assert mac.q_coeffs == QExpr(2, {(1,): 1})
     assert mac.p_form == to_p(q_to_p(1, 2), M2)
     assert mac.eigenvalue == 2 * Q - 1
     for m in (3, 4):
@@ -55,13 +55,13 @@ def test_solve_q_degree_one():
 def test_solve_q_singleton_weight():
     mac = solve_q(P((2,)), M2)
     assert mac.p_form == to_p(q_to_p(2, 2), M2)
-    assert mac.coeff(P((2,))) == 1
+    assert mac.q_coeffs.coeff(P((2,))) == 1
 
 
 def test_solve_q_two_dimensional():
     mac = solve_q(P((2, 1)), M2)
-    assert mac.coeff(P((2, 1))) == 1
-    assert mac.coeff(P((3,))) == -2 * (Q**2 + Q + 1) / (Q**2 + 1)
+    assert mac.q_coeffs.coeff(P((2, 1))) == 1
+    assert mac.q_coeffs.coeff(P((3,))) == -2 * (Q**2 + Q + 1) / (Q**2 + 1)
     # eigenvector property through the independent implementation
     f = _in_P(mac)
     assert to_p(f, M2) == mac.p_form
@@ -91,8 +91,9 @@ def test_eigenvalues_are_read_off_the_checked_diagonal(monkeypatch):
     qs = all_q(6, mode)
     mat = x0_matrix(6, mode)
     assert calls == list(mat.order) and len(calls) > 4
-    assert [mac.eigenvalue for mac in qs] == mat.diagonal()
-    assert mat.diagonal() == [eigenvalue_c(lam, mode) for lam in mat.order]
+    diagonal = [col.coeff(lam) for lam, col in zip(mat.order, mat.columns)]
+    assert [mac.eigenvalue for mac in qs] == diagonal
+    assert diagonal == [eigenvalue_c(lam, mode) for lam in mat.order]
 
 
 def test_all_q_examples():
@@ -116,25 +117,30 @@ def test_eigenvector_via_matrix_coordinates():
 
     for mode, n in ((M2, 5), (M3, 4)):
         mat = x0_matrix(n, mode)
+        rows = mat.rows()
         for mac in all_q(n, mode):
             for nu in mat.order:
                 acc = mode.zero()
-                for mu, c in mac.q_coeffs:
-                    acc = acc + c * mat.entries[mat.order.index(nu)][mat.order.index(mu)]
-                assert acc == mac.eigenvalue * mac.coeff(nu), (mac.shape, nu)
+                for mu, c in mac.q_coeffs.terms.items():
+                    acc = acc + c * rows[mat.order.index(nu)][mat.order.index(mu)]
+                assert acc == mac.eigenvalue * mac.q_coeffs.coeff(nu), (mac.shape, nu)
+
+
+def _direct_gram(n, mode):
+    # the direct pairings of the p-forms, the oracle for gram's cleared ones:
+    # every off-diagonal pairing is zero, and the diagonal is returned
+    qs = all_q(n, mode)
+    pairings = [[scalar_product(a.p_form, b.p_form, mode) for b in qs] for a in qs]
+    assert all(v.is_zero for i, row in enumerate(pairings) for j, v in enumerate(row) if i != j)
+    return [row[i] for i, row in enumerate(pairings)]
 
 
 def test_gram_examples():
-    g = gram(1, M2)
-    assert g[0][0] == 2 / (1 - Q)
-    g = gram(3, M2)
-    assert g[0][1].is_zero and g[1][0].is_zero
-    assert not g[0][0].is_zero and not g[1][1].is_zero
-    for n in (2, 3):
-        g = gram(n, M3)
-        for i in range(len(g)):
-            for j in range(len(g)):
-                assert g[i][j].is_zero == (i != j)
+    assert gram(1, M2) == [2 / (1 - Q)]
+    for mode, n in ((M2, 3), (M3, 2), (M3, 3)):
+        g = gram(n, mode)
+        assert g == _direct_gram(n, mode) and len(g) == len(x0_matrix(n, mode).order)
+        assert not any(v.is_zero for v in g)
 
 
 CLEARED_CASES = ([(M2, n) for n in range(1, 7)] + [(M3, n) for n in range(1, 6)]
@@ -147,8 +153,7 @@ CLEARED_CASES = ([(M2, n) for n in range(1, 7)] + [(M3, n) for n in range(1, 6)]
                               for mode, n in CLEARED_CASES])
 def test_cleared_route_equals_direct_route(mode, n):
     qs = all_q(n, mode)
-    # the direct pairings of the p-forms are the oracle for gram's cleared ones
-    assert gram(n, mode) == [[scalar_product(a.p_form, b.p_form, mode) for b in qs] for a in qs]
+    assert gram(n, mode) == _direct_gram(n, mode)
     for mac in qs:
         lcm, cleared = mac.lcm, mac.cleared
         one = Cyc(mode.m, (1,))
@@ -164,7 +169,7 @@ def test_cleared_route_equals_direct_route(mode, n):
         for lam, c in cleared.terms.items():
             assert isinstance(c, Cyc) or c.is_polynomial
             assert c / (lcm * epsilon_product(lam, mode)) == mac.p_form.terms[lam]
-        for _, c in mac.q_coeffs:
+        for c in mac.q_coeffs.terms.values():
             u = c * lcm
             assert isinstance(u, Cyc) or u.is_polynomial
             g = _pgcd(mode.m, g, u._num if isinstance(u, CycRat) else (u.den, u.num))
@@ -173,21 +178,24 @@ def test_cleared_route_equals_direct_route(mode, n):
 
 
 def _recursion_then_clearing(lam, mode):
-    # the solve's loop over CycRat coordinates, then one clearing at the end
+    # the solve's loop by position over the dense rows, restricted to the
+    # shapes that dominate lam, on CycRat coordinates; then one clearing at
+    # the end.  Returns the coordinates and the cleared numerators by shape.
     mat = x0_matrix(lam.weight, mode)
-    diag = mat.diagonal()
+    rows = mat.rows()
     *above, i = (k for k, nu in enumerate(mat.order) if dominates(nu, lam))
     coeffs = {i: mode.one()}
     for k in reversed(above):
-        row = mat.entries[k]
-        c = sum((a * row[j] for j, a in coeffs.items()), mode.zero()) / (diag[i] - diag[k])
+        c = sum((a * rows[k][j] for j, a in coeffs.items()), mode.zero()) / (rows[i][i] - rows[k][k])
         if not c.is_zero:
             coeffs[k] = c
     lcm, nums = clear_denominators(mode.m, list(coeffs.values()))
-    return tuple((mat.order[k], c) for k, c in coeffs.items()), lcm, nums
+    shapes = [mat.order[k] for k in coeffs]
+    return QExpr(mode.m, dict(zip(shapes, coeffs.values()))), lcm, dict(zip(shapes, nums))
 
 
-RUNNING_DEN_CASES = [(mode, n) for m, n in ((2, 6), (3, 6), (5, 5), (8, 8))
+# composite moduli at n >= m among them: (4, 6) and (6, 7)
+RUNNING_DEN_CASES = [(mode, n) for m, n in ((2, 6), (3, 6), (4, 6), (5, 5), (6, 7), (8, 8))
                      for mode in (symbolic_mode(m), eval_mode(m, 2))]
 
 
@@ -201,8 +209,8 @@ def test_running_denominator_equals_clearing_at_the_end(mode, n):
         q_coeffs, lcm, nums = _recursion_then_clearing(lam, mode)
         assert mac.q_coeffs == q_coeffs
         assert mac.lcm == lcm and type(mac.lcm) is type(lcm)
-        assert [c * mac.lcm for _, c in mac.q_coeffs] == nums
-        assert mac.cleared == QExpr(mode.m, dict(zip((mu for mu, _ in q_coeffs), nums))).to_p()
+        assert {mu: c * mac.lcm for mu, c in mac.q_coeffs.terms.items()} == nums
+        assert mac.cleared == QExpr(mode.m, nums).to_p()
         if not mode.is_symbolic:
             assert lcm == 1
 
@@ -216,8 +224,7 @@ def _mutated_weigh(monkeypatch, mutate):
 def test_dropped_lcm_changes_the_gram_diagonal(monkeypatch):
     # K = 1 in place of the vector's lcm: the diagonal is off by K, and the
     # direct pairings of the p-forms see it
-    qs = all_q(4, M3)
-    want = [[scalar_product(a.p_form, b.p_form, M3) for b in qs] for a in qs]
+    want = _direct_gram(4, M3)
     assert gram(4, M3) == want
     _mutated_weigh(monkeypatch, lambda lcm, g: (Cyc(3, (1,)), g))
     assert gram(4, M3) != want
@@ -240,14 +247,20 @@ def test_dropped_weight_fires(monkeypatch, mode):
     assert report["detail"] == "fails at n=4, P_(4,) and P_(1, 1, 1, 1), symbolic", report
 
 
-def test_gram_zeros_are_cycs():
-    # a zero pairing is the Cyc zero, as a zero x0_matrix entry is
-    g = gram(4, M3)
-    zeros = [(i, j) for i, row in enumerate(g) for j, v in enumerate(row) if not v]
-    assert zeros == [(i, j) for i in range(len(g)) for j in range(len(g)) if i != j]
+def test_gram_zeros_are_cycs(monkeypatch):
+    # a zero in a written matrix is the Cyc zero: the entries off the Gram
+    # diagonal, as a zero x0_matrix entry
+    written = []
+    monkeypatch.setattr(cli, "_emit_matrix", lambda mat, out: written.append(mat))
+    cli.gram_cmd(M3, 4, "json")
+    rows = written[0].rows()
+    zeros = [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if not v]
+    assert zeros == [(i, j) for i in range(len(rows)) for j in range(len(rows)) if i != j]
     assert len(zeros) == 12
-    assert all(type(g[i][j]) is Cyc for i, j in zeros)
-    assert all(type(x) is Cyc for row in x0_matrix(4, M3).entries for x in row if not x)
+    assert all(type(rows[i][j]) is Cyc for i, j in zeros)
+    assert [rows[i][i] for i in range(len(rows))] == gram(4, M3)
+    zeros = [x for row in x0_matrix(4, M3).rows() for x in row if not x]
+    assert zeros and all(type(x) is Cyc for x in zeros)
 
 
 def test_uniqueness_perturbation_breaks_eigenvector():
@@ -257,7 +270,7 @@ def test_uniqueness_perturbation_breaks_eigenvector():
     cases = [(P((2, 1)), M2), (P((3, 1)), M2), (P((4, 2)), M2), (P((2, 1)), M3)]
     for lam, mode in cases:
         mac = solve_q(lam, mode)
-        above = [nu for nu, _ in mac.q_coeffs if nu != lam]
+        above = [nu for nu in mac.q_coeffs.terms if nu != lam]
         if not above:
             continue
         nu = rng.choice(above)
@@ -272,9 +285,9 @@ def test_eigenvector_recheck_fires(monkeypatch, mode):
     # at q_(4), the only one the solve for (3,1) reads
     mat = x0_matrix(4, mode)
     assert mat.order == (P((4,)), P((3, 1)))
-    rows = [list(row) for row in mat.entries]
-    rows[0][1] = rows[0][1] + 1
-    bad = mat._replace(entries=tuple(map(tuple, rows)))
+    # column (3, 1) gains 1 at row (4)
+    col = mat.columns[1]
+    bad = mat._replace(columns=(mat.columns[0], QExpr(2, {**col.terms, P((4,)): col.coeff(P((4,))) + 1})))
     monkeypatch.setattr(macdonald, "x0_matrix",
                         lambda n, md: bad if (n, md) == (4, mode) else x0_matrix(n, md))
     solve_q.cache_clear()
@@ -346,14 +359,13 @@ def test_eval_mode_solutions():
         f = _in_P(mac)
         assert to_p(f, me) == mac.p_form
         assert x0_apply_diff(f, me) == f.scale(mac.eigenvalue)
-    g = gram(4, me)
-    assert g[0][1].is_zero
+    assert gram(4, me) == _direct_gram(4, me)
     # eval mode computes in Q(xi_m): every scalar it returns is a Cyc
     for mode, n in ((me, 4), (eval_mode(3, F(1, 2), zeta(3)), 4)):
-        values = [x for row in x0_matrix(n, mode).entries for x in row]
-        values += [x for row in gram(n, mode) for x in row]
+        values = [x for row in x0_matrix(n, mode).rows() for x in row]
+        values += gram(n, mode)
         for mac in all_q(n, mode):
-            values += [c for _, c in mac.q_coeffs] + list(mac.p_form.terms.values())
+            values += list(mac.q_coeffs.terms.values()) + list(mac.p_form.terms.values())
             values.append(mac.eigenvalue)
         assert values and all(type(x) is Cyc for x in values)
     with pytest.raises(EigenvalueCollisionAtEvaluation):

@@ -18,7 +18,7 @@ from modmac.scalars import (
     symbolic_mode,
     zeta,
 )
-from modmac.symfunc import PExpr, q_to_p, qprod_to_p, to_p
+from modmac.symfunc import PExpr, QExpr, q_to_p, qprod_to_p, to_p
 from modmac.vertex import (
     X0Matrix,
     eigen_collision,
@@ -193,16 +193,20 @@ def test_s_apply_is_multiplicative(m):
 def test_x0_matrix_frozen_values():
     mat = x0_matrix(2, M2)
     assert list(mat.order) == [(2,)]
-    assert mat.entries[0][0] == 2 * Q2**2 - 1
+    assert mat.rows()[0][0] == 2 * Q2**2 - 1
 
     mat = x0_matrix(3, M2)
     assert list(mat.order) == [(3,), (2, 1)]
-    assert mat.diagonal() == [2 * Q2**3 - 1, 2 * Q2**2 - 2 * Q2 + 1]
-    assert mat.entries[1][0].is_zero
-    assert mat.entries[mat.order.index(P((3,)))][mat.order.index(P((2, 1)))] == 4 * Q2**3 - 4
+    assert [col.coeff(lam) for lam, col in zip(mat.order, mat.columns)] == [
+        2 * Q2**3 - 1, 2 * Q2**2 - 2 * Q2 + 1]
+    rows = mat.rows()
+    assert rows[1][0].is_zero
+    assert rows[mat.order.index(P((3,)))][mat.order.index(P((2, 1)))] == 4 * Q2**3 - 4
+    # row nu, column lam: the q_nu coordinate of the image of q_lam
+    assert mat.columns[1].terms == {P((3,)): 4 * Q2**3 - 4, P((2, 1)): 2 * Q2**2 - 2 * Q2 + 1}
 
     mat = x0_matrix(1, M3)
-    assert mat.entries[0][0] == eigenvalue_c(P((1,)), M3)
+    assert mat.rows()[0][0] == eigenvalue_c(P((1,)), M3)
     with pytest.raises(ValueError):
         x0_matrix(0, M2)
 
@@ -249,7 +253,7 @@ def test_cyc_renders_as_the_constant_cycrat(c, text, num):
     assert scalar_to_json(c) == {"num": num, "den": [["1", "0"]]}
     assert scalar_to_str(c) == text
     assert str(CycRat.q(3) + c) == ("q" if not c else f"{text} + q")
-    assert X0Matrix(3, 1, (P((1,)),), ((c,),)).to_csv() == f",1\n1,{text}\n"
+    assert X0Matrix(3, 1, (P((1,)),), (QExpr(3, {(1,): c}),)).to_csv() == f",1\n1,{text}\n"
 
 
 def test_matrix_serialization():
