@@ -212,8 +212,8 @@ def macdonald_cmd(pm: ParamMode, lam: Partition) -> None:
 def gram_cmd(pm: ParamMode, n: int, out: str) -> None:
     """Pairings of the weight-N eigenvectors (a diagonal matrix)."""
     mat = x0_matrix(n, pm)
-    diagonal = (QExpr(pm.m, {lam: v}) for lam, v in zip(mat.order, gram(n, pm)))
-    _emit_matrix(mat._replace(columns=tuple(diagonal)), out)
+    diagonal = {lam: QExpr(pm.m, {lam: v}) for lam, v in gram(n, pm).items()}
+    _emit_matrix(mat._replace(columns=diagonal), out)
 
 
 @_command("specialize", _M, _LAMBDA)

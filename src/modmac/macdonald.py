@@ -108,12 +108,11 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     if not lam:
         one = mode.one()
         return ModularMacdonald(m, lam, mode, QExpr._raw(m, {lam: one}), one, PExpr.one(m), one)
-    mat = x0_matrix(lam.weight, mode)
-    cols = dict(zip(mat.order, mat.columns))
-    ev = cols[lam].coeff(lam)
+    cols = x0_matrix(lam.weight, mode).columns
+    shapes, ev = list(cols), cols[lam].coeff(lam)
     # c_nu and u_nu = c_nu * den, by shape
     den, coeffs, nums = mode.one(), {lam: mode.one()}, {lam: mode.one()}
-    for nu in reversed(mat.order[:mat.order.index(lam)]):
+    for nu in reversed(shapes[:shapes.index(lam)]):
         s = sum((u * cols[mu].terms[nu] for mu, u in nums.items() if nu in cols[mu].terms),
                 mode.zero())
         if s.is_zero:
@@ -134,12 +133,12 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
 
 def all_q(n: int, mode: ParamMode) -> list[ModularMacdonald]:
     """One eigenvector per m-reduced partition of n, greatest index first."""
-    return [solve_q(lam, mode) for lam in x0_matrix(n, mode).order]
+    return [solve_q(lam, mode) for lam in x0_matrix(n, mode).columns]
 
 
-def gram(n: int, mode: ParamMode) -> list[Cyc | CycRat]:
-    """The diagonal <Q_a, Q_a> of the weight-n eigenvectors' pairings, in
-    `all_q` order, after checking that every off-diagonal pairing is zero.
+def gram(n: int, mode: ParamMode) -> dict[Partition, Cyc | CycRat]:
+    """The diagonal <Q_a, Q_a> of the weight-n eigenvectors' pairings by shape,
+    in `all_q` order, after checking that every off-diagonal pairing is zero.
 
     On the cleared forms: with (K_a, G_a) = weigh(N_a), once per vector,
     K_a L_a L_b <Q_a, Q_b> = coefficient_dot(N_b, G_a), a sum of polynomial
@@ -149,10 +148,10 @@ def gram(n: int, mode: ParamMode) -> list[Cyc | CycRat]:
     row-major order is reported.
     """
     qs = all_q(n, mode)
-    out = []
+    out = {}
     for i, a in enumerate(qs):
         scale, weighted = weigh(a.cleared, mode)
-        out.append(coefficient_dot(a.cleared, weighted) / (a.lcm * a.lcm * scale))
+        out[a.shape] = coefficient_dot(a.cleared, weighted) / (a.lcm * a.lcm * scale)
         for b in qs[i + 1:]:
             v = coefficient_dot(b.cleared, weighted)
             if not v.is_zero:

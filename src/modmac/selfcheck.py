@@ -209,8 +209,8 @@ def _check_separation(m: int, bound: int, pairs: int, pool_n: int, rng: random.R
     mode = symbolic_mode(m)
     values: dict[Partition, Cyc | CycRat] = {}
     for n in range(1, bound + 1):
-        order = tuple(enumerate_partitions(n, "m_reduced", m))
-        values.update(zip(order, _collision_precheck(order, mode)))
+        order = enumerate_partitions(n, "m_reduced", m)
+        values.update(_collision_precheck(order, mode))
         for lam, mu in combinations(order, 2):
             diff = values[lam] - values[mu]
             if isinstance(diff, CycRat) and not diff.is_polynomial:
@@ -255,10 +255,9 @@ def _check_eigenbasis(m: int, sym_bound: int, eval_bound: int) -> str:
                     raise VerificationError(f"eigenvalue off at {where}")
                 if by_series != mac.cleared.scale(mac.eigenvalue):
                     raise VerificationError(f"not an eigenvector of the series form at {where}")
-            for i, v in enumerate(gram(n, mode)):
+            for shape, v in gram(n, mode).items():
                 if v.is_zero:
-                    raise VerificationError(f"zero Gram diagonal at n={n}, index {i} "
-                                            f"(m={m}, {mode.describe()})")
+                    raise VerificationError(f"zero Gram diagonal at {shape} (m={m}, {mode.describe()})")
     return f"symbolic n<={sym_bound}, eval(q0=2) n<={eval_bound}"
 
 

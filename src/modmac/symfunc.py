@@ -219,9 +219,6 @@ class QExpr(_Expr):
     def _check_key(self, lam: Partition) -> None:
         pass
 
-    def support(self) -> list[Partition]:
-        return sorted(self.terms, key=_sort_key)
-
     def to_p(self) -> PExpr:
         """Expand back into the P coordinates."""
         return PExpr.sum(self.m, (qprod_to_p(lam, self.m).scale(c) for lam, c in self.sorted_items()))
@@ -362,9 +359,9 @@ def _exact_inverse(a: list[list[Cyc]], m: int) -> list[list[Cyc]]:
 
 
 @lru_cache(maxsize=None)
-def _reduced_basis_solver(n: int, m: int):
-    """(cols, rows): the m-reduced lambda of weight n and, for each, its row of
-    the inverse change of basis as a PExpr on the m-regular rho."""
+def _reduced_basis_solver(n: int, m: int) -> dict[Partition, PExpr]:
+    """Each m-reduced lambda of weight n, in `enumerate_partitions` order, to its
+    row of the inverse change of basis, a PExpr on the m-regular rho (read-only)."""
     regular = tuple(enumerate_partitions(n, "m_regular", m))
     cols = tuple(enumerate_partitions(n, "m_reduced", m))
     if len(regular) != len(cols):
@@ -372,15 +369,15 @@ def _reduced_basis_solver(n: int, m: int):
             f"|m-regular| != |m-reduced| at weight {n}: {len(regular)} vs {len(cols)}"
         )
     inv = _exact_inverse([[qprod_to_p(c, m).coeff(r) for c in cols] for r in regular], m)
-    return cols, tuple(PExpr._raw(m, {rho: x for rho, x in zip(regular, row) if x}) for row in inv)
+    return {lam: PExpr._raw(m, {rho: x for rho, x in zip(regular, row) if x}) for lam, row in zip(cols, inv)}
 
 
 def p_to_q_reduced(f: PExpr) -> QExpr:
     """Coordinates in the m-reduced q-basis: lambda's is coefficient_dot(row, f)."""
     if f.is_zero:
         return QExpr._raw(f.m, {})
-    cols, rows = _reduced_basis_solver(f.homogeneous_degree(), f.m)
-    return QExpr._collect(f.m, ((col, coefficient_dot(row, f)) for col, row in zip(cols, rows)))
+    rows = _reduced_basis_solver(f.homogeneous_degree(), f.m)
+    return QExpr._collect(f.m, ((lam, coefficient_dot(row, f)) for lam, row in rows.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -119,27 +119,27 @@ def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
 class X0Matrix(NamedTuple):
     """Matrix of the zero mode on the m-reduced q-basis of one weight.
 
-    `order` is the `enumerate_partitions` order, a linear extension of
-    dominance (greatest first); `columns` holds the image of each q_lam in
-    that order, as m-reduced coordinates keyed by shape.  The q_nu coordinate
-    of column lam is the entry at (row nu, column lam), so the matrix is
-    upper triangular with the eigenvalues on the diagonal.
+    `columns` maps each m-reduced shape lam, in the `enumerate_partitions`
+    order (a linear extension of dominance, greatest first), to the image of
+    q_lam as m-reduced coordinates keyed by shape; like `QExpr.terms`, it is
+    read-only.  The q_nu coordinate of column lam is the entry at (row nu,
+    column lam), so the matrix is upper triangular with the eigenvalues on
+    the diagonal.
     """
 
     m: int
     n: int
-    order: tuple[Partition, ...]
-    columns: tuple[QExpr, ...]
+    columns: dict[Partition, QExpr]
 
     def rows(self) -> list[list[Cyc | CycRat]]:
         """The dense matrix, row nu holding the q_nu coordinate of every column."""
-        return [[col.coeff(nu) for col in self.columns] for nu in self.order]
+        return [[col.coeff(nu) for col in self.columns.values()] for nu in self.columns]
 
     def to_json(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
-            "order": [lam.to_json() for lam in self.order],
+            "order": [lam.to_json() for lam in self.columns],
             "entries": [[scalar_to_json(x) for x in row] for row in self.rows()],
         }
 
@@ -150,20 +150,20 @@ class X0Matrix(NamedTuple):
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        labels = ["+".join(map(str, lam)) for lam in self.order]
+        labels = ["+".join(map(str, lam)) for lam in self.columns]
         writer.writerow([""] + labels)
         for label, row in zip(labels, self.rows()):
             writer.writerow([label] + [scalar_to_str(x) for x in row])
         return buf.getvalue()
 
 
-def _collision_precheck(order: tuple[Partition, ...], mode: ParamMode) -> list[Cyc | CycRat]:
-    # the one check that the basis eigenvalues differ, as the eigen-solve
-    # needs; returns them, the closed form the diagonal is checked against.
-    # Distinct m-reduced shapes have multiplicities below m, so they never
-    # agree mod m: `eigen_collision` is False on every pair here.
-    values = [eigenvalue_c(lam, mode) for lam in order]
-    for (lam, a), (mu, b) in combinations(zip(order, values), 2):
+def _collision_precheck(order: list[Partition], mode: ParamMode) -> dict[Partition, Cyc | CycRat]:
+    """The one check that the basis eigenvalues differ, as the eigen-solve
+    needs; returns them keyed by shape in `order`, the closed form the
+    diagonal is checked against.  Distinct m-reduced shapes have multiplicities
+    below m, so they never agree mod m: `eigen_collision` is False on every pair."""
+    values = {lam: eigenvalue_c(lam, mode) for lam in order}
+    for (lam, a), (mu, b) in combinations(values.items(), 2):
         if a != b:
             continue
         if mode.is_symbolic:
@@ -187,21 +187,20 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
     """
     if n < 1:
         raise ValueError(f"weight must be positive, got {n}")
-    order = tuple(enumerate_partitions(n, "m_reduced", mode.m))
-    values = _collision_precheck(order, mode)
-    columns = tuple(p_to_q_reduced(x0_apply_series(lam, mode)) for lam in order)
-    for lam, col, expected in zip(order, columns, values):
-        for nu in col.support():
+    values = _collision_precheck(enumerate_partitions(n, "m_reduced", mode.m), mode)
+    columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode)) for lam in values}
+    for lam, col in columns.items():
+        for nu, c in col.sorted_items():
             if not dominates(nu, lam):
                 raise InternalCheckError(
                     f"raising property violated: image of q_{lam} has support at "
-                    f"non-dominating {nu} (coefficient {col.coeff(nu)}; m={mode.m}, "
+                    f"non-dominating {nu} (coefficient {c}; m={mode.m}, "
                     f"{mode.describe()}); dump: {json.dumps(col.to_json())}"
                 )
         diag = col.coeff(lam)
-        if diag != expected:
+        if diag != values[lam]:
             raise InternalCheckError(
                 f"diagonal mismatch at {lam}: got {diag}, eigenvalue "
-                f"formula gives {expected} (m={mode.m}, {mode.describe()})"
+                f"formula gives {values[lam]} (m={mode.m}, {mode.describe()})"
             )
-    return X0Matrix(mode.m, n, order, columns)
+    return X0Matrix(mode.m, n, columns)

@@ -503,6 +503,17 @@ GOLDEN = (
      "e57d7f1b86fd40b37cc928c2dfd70b38f571edb0843b55ecc0f540f9d99adf80"),
     ("specialize --m 6 --lambda 3,2", 0,
      "a47c74dd8d55898d51ce6fa6a9f9490e1c4930e6f84cf0c5f28bf78833eff32d"),
+    # the composite modulus m = 6, symbolic, at weights n >= m
+    ("gram --m 6 --n 6", 0,
+     "82a6bf6a19ef7b8b069d7c9828691a30e42e0d72b8e42b46b7534f52ec968878"),
+    ("gram --m 6 --n 7 --out csv", 0,
+     "e21573960131380345ff5e4f55a9ac0f925d6c5d5bae2834298e33885b24579d"),
+    ("x0-matrix --m 6 --n 6", 0,
+     "8eb043e6e84695e2a96ad8f934d191a3c32b1c94b89bf40e098b91354a56ad61"),
+    ("macdonald --m 6 --lambda 4,2", 0,
+     "8abf6fe30ae2b3ebbb27ff93cf26ae1a574c82908bf0d893188a79ee9c283956"),
+    ("specialize --m 6 --lambda 3,2,1", 0,
+     "a904823207a3d27e98ab16d23d10e5f5f5771567f586d70a85ec1eb2b38710fb"),
     # selfcheck and newton-verify, recorded before the twelve criteria moved
     # into one implementation shared with the acceptance tests
     ("selfcheck --m 2 --max-n 3", 0,

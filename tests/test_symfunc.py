@@ -390,7 +390,7 @@ def test_derived_keys_are_partitions():
     exprs = (f, d_dp(1, f), d_dp(2, f), product, x0_apply_series(P((2, 1, 1)), M3),
              p_to_q_reduced(f), to_p(f, M3))
     keys = [lam for e in exprs for lam in e.terms]
-    keys += x0_matrix(4, M3).order
+    keys += x0_matrix(4, M3).columns
     keys += solve_q(P((2, 1, 1)), M3).q_coeffs.terms
     assert len(keys) > 20 and all(type(lam) is Partition for lam in keys)
 
@@ -447,12 +447,16 @@ def test_p_to_q_reduced_matches_positional_inverse(m, n):
 
 @pytest.mark.parametrize("m,n", REDUCED_CASES)
 def test_inverse_rows_are_sparse_pexprs_on_the_regular_basis(m, n):
-    cols, rows = symfunc._reduced_basis_solver(n, m)
-    assert cols == tuple(enumerate_partitions(n, "m_reduced", m)) and len(rows) == len(cols)
-    regular = set(enumerate_partitions(n, "m_regular", m))
-    for row in rows:
+    rows = symfunc._reduced_basis_solver(n, m)
+    reduced = enumerate_partitions(n, "m_reduced", m)
+    regular = enumerate_partitions(n, "m_regular", m)
+    assert list(rows) == reduced
+    # each lambda's row is its positional row of the dense inverse, zeros dropped
+    dense = symfunc._exact_inverse([[qprod_to_p(c, m).coeff(r) for c in reduced] for r in regular], m)
+    for lam, want in zip(reduced, dense):
+        row = rows[lam]
         assert type(row) is PExpr and row.m == m and row.terms
-        assert set(row.terms) <= regular
+        assert row.terms == {rho: x for rho, x in zip(regular, want) if x}
         assert all(type(c) is Cyc and c for c in row.terms.values())
 
 
@@ -471,7 +475,7 @@ def test_reduced_expansion_triangularity(mode, top):
     for n in range(0, top + 1):
         for lam in enumerate_partitions(n):
             qx = p_to_q_reduced(qprod_to_p(lam, mode.m))
-            for mu in qx.support():
+            for mu in qx.terms:
                 assert dominates(mu, lam), (lam, mu)
             if lam.is_reduced(mode.m):
                 assert qx.coeff(lam) == 1, lam
