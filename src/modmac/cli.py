@@ -211,9 +211,8 @@ def macdonald_cmd(pm: ParamMode, lam: Partition) -> None:
 @_command("gram", _M, _opt("--n", lo=1, required=True), *_MODE, _OUT)
 def gram_cmd(pm: ParamMode, n: int, out: str) -> None:
     """Pairings of the weight-N eigenvectors (a diagonal matrix)."""
-    mat = x0_matrix(n, pm)
     diagonal = {lam: QExpr(pm.m, {lam: v}) for lam, v in gram(n, pm).items()}
-    _emit_matrix(mat._replace(columns=diagonal), out)
+    _emit_matrix(X0Matrix(pm.m, n, diagonal), out)
 
 
 @_command("specialize", _M, _LAMBDA)

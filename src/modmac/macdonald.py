@@ -105,9 +105,6 @@ def solve_q(lam: Partition, mode: ParamMode) -> ModularMacdonald:
     m = mode.m
     if not lam.is_reduced(m):
         raise ValueError(f"{lam} is not m-reduced for m = {m}")
-    if not lam:
-        one = mode.one()
-        return ModularMacdonald(m, lam, mode, QExpr._raw(m, {lam: one}), one, PExpr.one(m), one)
     cols = x0_matrix(lam.weight, mode).columns
     shapes, ev = list(cols), cols[lam].coeff(lam)
     # c_nu and u_nu = c_nu * den, by shape

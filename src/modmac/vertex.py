@@ -3,12 +3,13 @@
 Two independent implementations are kept side by side: a raising-series sum
 over the lowering table `partitions.lowerings` by `symfunc.raising_sum` (which
 also gives the Newton left-hand side), and a normal-ordered product of a
-creation multiplication with an annihilation translation.  Their agreement, the
-dominance triangularity, and the closed-form diagonal are the load-bearing
-checks for everything downstream.  Both act on the P basis of `symfunc`, where
-R_k is polynomial in q and the annihilation exponential exp(sum_n (1 - xi^n)
-d/dP_n), of commuting derivations with constant weights, is exactly the ring
-automorphism P_n -> P_n + 1 - xi^n.
+creation multiplication with an annihilation translation, taking any vector
+f to sum_k R_k S_k(f) with S(f) split by degree in one pass over f.  Their
+agreement, the dominance triangularity, and the closed-form diagonal are the
+load-bearing checks for everything downstream.  Both act on the P basis of
+`symfunc`, where R_k is polynomial in q and the annihilation exponential
+exp(sum_n (1 - xi^n) d/dP_n), of commuting derivations with constant weights,
+is exactly the ring automorphism P_n -> P_n + 1 - xi^n.
 """
 
 from __future__ import annotations
@@ -89,31 +90,28 @@ def _translated(lam: Partition, m: int) -> tuple[PExpr, ...]:
     return tuple(a + b for a, b in zip(kept + zeros, zeros + [g.scale(shift) for g in rest]))
 
 
-def s_apply(k: int, f: PExpr) -> PExpr:
-    """Degree-k component of the annihilation exponential applied to f.
+def s_apply(f: PExpr) -> list[PExpr]:
+    """The annihilation exponential applied to f, split by lowering degree.
 
     S = exp(sum_n (1 - xi^n) d/dP_n) exponentiates commuting derivations with
     constant weights, so by Taylor's theorem it is exactly the translation
-    P_n -> P_n + 1 - xi^n; S_k keeps the terms of S(P_lam) of weight |lam| - k.
+    P_n -> P_n + 1 - xi^n.  Entry k holds the terms of S(f) lowered by k in
+    weight, so entry 0 is f; one pass over f translates each term once.
     Pinned against a direct operator exponential by the tests.
     """
-    if k < 0:
-        raise ValueError("lowering degree must be non-negative")
-    if k == 0:
-        return f
-    return PExpr._collect(f.m, ((mu, c * v) for lam, c in f.terms.items() if k <= lam.weight
-                                for mu, v in _translated(lam, f.m)[k].terms.items()))
+    lows = [[] for _ in range(max((lam.weight for lam in f.terms), default=0))]
+    for lam, c in f.terms.items():
+        for pairs, g in zip(lows, _translated(lam, f.m)[1:]):
+            pairs.extend((mu, c * v) for mu, v in g.terms.items())
+    return [f, *(PExpr._collect(f.m, pairs) for pairs in lows)]
 
 
 def x0_apply_diff(f: PExpr, mode: ParamMode) -> PExpr:
-    """Normal-ordered implementation of the zero mode on a homogeneous element:
-    sum_k (multiplication by R_k) after the degree-k annihilation component."""
+    """Normal-ordered implementation of the zero mode, linear on the whole
+    ring: sum_k (multiplication by R_k) after the degree-k component of S(f)."""
     _require_same_m(f.m, mode.m)
-    if f.is_zero:
-        return f
-    lows = (s_apply(k, f) for k in range(f.homogeneous_degree() + 1))
     return PExpr.sum(mode.m, (p_multiply(r_to_p(k, mode), low)
-                              for k, low in enumerate(lows) if low))
+                              for k, low in enumerate(s_apply(f)) if low))
 
 
 class X0Matrix(NamedTuple):
@@ -185,8 +183,6 @@ def x0_matrix(n: int, mode: ParamMode) -> X0Matrix:
     The closed-form eigenvalues are computed once, here, and the diagonal is
     checked against them; the eigen-solve reads them off the columns.
     """
-    if n < 1:
-        raise ValueError(f"weight must be positive, got {n}")
     values = _collision_precheck(enumerate_partitions(n, "m_reduced", mode.m), mode)
     columns = {lam: p_to_q_reduced(x0_apply_series(lam, mode)) for lam in values}
     for lam, col in columns.items():

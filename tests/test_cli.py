@@ -563,6 +563,28 @@ GOLDEN = (
      "9d6a0006c62db3df0197d62934466c3335034ccaed5677c86856d3da3278538a"),
     ("macdonald --m 6 --lambda 2,1,1,1 --mode eval --q0 xi^5", 0,
      "b1a6ddd9b386ced6bd91b4f3497660af68e9b205f4b8d7fa269724f27cf1092c"),
+    # weight 0 through the general solve; the empty shape is written --lambda=
+    ("macdonald --m 3 --lambda=", 0,
+     "41153e1fa37b45b6748ef12a525939f50d7569fa1ed1d7ca43e4d1d45e135221"),
+    ("macdonald --m 2 --lambda= --mode eval --q0 2", 0,
+     "d1c7db45888a42a26e342ccfdca0ef70b301b2f02eeb701ce3acabcc17b3f965"),
+    ("specialize --m 2 --lambda=", 0,
+     "00113292494eca189ecad0d728afc0c63d9ddec18597109b327f874d32db908a"),
+    # composite and larger moduli at n >= m, where the modular structure appears
+    ("macdonald --m 8 --lambda 3,2,1,1,1", 0,
+     "028c4850ccf54c431f96d44b2d29c3738ceacc55b5cc72e08e6b888d6e4ed048"),
+    ("macdonald --m 8 --lambda 5,3 --mode eval --q0 3/2", 0,
+     "a8a419c6c3038b6287c0a1272fcaaf26d1b288276aa51b46a406868006e5d5cf"),
+    ("gram --m 8 --n 8 --mode eval --q0 2", 0,
+     "a28dd1f35cd16c69e54c0eedc66c949d38c5cc184b0277943f6f1e294a060708"),
+    ("x0-apply --m 9 --lambda 5,4", 0,
+     "ad118dcfbafb0361fe958a3242bd46fcf3da54a2a8e577c82728087e769c0a92"),
+    ("x0-apply --m 12 --lambda 7,5", 0,
+     "055ac2b43c59616c4ea7469a3109d62b5520ed9a1c6bfc572855231d7b793722"),
+    ("newton-verify --m 10 --lambda 6,4", 0,
+     "c8f55405e0a595e3ea9000a1cb2663f231ba5795741d2e2c90e5ec9e191d4ba9"),
+    ("qexpand --m 12 --lambda 7,5", 0,
+     "e22560da13ed0e0b6797e509d722c7d0275cf95c7dea4befec3c6109cc757e18"),
 )
 
 

@@ -100,8 +100,9 @@ def test_all_q_examples():
     assert [mac.shape for mac in all_q(3, M2)] == [(3,), (2, 1)]
     assert [mac.shape for mac in all_q(2, M3)] == [(2,), (1, 1)]
     assert [mac.shape for mac in all_q(1, M2)] == [(1,)]
-    with pytest.raises(ValueError, match="^weight must be positive, got 0$"):
-        all_q(0, M2)
+    # weight 0 goes through the general solve: Q_() = 1, paired with itself to 1
+    assert [(mac.shape, mac.q_coeffs.terms) for mac in all_q(0, M2)] == [((), {(): 1})]
+    assert gram(0, M2) == {(): 1}
 
 
 def test_unitriangular_and_eigenvectors():

@@ -107,8 +107,12 @@ def test_diff_examples():
     f = PExpr(2, {(1, 1): e1 * e1})
     assert to_p(f, M2) == PExpr(2, {(1, 1): 1})
     assert x0_apply_diff(f, M2) == x0_apply_series(P((1, 1)), M2).scale(e1 * e1)
-    with pytest.raises(ValueError):
-        x0_apply_diff(PExpr(2, {(1,): 1, (1, 1): 1}), M2)
+    # X0 is linear on the whole ring: a vector of mixed weights maps termwise
+    for mode in (M2, eval_mode(2, 2)):
+        f, g = qprod_to_p(P((3, 1)), 2), qprod_to_p(P((1,)), 2).scale(3)
+        image = x0_apply_diff(f + g, mode)
+        assert image == x0_apply_diff(f, mode) + x0_apply_diff(g, mode), mode
+        assert image == x0_apply_series(P((3, 1)), mode) + x0_apply_series(P((1,)), mode).scale(3), mode
 
 
 def test_series_agrees_with_normal_ordered_on_repeated_parts():
@@ -168,10 +172,10 @@ def test_s_apply_matches_operator_exponential(mode):
     for f in samples:
         n = f.homogeneous_degree()
         parts = _annihilation_exponential_components(to_p(f, mode), mode)
+        lows = s_apply(f)
+        assert len(lows) == n + 1 and lows[0] is f, f
         for k in range(0, n + 1):
-            assert to_p(s_apply(k, f), mode) == parts.get(k, PExpr.zero(m)), (f, k)
-    with pytest.raises(ValueError):
-        s_apply(-1, samples[0])
+            assert to_p(lows[k], mode) == parts.get(k, PExpr.zero(m)), (f, k)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
@@ -182,7 +186,7 @@ def test_s_apply_is_multiplicative(m):
         return PExpr(m, {rho: zeta(m, i + shift) + i for i, rho in enumerate(rhos)})
 
     def full_s(f):
-        return PExpr.sum(m, (s_apply(k, f) for k in range(f.homogeneous_degree() + 1)))
+        return PExpr.sum(m, s_apply(f))
 
     q = CycRat.q(m)
     for a, b in ((1, 1), (1, 3), (2, 2), (3, 4), (5, 2)):
@@ -208,8 +212,10 @@ def test_x0_matrix_frozen_values():
 
     mat = x0_matrix(1, M3)
     assert mat.rows()[0][0] == eigenvalue_c(P((1,)), M3)
+    # weight 0 is one-dimensional, and X0 fixes the constants
+    assert x0_matrix(0, M2).rows() == [[1]]
     with pytest.raises(ValueError):
-        x0_matrix(0, M2)
+        x0_matrix(-1, M2)
 
 
 def test_eval_collision_detection():
